@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: quiver (show/mutate), operator (show/limit), verify,
-search-signs, wd, limit, period.  Exit code 0 on pass, 1 on fail,
-2 on usage error.
+search-signs, wd, limit, period.  ``verify --task`` accepts the names of
+the TASKS table.  Exit code 0 on pass, 1 on fail, 2 on usage error
+(an unknown subcommand, flag, task or name).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import verify as V
 from .cluster import MutationSequence, Perm, seed_from_text, seed_to_text
@@ -116,57 +118,48 @@ def cmd_operator(args):
     return 0
 
 
+_RE_SIGNS = (1, -1, 1, -1, 1, -1, 1, -1)
+
+# verify task name -> check run on the parsed arguments
+TASKS = {
+    "TE-tau": lambda a: V.check_te_tau((a.signs or (1,))[0]),
+    "TE-eta": lambda a: V.check_te_eta((a.signs or (1,))[0]),
+    "TE-P": lambda a: V.check_te_P(a.variant or "P+"),
+    "TE-seed": lambda a: V.check_te_seed(),
+    "RE-tau": lambda a: V.check_re_tau(a.signs or _RE_SIGNS),
+    "RE-eta": lambda a: V.check_re_eta(a.signs or _RE_SIGNS),
+    "RE-P": lambda a: V.check_re_P(a.signs or _RE_SIGNS),
+    "RE-full": lambda a: V.check_re_full(a.cutoff or 3, a.rep),
+    "RE-seed": lambda a: V.check_re_seed(),
+    "K-eps-indep": lambda a: V.check_K_eps_indep(a.variant or "rho24",
+                                                 a.cutoff or 5),
+    "dilog-wd": lambda a: V.check_wd(a.system or "pnL"),
+    "FG-limit": lambda a: V.check_fg_limit(a.operator or "K-rho24--+"),
+    "diagram": lambda a: V.check_diagram(a.variant or "Kcom"),
+    "lemma": lambda a: V.check_rewriting_lemma(a.cutoff or 6),
+}
+
+
+def _sign_tuple(text):
+    return tuple(1 if s in "+1p" else -1 for s in text.replace(",", ""))
+
+
 def cmd_verify(args):
-    import time as _time
-    kind = args.task
-    signs = None
-    if args.signs:
-        signs = tuple(1 if s in "+1p" else -1 for s in args.signs.replace(",", ""))
-    t0 = _time.perf_counter()
-    if kind == "RE-tau":
-        rep = V.check_re_tau(signs or (1, -1, 1, -1, 1, -1, 1, -1))
-    elif kind == "RE-eta":
-        rep = V.check_re_eta(signs or (1, -1, 1, -1, 1, -1, 1, -1))
-    elif kind == "RE-P":
-        rep = V.check_re_P(signs or (1, -1, 1, -1, 1, -1, 1, -1))
-    elif kind == "RE-full":
-        rep = V.check_re_full(args.cutoff or 3, args.rep)
-    elif kind == "RE-seed":
-        rep = V.check_re_seed()
-    elif kind == "TE-seed":
-        rep = V.check_te_seed()
-    elif kind == "TE-tau":
-        rep = V.check_te_tau((signs or (1,))[0])
-    elif kind == "TE-eta":
-        rep = V.check_te_eta((signs or (1,))[0])
-    elif kind == "TE-P":
-        rep = V.check_te_P(args.variant or "P+")
-    elif kind == "K-eps-indep":
-        rep = V.check_K_eps_indep(args.variant or "rho24", args.cutoff or 5)
-    elif kind == "dilog-wd":
-        rep = V.check_wd(args.system or "pnL")
-    elif kind == "FG-limit":
-        rep = V.check_fg_limit(args.operator or "K-rho24--+")
-    elif kind == "diagram":
-        rep = V.check_diagram(args.variant or "Kcom")
-    elif kind == "lemma":
-        rep = V.check_rewriting_lemma(args.cutoff or 6)
-    else:
-        print(f"unknown task {kind}", file=sys.stderr)
-        return 2
-    rep.wall_ms = int(1000 * (_time.perf_counter() - t0))
+    t0 = time.perf_counter()
+    rep = TASKS[args.task](args)
+    rep.wall_ms = int(1000 * (time.perf_counter() - t0))
     return _print_report(rep, args.out)
 
 
+SEARCHES = {
+    "tau": lambda homogeneous: V.search_good_signs_tau(homogeneous),
+    "eta": lambda homogeneous: V.search_good_signs_eta(homogeneous),
+    "p": lambda homogeneous: V.search_good_signs_P(),
+}
+
+
 def cmd_search_signs(args):
-    if args.level == "tau":
-        good = V.search_good_signs_tau(homogeneous=args.homogeneous)
-    elif args.level == "eta":
-        good = V.search_good_signs_eta(homogeneous=args.homogeneous)
-    elif args.level == "p":
-        good = V.search_good_signs_P()
-    else:
-        return 2
+    good = SEARCHES[args.level](args.homogeneous)
     for t in good:
         print("".join("+" if x > 0 else "-" for x in t))
     print(f"# {len(good)} good sign assignment(s) at level {args.level}")
@@ -218,15 +211,10 @@ def main(argv=None):
     o.set_defaults(fn=cmd_operator)
 
     v = sub.add_parser("verify", help="run an identity verification task")
-    v.add_argument("--task", required=True,
-                   choices=["TE-tau", "TE-eta", "TE-P", "TE-seed", "RE-tau",
-                            "RE-eta", "RE-P", "RE-full", "RE-seed",
-                            "K-eps-indep", "dilog-wd", "FG-limit", "diagram",
-                            "lemma"])
+    v.add_argument("--task", required=True, choices=list(TASKS))
     v.add_argument("--cutoff", type=int, default=None)
-    v.add_argument("--signs", default=None,
+    v.add_argument("--signs", type=_sign_tuple, default=None,
                    help="sign string like '+-+-+-+-'; use --signs=... when it starts with a dash (or letters p/m)")
-    v.add_argument("--constraints", default=None)
     v.add_argument("--rep", choices=["torus", "weyl"], default="torus")
     v.add_argument("--variant", default=None)
     v.add_argument("--system", default=None)
@@ -235,7 +223,7 @@ def main(argv=None):
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("search-signs", help="classify decomposition signs")
-    s.add_argument("--level", choices=["tau", "eta", "p"], required=True)
+    s.add_argument("--level", choices=list(SEARCHES), required=True)
     s.add_argument("--homogeneous", action="store_true")
     s.set_defaults(fn=cmd_search_signs)
 
@@ -248,7 +236,6 @@ def main(argv=None):
 
     l = sub.add_parser("limit", help="verify a degeneration limit")
     l.add_argument("--operator", required=True)
-    l.add_argument("--ray", default=None)
     l.add_argument("--out", default=None)
     l.set_defaults(fn=cmd_limit)
 

@@ -283,14 +283,6 @@ class MutationSequence:
             ts = mutate_tropical(ts, k)
         return ts.permuted(self.sigma)
 
-    def tropical_signs(self, ts: TropicalSeed):
-        """Per-step tropical signs along the sequence (and the final seed)."""
-        signs = []
-        for k in self.steps:
-            signs.append(ts.sign(k))
-            ts = mutate_tropical(ts, k)
-        return signs, ts.permuted(self.sigma)
-
     def then(self, other: "MutationSequence") -> "MutationSequence":
         """self first, then other (labels of other already post-sigma)."""
         sig = self.sigma
@@ -305,11 +297,6 @@ class MutationSequence:
 
     def __repr__(self):
         return f"MutationSequence({list(self.steps)}, {self.sigma})"
-
-
-def apply_permutation(seed, sigma: Perm):
-    """Relabel an exchange seed or tropical seed by sigma."""
-    return seed.permuted(sigma)
 
 
 def is_sigma_period(seed: ExchangeSeed, ms: MutationSequence) -> bool:

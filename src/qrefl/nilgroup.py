@@ -36,9 +36,6 @@ class TriangularOrder:
     def allows(self, i, j) -> bool:
         return self._rank[i] > self._rank[j]
 
-    def preserves(self, sigma) -> bool:
-        return all(self._rank[sigma(x)] == r for x, r in self._rank.items())
-
 
 ORDER_A3 = TriangularOrder(({1}, {2, 4}, {3, 5, 6}))
 ORDER_A3_PRIME = TriangularOrder(({6}, {4, 5}, {1, 2, 3}))
@@ -372,10 +369,6 @@ def adjoint(g: NilGroupElement) -> AffineCanonMap:
         rows.append(row)
         shifts.append(tr)
     return AffineCanonMap(spec, rows, shifts, check=False)
-
-
-def _unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def group_equal(g, h, rules=None):

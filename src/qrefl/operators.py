@@ -66,10 +66,6 @@ def constraints(name: str) -> LinSystem:
     raise UnknownName(name)
 
 
-def eliminate(sys: LinSystem, prefer=()) -> dict:
-    return sys.eliminate(prefer)
-
-
 def rules_for(name: str, prefer=()) -> dict:
     return constraints(name).eliminate(prefer)
 
@@ -105,9 +101,6 @@ class OperatorExpr:
             facs.append((b, e, ad.apply(m)))
         return OperatorExpr(self.spec, facs, self.tail, len(facs))
 
-    def factor_signature(self):
-        return [(b, e, m.pexp, m.cexp, m.coeff) for b, e, m in self.factors]
-
     def equal_factors(self, other) -> bool:
         if len(self.factors) != len(other.factors):
             return False
@@ -115,10 +108,6 @@ class OperatorExpr:
             if b1 != b2 or e1 != e2 or not (m1 == m2):
                 return False
         return True
-
-    def census(self):
-        from collections import Counter
-        return Counter(b for b, _, _ in self.factors)
 
 
 def _weyl_factors(spec, data, subs_idx=None, rules=None):
@@ -219,17 +208,6 @@ def build_K(ktype: str, eps, indices, spec=None, order=None, rules=None,
     facs = _weyl_factors(spec, table, subs, rules)
     tail = NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho,
                                         subs_idx=subs, psubs=rules)
-    return OperatorExpr(spec, facs, tail)
-
-
-def build_K_general(indices, spec, rules=None) -> OperatorExpr:
-    """Ten-factor list with explicit c-parameters kept (pre-final form)."""
-    i, j, k, l = indices
-    order = order_for(spec, indices)
-    facs = _weyl_factors(spec, C.k_final_factors(i, j, k, l, a_equals_c=False), None, rules)
-    pdata, rho = C.pk_final(i, j, k, l)
-    tail = NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho,
-                                        psubs=rules)
     return OperatorExpr(spec, facs, tail)
 
 

@@ -102,15 +102,6 @@ class ParamForm:
         return s[1:] if s.startswith("+") else s
 
 
-PF = ParamForm
-PF0 = ParamForm()
-
-
-def pf(**kw) -> ParamForm:
-    """Shorthand builder: pf(a1=1, b2=-1) -> a1 - b2."""
-    return ParamForm(kw)
-
-
 class ParamQuad:
     """Degree <= 2 polynomial in the parameter symbols (exact rationals)."""
 
@@ -304,8 +295,3 @@ def _row_reduce(rows, ncols):
         pivots.append(col)
         rank += 1
     return rank, pivots
-
-
-def subs_all(forms, rules):
-    """Apply a substitution map to an iterable of ParamForms."""
-    return [f.subs(rules) for f in forms]

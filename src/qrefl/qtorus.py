@@ -9,8 +9,9 @@ s = q^(1/2) (entries of Bhat can be half-integers).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .cluster import ExchangeSeed, FrozenVertex
+from .cluster import ExchangeSeed, FrozenVertex, mutate_matrix
 from .scalars import ONE, ScalarQ
 
 
@@ -54,6 +55,20 @@ class QuantumTorus:
             for j, bj in enumerate(b):
                 if bj and row[j]:
                     tot += ai * row[j] * bj
+        return tot
+
+    def ordering_twist(self, a) -> Fraction:
+        """sum_{i<j} a_i a_j bhat_ij: Y^a is q^-twist times the ordered
+        product of the generator powers Y_1^a_1 ... Y_n^a_n."""
+        tot = Fraction(0)
+        bh = self._bhat
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            row = bh[i]
+            for j in range(i + 1, len(a)):
+                if a[j] and row[j]:
+                    tot += ai * row[j] * a[j]
         return tot
 
     def unit(self, label):
@@ -153,22 +168,11 @@ class TorusHom:
     def apply(self, x: TorusElement) -> TorusElement:
         if x.torus is not self.source and x.torus.labels != self.source.labels:
             raise SeedMismatch("element not over the hom's source torus")
-        out = self.target.element(x.coeff, (0,) * self.target.n())
-        rest = list(x.alpha)
-        # symmetric monomial = q^(sum_{i<j} a_i a_j bhat_ij) * ordered product
-        lab = self.source.labels
-        norm = Fraction(0)
-        for i in range(len(lab)):
-            if not rest[i]:
-                continue
-            for j in range(i + 1, len(lab)):
-                if rest[j]:
-                    norm += rest[i] * self.source.pairing(
-                        self.source.unit(lab[i]), self.source.unit(lab[j])) * rest[j]
-        out = out * self.target.element(ScalarQ.q_pow(-norm), (0,) * self.target.n())
-        for i, l in enumerate(lab):
-            if rest[i]:
-                out = out * self.images[l].pow(rest[i])
+        twist = ScalarQ.q_pow(-self.source.ordering_twist(x.alpha))
+        out = self.target.element(x.coeff * twist, (0,) * self.target.n())
+        for l, a in zip(self.source.labels, x.alpha):
+            if a:
+                out = out * self.images[l].pow(a)
         return out
 
     def compose(self, inner: "TorusHom") -> "TorusHom":
@@ -223,7 +227,7 @@ def tau_step(seed: ExchangeSeed, k, eps: int,
     if k in seed.frozen:
         raise FrozenVertex(k)
     torus_tgt = torus_tgt or QuantumTorus(seed)
-    torus_src = torus_src or QuantumTorus(mutate_matrix_cached(seed, k))
+    torus_src = torus_src or QuantumTorus(mutate_matrix(seed, k))
     images = {}
     for i in seed.labels:
         if i == k:
@@ -236,11 +240,6 @@ def tau_step(seed: ExchangeSeed, k, eps: int,
             a[torus_tgt.index(k)] += mplus
             images[i] = torus_tgt.element(ONE, tuple(a))
     return TorusHom(torus_src, torus_tgt, images)
-
-
-def mutate_matrix_cached(seed, k):
-    from .cluster import mutate_matrix
-    return mutate_matrix(seed, k)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +291,18 @@ class TorusSeries:
     def __eq__(self, other):
         if not isinstance(other, TorusSeries):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[a] == other.terms[a] for a in self.terms)
+        return self.first_difference(other) is None
+
+    def first_difference(self, other: "TorusSeries"):
+        """(alpha, own coefficient, other coefficient) at the first exponent
+        where the two series differ, or None when they are equal."""
+        zero = ScalarQ.zero()
+        for alpha in {**self.terms, **other.terms}:
+            mine = self.terms.get(alpha, zero)
+            theirs = other.terms.get(alpha, zero)
+            if mine != theirs:
+                return alpha, mine, theirs
+        return None
 
     def constant_term(self) -> ScalarQ:
         return self.terms.get((0,) * self.torus.n(), ScalarQ.zero())
@@ -317,8 +325,7 @@ def series_inverse(a: TorusSeries) -> TorusSeries:
     lead_coeff = a.terms[lead]
     inv_lead = TorusSeries(a.torus, a.grading, a.cutoff)
     inv_lead.add_term(tuple(-x for x in lead), lead_coeff.inverse())
-    # t := lead^-1 * a - 1 must have positive grade
-    t = inv_lead.mul_monomial(ScalarQ.one(), (0,) * a.torus.n())
+    # t := a lead^-1 - 1 must have positive grade
     t = series_mul(a, inv_lead)
     zero = (0,) * a.torus.n()
     t.add_term(zero, -(t.terms.get(zero, ScalarQ.zero())))
@@ -328,7 +335,9 @@ def series_inverse(a: TorusSeries) -> TorusSeries:
     out = TorusSeries.one(a.torus, a.grading, a.cutoff)
     power = TorusSeries.one(a.torus, a.grading, a.cutoff)
     n = 0
-    while power.terms and n <= a.cutoff * 4:
+    # every term of t has positive grade, so t^n truncates to nothing once
+    # n times the least grade of t exceeds the cutoff
+    while power.terms:
         n += 1
         power = series_mul(power, t)
         neg = TorusSeries(a.torus, a.grading, a.cutoff)
@@ -344,7 +353,6 @@ class CutoffTooSmall(Exception):
 
 def quantum_mutate(seed, yvars: dict, k, grading, cutoff):
     """One quantum mutation of Y-variables given as truncated series."""
-    from .cluster import FrozenVertex, mutate_matrix
     if k in seed.frozen:
         raise FrozenVertex(k)
     new_seed = mutate_matrix(seed, k)
@@ -458,15 +466,8 @@ def stiemke_grading(args, strict=Fraction(1)):
     sol = _solve_lp_geq(rows, [strict] * len(rows), n)
     if sol is None:
         raise Infeasible("no positive grading exists")
-    den = 1
-    for v in sol:
-        den = den * v.denominator // gcd_f(den, v.denominator)
+    den = lcm(*(v.denominator for v in sol))
     return tuple(int(v * den) for v in sol)
-
-
-def gcd_f(a, b):
-    from math import gcd as _g
-    return _g(int(a), int(b)) or 1
 
 
 def _solve_lp_geq(rows, rhs, nvars):

@@ -171,12 +171,5 @@ def builtin(name: str):
     raise UnknownName(name)
 
 
-def sequence_base(name: str) -> str:
-    """Quiver name a builtin sequence starts from."""
-    if name not in _SEQUENCES:
-        raise UnknownName(name)
-    return _SEQUENCES[name][0]
-
-
 def names():
     return sorted(_QUIVERS) + sorted(_SEQUENCES)

@@ -171,18 +171,24 @@ class WeylSeries:
         return self
 
     def equal_on(self, other: "WeylSeries", region=None) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        for cexp in keys:
+        return self.first_difference(other, region) is None
+
+    def first_difference(self, other: "WeylSeries", region=None):
+        """(cexp, pexp, own coefficient, other coefficient) at the first
+        term where the two series differ, or None when they agree; with
+        ``region``, only exponents where region(cexp) holds count."""
+        zero = (None, ScalarQ.zero())
+        for cexp in {**self.terms, **other.terms}:
             if region is not None and not region(cexp):
                 continue
             b1 = self.terms.get(cexp, {})
             b2 = other.terms.get(cexp, {})
-            for key in set(b1) | set(b2):
-                c1 = b1.get(key, (None, ScalarQ.zero()))[1]
-                c2 = b2.get(key, (None, ScalarQ.zero()))[1]
+            for key in {**b1, **b2}:
+                p1, c1 = b1.get(key, zero)
+                p2, c2 = b2.get(key, zero)
                 if c1 != c2:
-                    return False
-        return True
+                    return cexp, p2 if p1 is None else p1, c1, c2
+        return None
 
     def constant_coeff(self):
         zero = (0,) * (2 * self.spec.p)
@@ -227,21 +233,12 @@ class SubstHom:
         assert isinstance(x, TorusElement)
         if x.torus is not self.source and x.torus.labels != self.source.labels:
             raise SpecMismatch("element not over the hom's source torus")
-        lab = self.source.labels
-        norm = Fraction(0)
-        a = x.alpha
-        for i in range(len(lab)):
-            if not a[i]:
-                continue
-            for j in range(i + 1, len(lab)):
-                if a[j]:
-                    norm += a[i] * self.source.pairing(
-                        self.source.unit(lab[i]), self.source.unit(lab[j])) * a[j]
-        out = WeylMonomial(self.spec, x.coeff * ScalarQ.q_pow(-norm),
+        twist = ScalarQ.q_pow(-self.source.ordering_twist(x.alpha))
+        out = WeylMonomial(self.spec, x.coeff * twist,
                            ParamForm(), (0,) * (2 * self.spec.p))
-        for i, l in enumerate(lab):
-            if a[i]:
-                out = out * self.images[l].pow(a[i])
+        for l, a in zip(self.source.labels, x.alpha):
+            if a:
+                out = out * self.images[l].pow(a)
         return out
 
     def apply_series(self, series, grading, cutoff) -> "WeylSeries":

@@ -252,11 +252,6 @@ class ScalarQ:
         right = {e: c * self.iden for e, c in right.items()}
         return left == right
 
-    def __hash__(self):
-        c = ScalarQ(dict(self.num), self.den, self.iden)
-        c._reduce()
-        return hash((frozenset(c.num.items()), c.den, c.iden))
-
     # -- display ------------------------------------------------------
 
     def as_pair_str(self) -> str:
@@ -272,5 +267,4 @@ class ScalarQ:
         return f"ScalarQ({self.as_pair_str()})"
 
 
-ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()

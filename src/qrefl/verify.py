@@ -7,25 +7,29 @@ a Report; reports are deterministic for fixed inputs.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, product
 
 from . import catalog as C
 from . import compositions as FX
-from .cluster import Perm, TropicalSeed
+from .cluster import (ExchangeSeed, Perm, TropicalSeed, is_sigma_period,
+                      mutate_tropical)
 from .compose import (CompositeState, FactorSpec, hom_from_table,
                       run_composite)
 from .nilgroup import (NilGroupElement, ORDER_A3, ORDER_A3_PRIME, ORDER_C3,
-                       adjoint, bch_mul, group_equal)
-from .operators import (build_FG, build_K, build_R, constraints, iota_operator,
-                        ray, rules_for, take_limit)
+                       OrderViolation, adjoint, bch_mul, group_equal)
+from .operators import (PREFER, _weyl_factors, build_FG, build_K, build_R,
+                        constraints, iota_operator, ray, rules_for, take_limit)
 from .params import LinSystem, ParamForm
 from .qtorus import (Infeasible, QuantumTorus, check_stage_plan,
                      expand_product, match_stage_plan, staged_certificate,
                      stiemke_grading)
 from .quivers import builtin
-from .qweyl import (AffineCanonMap, SPEC_A3, SPEC_C3, WeylMonomial,
-                    expand_weyl_product, relabel_axis, relabel_pf)
-from .scalars import ONE
+from .qweyl import (AffineCanonMap, SPEC_A2, SPEC_A3, SPEC_C2, SPEC_C3,
+                    build_subst_hom, diagram_commutes, expand_weyl_product)
+from .scalars import ONE, ScalarQ
 
 
 class Report:
@@ -63,14 +67,56 @@ def _jsonable(x):
     return str(x)
 
 
-def _specs(side):
-    rows = FX.REFLECTION_LHS if side == "L" else FX.REFLECTION_RHS
+_REFLECTION = {"L": FX.REFLECTION_LHS, "R": FX.REFLECTION_RHS}
+_TETRAHEDRON = {"L": FX.TETRAHEDRON_LHS, "R": FX.TETRAHEDRON_RHS}
+_TE_FINAL = {"L": FX.TETRAHEDRON_FINAL["LHS"], "R": FX.TETRAHEDRON_FINAL["RHS"]}
+# the spaces of the four tetrahedron factors of the left side, in product
+# order; the right side takes them in reverse
+_TE_ORDER = ((4, 5, 6), (2, 3, 6), (1, 3, 5), (1, 2, 4))
+_SIGNS = (1, -1)
+_GOOD = (1, -1, 1, -1)      # the good R/Rbar signs of each reflection side
+
+
+def _specs(rows):
     return [FactorSpec(*row) for row in rows]
 
 
-def _te_specs(side):
-    rows = FX.TETRAHEDRON_LHS if side == "L" else FX.TETRAHEDRON_RHS
-    return [FactorSpec(*row) for row in rows]
+def _fold_side(side, deltas, factor, mul):
+    """Left fold of one reflection side with the level's product ``mul``.
+
+    Row by row, ``factor(kind, spaces, delta)`` gives the factor value:
+    the R/Rbar rows take their signs from ``deltas`` in order, the K rows
+    take None.  Each factor is built just before it is multiplied in.
+    """
+    signs = iter(deltas)
+    return reduce(mul, (factor(kind, spaces, None if kind == "K" else next(signs))
+                        for kind, spaces, _, _ in _REFLECTION[side]))
+
+
+def _te_sides(factor, mul):
+    """Both sides of the tetrahedron identity from ``factor(spaces)``."""
+    return [reduce(mul, map(factor, order))
+            for order in (_TE_ORDER, _TE_ORDER[::-1])]
+
+
+def _te_rules():
+    """The sum-zero system a_i + b_i + c_i + d_i + e_i = 0, solved for e_i."""
+    return LinSystem([ParamForm({f"a{i}": 1, f"b{i}": 1, f"c{i}": 1,
+                                 f"d{i}": 1, f"e{i}": 1}) for i in range(1, 7)],
+                     "sum-zero").eliminate(tuple(f"e{i}" for i in range(1, 7)))
+
+
+def _homogeneous(check):
+    """The sign pairs (d1, d2) whose homogeneous assignment passes."""
+    return [d for d in product(_SIGNS, repeat=2) if check(d * 4).status]
+
+
+def _pair_search(side_value, same):
+    """All 2^8 assignments whose two sides ``same`` accepts, sorted."""
+    sides = {t: (side_value("L", t), side_value("R", t))
+             for t in product(_SIGNS, repeat=4)}
+    return sorted(tl + tr for tl, (left, _) in sides.items()
+                  for tr, (_, right) in sides.items() if same(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +124,21 @@ def _te_specs(side):
 
 
 def _tau_side(side, deltas):
-    seed = builtin("B(C3)")
-    st = run_composite(seed, _specs(side), deltas=deltas)
-    return st
+    return run_composite(builtin("B(C3)"), _specs(_REFLECTION[side]),
+                         deltas=deltas)
+
+
+def _same_tau(stL, stR):
+    return stL.seed == stR.seed and stL.hom == stR.hom
 
 
 def check_re_tau(delta8=(1, -1, 1, -1, 1, -1, 1, -1)) -> Report:
     """Exact equality of the two composed monomial maps on 22 generators."""
-    dl, dr = tuple(delta8[:4]), tuple(delta8[4:])
-    stL = _tau_side("L", dl)
-    stR = _tau_side("R", dr)
-    same_seed = stL.seed == stR.seed
-    ok = same_seed and stL.hom == stR.hom
+    stL = _tau_side("L", tuple(delta8[:4]))
+    stR = _tau_side("R", tuple(delta8[4:]))
+    ok = _same_tau(stL, stR)
     details = {}
-    if same_seed and not ok:
+    if stL.seed == stR.seed and not ok:
         details["witness"] = stL.hom.first_difference(stR.hom)
     return Report(f"monomial-level reflection identity, signs {delta8}", ok,
                   details, {"generators": stL.seed.n()})
@@ -99,63 +146,39 @@ def check_re_tau(delta8=(1, -1, 1, -1, 1, -1, 1, -1)) -> Report:
 
 def search_good_signs_tau(homogeneous=True):
     """Classify sign assignments at the monomial level."""
-    good = []
     if homogeneous:
-        for d1 in (1, -1):
-            for d2 in (1, -1):
-                if check_re_tau((d1, d2, d1, d2, d1, d2, d1, d2)).status:
-                    good.append((d1, d2))
-        return good
-    cacheL, cacheR = {}, {}
-    for d1 in (1, -1):
-        for d2 in (1, -1):
-            for d3 in (1, -1):
-                for d4 in (1, -1):
-                    t = (d1, d2, d3, d4)
-                    cacheL[t] = _tau_side("L", t)
-                    cacheR[t] = _tau_side("R", t)
-    for tl, stL in cacheL.items():
-        for tr, stR in cacheR.items():
-            if stL.seed == stR.seed and stL.hom == stR.hom:
-                good.append(tl + tr)
-    return sorted(good)
+        return _homogeneous(check_re_tau)
+    return _pair_search(_tau_side, _same_tau)
 
 
 def check_te_tau(delta=1) -> Report:
     """Monomial-level tetrahedron identity on the 17-vertex seed."""
-    seed = builtin("B(A3)")
-    stL = run_composite(seed, _te_specs("L"), deltas=(delta,) * 4,
-                        final_sigma=Perm.transpositions(FX.TETRAHEDRON_FINAL["LHS"]))
-    stR = run_composite(seed, _te_specs("R"), deltas=(delta,) * 4,
-                        final_sigma=Perm.transpositions(FX.TETRAHEDRON_FINAL["RHS"]))
-    ok = stL.seed == stR.seed and stL.hom == stR.hom
-    return Report(f"monomial-level tetrahedron identity, sign {delta:+d}", ok)
+    stL, stR = (run_composite(builtin("B(A3)"), _specs(_TETRAHEDRON[side]),
+                              deltas=(delta,) * 4,
+                              final_sigma=Perm.transpositions(_TE_FINAL[side]))
+                for side in "LR")
+    return Report(f"monomial-level tetrahedron identity, sign {delta:+d}",
+                  _same_tau(stL, stR))
+
+
+def _tropical_side(seed, rows, final=()):
+    cur = TropicalSeed(seed)
+    for spec in _specs(rows):
+        cur = spec.as_sequence().apply_tropical(cur)
+    return cur.permuted(Perm.transpositions(final)) if final else cur
 
 
 def check_te_seed() -> Report:
     """Tropical equality of the two composite tetrahedron sequences."""
-    seed = builtin("B(A3)")
-    ts = TropicalSeed(seed)
-    outs = []
-    for side in ("L", "R"):
-        cur = ts
-        for spec in _te_specs(side):
-            cur = spec.as_sequence().apply_tropical(cur)
-        cur = cur.permuted(Perm.transpositions(FX.TETRAHEDRON_FINAL["LHS" if side == "L" else "RHS"]))
-        outs.append(cur)
+    outs = [_tropical_side(builtin("B(A3)"), _TETRAHEDRON[side], _TE_FINAL[side])
+            for side in "LR"]
     ok = outs[0] == outs[1] and outs[0].seed == builtin("B'(A3)")
     return Report("seed-level tetrahedron identity", ok)
 
 
 def check_re_seed() -> Report:
     """Tropical equality of the two composite reflection sequences."""
-    seed = builtin("B(C3)")
-    outs = []
-    for side in ("L", "R"):
-        cur = TropicalSeed(seed)
-        for spec in _specs(side):
-            cur = spec.as_sequence().apply_tropical(cur)
-        outs.append(cur)
+    outs = [_tropical_side(builtin("B(C3)"), _REFLECTION[side]) for side in "LR"]
     ok = outs[0] == outs[1] and outs[0].seed == builtin("B'(C3)")
     return Report("seed-level reflection identity", ok)
 
@@ -163,35 +186,31 @@ def check_re_seed() -> Report:
 # ---------------------------------------------------------------------------
 # canonical-transformation level
 
-_ETA_TABLES = {("R", 1): C.ETA_R["+"], ("R", -1): C.ETA_R["-"],
-               ("Rbar", 1): C.ETA_RBAR["+"], ("Rbar", -1): C.ETA_RBAR["-"]}
+
+def _signed(r_table, rbar_table):
+    """{(kind, delta): entry} for the R/Rbar tables keyed by "+"/"-"."""
+    return {(kind, d): table["+" if d > 0 else "-"]
+            for kind, table in (("R", r_table), ("Rbar", rbar_table))
+            for d in _SIGNS}
+
+
+_ETA_TABLES = _signed(C.ETA_R, C.ETA_RBAR)
 
 
 def eta_factor(spec, kind, spaces, delta=None):
-    if kind == "K":
-        i, j, k, l = spaces
-        return AffineCanonMap.from_table(spec, C.ETA_K24,
-                                         subs_idx={1: i, 2: j, 3: k, 4: l})
-    i, j, k = spaces
-    return AffineCanonMap.from_table(spec, _ETA_TABLES[(kind, delta)],
-                                     subs_idx={1: i, 2: j, 3: k})
+    table = C.ETA_K24 if kind == "K" else _ETA_TABLES[(kind, delta)]
+    return AffineCanonMap.from_table(spec, table,
+                                     subs_idx=dict(zip((1, 2, 3, 4), spaces)))
 
 
 def _eta_side(side, deltas, cache={}):
     key = (side, deltas)
-    if key in cache:
-        return cache[key]
-    out = None
-    di = 0
-    for kind, spaces, _, _ in (FX.REFLECTION_LHS if side == "L" else FX.REFLECTION_RHS):
-        if kind == "K":
-            f = eta_factor(SPEC_C3, kind, spaces)
-        else:
-            f = eta_factor(SPEC_C3, kind, spaces, deltas[di])
-            di += 1
-        out = f if out is None else out.compose(f)
-    cache[key] = out
-    return out
+    if key not in cache:
+        cache[key] = _fold_side(
+            side, deltas,
+            lambda kind, spaces, d: eta_factor(SPEC_C3, kind, spaces, d),
+            AffineCanonMap.compose)
+    return cache[key]
 
 
 def _eta_rules():
@@ -215,50 +234,22 @@ def check_re_eta(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
 
 def search_good_signs_eta(homogeneous=True):
     rules = _eta_rules()
-    good = []
     if homogeneous:
-        for d1 in (1, -1):
-            for d2 in (1, -1):
-                t = (d1, d2, d1, d2, d1, d2, d1, d2)
-                if check_re_eta(t, rules).status:
-                    good.append((d1, d2))
-        return good
-    sidesL, sidesR = {}, {}
-    for d1 in (1, -1):
-        for d2 in (1, -1):
-            for d3 in (1, -1):
-                for d4 in (1, -1):
-                    t = (d1, d2, d3, d4)
-                    sidesL[t] = _eta_side("L", t).subs_params(rules)
-                    sidesR[t] = _eta_side("R", t).subs_params(rules)
-    for tl, el in sidesL.items():
-        for tr, er in sidesR.items():
-            if el == er:
-                good.append(tl + tr)
-    return sorted(good)
+        return _homogeneous(lambda t: check_re_eta(t, rules))
+    return _pair_search(lambda side, t: _eta_side(side, t).subs_params(rules),
+                        operator.eq)
 
 
 def check_te_eta(delta=1) -> Report:
     """Homogeneous tetrahedron identity for the canonical maps (p = 6)."""
-    rules = LinSystem([ParamForm({f"a{i}": 1, f"b{i}": 1, f"c{i}": 1,
-                                  f"d{i}": 1, f"e{i}": 1}) for i in range(1, 7)],
-                      "sum-zero").eliminate(tuple(f"e{i}" for i in range(1, 7)))
+    rules = _te_rules()
     ok = True
-    for kind, table in (("R", _ETA_TABLES[("R", delta)]),
-                        ("Rbar", _ETA_TABLES[("Rbar", delta)])):
-        maps = {}
-        for spaces in [(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)]:
-            maps[spaces] = AffineCanonMap.from_table(
-                SPEC_A3, table,
-                subs_idx={1: spaces[0], 2: spaces[1], 3: spaces[2]},
-                psubs=rules)
-        seqL = [(4, 5, 6), (2, 3, 6), (1, 3, 5), (1, 2, 4)]
-        seqR = list(reversed(seqL))
-        lhs = rhs = None
-        for s in seqL:
-            lhs = maps[s] if lhs is None else lhs.compose(maps[s])
-        for s in seqR:
-            rhs = maps[s] if rhs is None else rhs.compose(maps[s])
+    for kind in ("R", "Rbar"):
+        lhs, rhs = _te_sides(
+            lambda spaces: AffineCanonMap.from_table(
+                SPEC_A3, _ETA_TABLES[(kind, delta)],
+                subs_idx=dict(zip((1, 2, 3), spaces)), psubs=rules),
+            AffineCanonMap.compose)
         ok = ok and lhs == rhs
     return Report(f"canonical-map tetrahedron identity, sign {delta:+d}", ok)
 
@@ -266,35 +257,21 @@ def check_te_eta(delta=1) -> Report:
 # ---------------------------------------------------------------------------
 # operator (triangular group) level
 
-_P_TABLES = {("R", 1): C.P_R["+"], ("R", -1): C.P_R["-"],
-             ("Rbar", 1): C.P_RBAR["+"], ("Rbar", -1): C.P_RBAR["-"]}
+_P_TABLES = _signed(C.P_R, C.P_RBAR)
 
 
 def p_factor(spec, order, kind, spaces, delta=None, rules=None):
-    if kind == "K":
-        i, j, k, l = spaces
-        pdata, rho = C.P_K24
-        return NilGroupElement.from_factors(
-            spec, order, pdata, rho_pair=rho,
-            subs_idx={1: i, 2: j, 3: k, 4: l}, psubs=rules)
-    i, j, k = spaces
-    pdata, rho = _P_TABLES[(kind, delta)]
+    pdata, rho = C.P_K24 if kind == "K" else _P_TABLES[(kind, delta)]
     return NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho,
-                                        subs_idx={1: i, 2: j, 3: k},
+                                        subs_idx=dict(zip((1, 2, 3, 4), spaces)),
                                         psubs=rules)
 
 
 def _p_side(side, deltas, rules):
-    out = None
-    di = 0
-    for kind, spaces, _, _ in (FX.REFLECTION_LHS if side == "L" else FX.REFLECTION_RHS):
-        if kind == "K":
-            f = p_factor(SPEC_C3, ORDER_C3, kind, spaces, rules=rules)
-        else:
-            f = p_factor(SPEC_C3, ORDER_C3, kind, spaces, deltas[di], rules)
-            di += 1
-        out = f if out is None else bch_mul(out, f)
-    return out
+    return _fold_side(
+        side, deltas,
+        lambda kind, spaces, d: p_factor(SPEC_C3, ORDER_C3, kind, spaces, d, rules),
+        bch_mul)
 
 
 def _re_rules():
@@ -304,7 +281,6 @@ def _re_rules():
 
 
 def check_re_P(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
-    from .nilgroup import OrderViolation
     rules = rules or _re_rules()
     try:
         lhs = _p_side("L", tuple(delta8[:4]), rules)
@@ -319,13 +295,7 @@ def check_re_P(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
 
 def search_good_signs_P():
     rules = _re_rules()
-    good = []
-    for d1 in (1, -1):
-        for d2 in (1, -1):
-            t = (d1, d2, d1, d2, d1, d2, d1, d2)
-            if check_re_P(t, rules).status:
-                good.append((d1, d2))
-    return good
+    return _homogeneous(lambda t: check_re_P(t, rules))
 
 
 def check_te_P(which: str) -> Report:
@@ -333,17 +303,10 @@ def check_te_P(which: str) -> Report:
     variant, order = {"P+": (1, ORDER_A3), "Pbar-": (-1, ORDER_A3),
                       "P-": (-1, ORDER_A3_PRIME), "Pbar+": (1, ORDER_A3_PRIME)}[which]
     kind = "Rbar" if "bar" in which else "R"
-    rules = LinSystem([ParamForm({f"a{i}": 1, f"b{i}": 1, f"c{i}": 1,
-                                  f"d{i}": 1, f"e{i}": 1}) for i in range(1, 7)],
-                      "sum-zero").eliminate(tuple(f"e{i}" for i in range(1, 7)))
-    seqL = [(4, 5, 6), (2, 3, 6), (1, 3, 5), (1, 2, 4)]
-    lhs = rhs = None
-    for s in seqL:
-        f = p_factor(SPEC_A3, order, kind, s, variant, rules)
-        lhs = f if lhs is None else bch_mul(lhs, f)
-    for s in reversed(seqL):
-        f = p_factor(SPEC_A3, order, kind, s, variant, rules)
-        rhs = f if rhs is None else bch_mul(rhs, f)
+    rules = _te_rules()
+    lhs, rhs = _te_sides(
+        lambda spaces: p_factor(SPEC_A3, order, kind, spaces, variant, rules),
+        bch_mul)
     ok, wit = group_equal(lhs, rhs)
     return Report(f"operator-level tetrahedron identity, {which}", ok,
                   {"witness": wit} if wit else {})
@@ -358,10 +321,10 @@ _TORUS_CACHE = {}
 
 def _torus_sides():
     if "sides" not in _TORUS_CACHE:
-        seed = builtin("B(C3)")
-        good = (1, -1, 1, -1)
-        _TORUS_CACHE["sides"] = (run_composite(seed, _specs("L"), deltas=good),
-                                 run_composite(seed, _specs("R"), deltas=good))
+        _TORUS_CACHE["sides"] = tuple(
+            run_composite(builtin("B(C3)"), _specs(_REFLECTION[side]),
+                          deltas=_GOOD)
+            for side in "LR")
     return _TORUS_CACHE["sides"]
 
 
@@ -377,20 +340,21 @@ def check_re_full_torus(cutoff=3) -> Report:
     sL = expand_product(stL.dilogs, g, cutoff)
     sR = expand_product(stR.dilogs, g, cutoff)
     ok = sL == sR
-    censusL = {}
-    for b, _, _ in stL.dilogs:
-        censusL[b] = censusL.get(b, 0) + 1
+    bases = [b for b, _, _ in stL.dilogs]
     const_ok = sL.constant_term() == ONE and sR.constant_term() == ONE
     counters = {"factors_per_side": len(stL.dilogs),
-                "base_q": censusL.get(1, 0), "base_q2": censusL.get(2, 0),
+                "base_q": bases.count(1), "base_q2": bases.count(2),
                 "terms_lhs": len(sL.terms), "terms_rhs": len(sR.terms),
                 "cutoff": cutoff}
+    details = {"constant_terms_one": const_ok, "grading": g}
+    if not ok:
+        details["witness"] = sL.first_difference(sR)
     return Report("full reflection identity, quantum-torus variables",
-                  ok and const_ok,
-                  {"constant_terms_one": const_ok, "grading": g}, counters)
+                  ok and const_ok, details, counters)
 
 
 _WEYL_CACHE = {}
+_WEYL_TABLES = _signed(C.R_WEYL, C.RBAR_WEYL)
 
 
 def _weyl_sides(rules=None):
@@ -399,60 +363,43 @@ def _weyl_sides(rules=None):
         return _WEYL_CACHE["sides"]
     cache_default = rules is None
     rules = rules or _re_rules()
-    sides = {}
-    for side in ("L", "R"):
-        rows = FX.REFLECTION_LHS if side == "L" else FX.REFLECTION_RHS
-        deltas = iter((1, -1, 1, -1))
-        facs = []
-        ad = None
-        for kind, spaces, _, _ in rows:
-            if kind == "K":
-                i, j, k, l = spaces
-                raw = [(b, e, WeylMonomial(
-                    SPEC_C3, ONE,
-                    relabel_pf(p, {1: i, 2: j, 3: k, 4: l}),
-                    SPEC_C3.vec({relabel_axis(a, {1: i, 2: j, 3: k, 4: l}): v
-                                 for a, v in cx.items()})))
-                    for b, e, p, cx in C.K24_WEYL[(-1, 1)]]
-                tail = p_factor(SPEC_C3, ORDER_C3, "K", spaces)
-            else:
-                d = next(deltas)
-                i, j, k = spaces
-                data = C.R_WEYL["+"] if d > 0 else C.RBAR_WEYL["-"]
-                raw = [(b, e, WeylMonomial(
-                    SPEC_C3, ONE, relabel_pf(p, {1: i, 2: j, 3: k}),
-                    SPEC_C3.vec({relabel_axis(a, {1: i, 2: j, 3: k}): v
-                                 for a, v in cx.items()})))
-                    for b, e, p, cx in data]
-                tail = p_factor(SPEC_C3, ORDER_C3, kind, spaces, d)
-            for b, e, m in raw:
-                m = ad.apply(m) if ad is not None else m
-                facs.append((b, e, m.subs_params(rules)))
-            t = adjoint(tail)
-            ad = t if ad is None else ad.compose(t)
-        sides[side] = facs
+
+    def factor(kind, spaces, d):
+        data = C.K24_WEYL[(-1, 1)] if kind == "K" else _WEYL_TABLES[(kind, d)]
+        tail = p_factor(SPEC_C3, ORDER_C3, kind, spaces, d)
+        return (_weyl_factors(SPEC_C3, data, dict(zip((1, 2, 3, 4), spaces))),
+                adjoint(tail))
+
+    def mul(left, right):
+        # the right operator's factors move left past the monomial tails
+        facs, ad = left
+        raw, t = right
+        return facs + [(b, e, ad.apply(m)) for b, e, m in raw], ad.compose(t)
+
+    sides = tuple([(b, e, m.subs_params(rules)) for b, e, m in
+                   _fold_side(side, _GOOD, factor, mul)[0]]
+                  for side in "LR")
     if cache_default:
-        _WEYL_CACHE["sides"] = (sides["L"], sides["R"])
-    return sides["L"], sides["R"]
+        _WEYL_CACHE["sides"] = sides
+    return sides
 
 
 def check_re_full_weyl(cutoff=3) -> Report:
     facsL, facsR = _weyl_sides()
     args = [m.cexp for _, _, m in facsL] + [m.cexp for _, _, m in facsR]
     g = _normalized_grading(stiemke_grading(args), args)
-    sL = expand_weyl_product([(b, e, m) for b, e, m in facsL], SPEC_C3, g, cutoff)
-    sR = expand_weyl_product([(b, e, m) for b, e, m in facsR], SPEC_C3, g, cutoff)
+    sL = expand_weyl_product(facsL, SPEC_C3, g, cutoff)
+    sR = expand_weyl_product(facsR, SPEC_C3, g, cutoff)
     ok = sL.equal_on(sR)
-    cl = sL.constant_coeff()
-    cr = sR.constant_coeff()
-    const_ok = (len(cl) == 1 and len(cr) == 1
-                and list(cl.values())[0][1] == ONE
-                and list(cr.values())[0][1] == ONE)
+    const_ok = all(len(c) == 1 and next(iter(c.values()))[1] == ONE
+                   for c in (sL.constant_coeff(), sR.constant_coeff()))
     counters = {"factors_per_side": len(facsL), "terms_lhs": len(sL),
                 "terms_rhs": len(sR), "cutoff": cutoff}
+    details = {"constant_terms_one": const_ok, "grading": g}
+    if not ok:
+        details["witness"] = sL.first_difference(sR)
     return Report("full reflection identity, canonical variables",
-                  ok and const_ok,
-                  {"constant_terms_one": const_ok, "grading": g}, counters)
+                  ok and const_ok, details, counters)
 
 
 def check_re_full(cutoff=3, rep="torus") -> Report:
@@ -491,37 +438,23 @@ def wd_vectors(system: str):
         return _project(vecs, coords)
     if system == "alnK":
         coords = [f"u{i}" for i in range(1, 5)] + [f"w{i}" for i in range(1, 5)]
-        vecs = []
-        for b, e, p, cx in C.K24_WEYL[(1, 1)]:
-            vecs.append(cx)
-        return _project(vecs, coords)
+        return _project([cx for _, _, _, cx in C.K24_WEYL[(1, 1)]], coords)
     if system in ("pnL", "pnR", "FFY"):
+        seed = builtin("B(C3)")
+        coords = [l for l in seed.labels if l not in seed.frozen]
         stL, stR = _torus_sides()
         torus = stL.hom.target
-        unfrozen = [l for l in builtin("B(C3)").labels
-                    if l not in builtin("B(C3)").frozen]
-        def rows(st):
-            return [{lab: f[1].alpha[torus.index(lab)] for lab in unfrozen}
-                    for f in st.dilogs]
-        if system == "pnL":
-            return _project(rows(stL), unfrozen)
-        if system == "pnR":
-            return _project(rows(stR), unfrozen)
-        inv = list(reversed(rows(stR))) + rows(stL)
-        return _project(inv, unfrozen)
-    if system in ("alL", "alR", "FFuw"):
-        facsL, facsR = _weyl_sides()
+        left, right = ([{lab: f[1].alpha[torus.index(lab)] for lab in coords}
+                        for f in st.dilogs] for st in (stL, stR))
+    elif system in ("alL", "alR", "FFuw"):
         coords = [f"u{i}" for i in range(1, 10)] + [f"w{i}" for i in range(1, 10)]
-        def rows(facs):
-            return [{a: m.cexp[SPEC_C3.index(a)] for a in coords}
-                    for _, _, m in facs]
-        if system == "alL":
-            return _project(rows(facsL), coords)
-        if system == "alR":
-            return _project(rows(facsR), coords)
-        inv = list(reversed(rows(facsR))) + rows(facsL)
-        return _project(inv, coords)
-    raise ValueError(system)
+        left, right = ([{a: m.cexp[SPEC_C3.index(a)] for a in coords}
+                        for _, _, m in facs] for facs in _weyl_sides())
+    else:
+        raise ValueError(system)
+    if system.startswith("FF"):
+        return _project(right[::-1] + left, coords)
+    return _project(left if system.endswith("L") else right, coords)
 
 
 def check_wd(system: str) -> Report:
@@ -554,42 +487,24 @@ def check_wd(system: str) -> Report:
 
 
 def _joint_region(gradings, cutoff):
-    def inside(cexp):
-        for g in gradings:
-            s = sum(gi * a for gi, a in zip(g, cexp))
-            if s > cutoff:
-                return False
-        return True
-    return inside
+    return lambda cexp: all(sum(gi * a for gi, a in zip(g, cexp)) <= cutoff
+                            for g in gradings)
 
 
 def check_K_eps_indep(ktype="rho24", cutoff=5) -> Report:
     table = C.K24_WEYL if ktype == "rho24" else C.K13_WEYL
-    from .qweyl import SPEC_C2
     series = {}
     gradings = {}
-    for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        facs = [(b, e, WeylMonomial(SPEC_C2, ONE, ParamForm(p),
-                                    SPEC_C2.vec(cx)))
-                for b, e, p, cx in table[eps]]
-        g = stiemke_grading([m.cexp for _, _, m in facs])
-        low = min(sum(gi * a for gi, a in zip(g, m.cexp))
-                  for _, _, m in facs)
-        g = tuple(Fraction(gi, low) for gi in g)
-        gradings[eps] = g
-        series[eps] = expand_weyl_product(facs, SPEC_C2, g, cutoff)
-    keys = list(series)
-    ok = True
-    pairs = 0
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            region = _joint_region((gradings[keys[i]], gradings[keys[j]]),
-                                   cutoff)
-            pairs += 1
-            if not series[keys[i]].equal_on(series[keys[j]], region):
-                ok = False
-    return Report(f"sign-variant independence for {ktype}", ok, {},
-                  {"pairs": pairs, "cutoff": cutoff})
+    for eps in product(_SIGNS, repeat=2):
+        facs = _weyl_factors(SPEC_C2, table[eps])
+        args = [m.cexp for _, _, m in facs]
+        gradings[eps] = _normalized_grading(stiemke_grading(args), args)
+        series[eps] = expand_weyl_product(facs, SPEC_C2, gradings[eps], cutoff)
+    agree = [series[a].equal_on(series[b],
+                                _joint_region((gradings[a], gradings[b]), cutoff))
+             for a, b in combinations(series, 2)]
+    return Report(f"sign-variant independence for {ktype}", all(agree), {},
+                  {"pairs": len(agree), "cutoff": cutoff})
 
 
 def check_rewriting_lemma(cutoff=6) -> Report:
@@ -599,8 +514,6 @@ def check_rewriting_lemma(cutoff=6) -> Report:
     geometric series is expanded past the cutoff and the telescoped
     result is compared with q Y X on all powers X^m with |m| <= cutoff.
     """
-    from .cluster import ExchangeSeed
-    from .scalars import ScalarQ
     seed = ExchangeSeed((1, 2), {1: {2: Fraction(1)}, 2: {1: Fraction(-1)}},
                         {1: 1, 2: 1})
     torus = QuantumTorus(seed)
@@ -654,7 +567,6 @@ def check_fg_limit(name: str) -> Report:
     if name not in plans:
         raise ValueError(name)
     kindsel, variant, sysname, rayname, target, use_iota = plans[name]
-    from .operators import PREFER
     rules = rules_for(sysname, PREFER[sysname])
     if kindsel == "R":
         op = build_R(variant, (1, 2, 3), rules=rules)
@@ -672,7 +584,6 @@ def check_fg_limit(name: str) -> Report:
 
 
 def check_period(seed, ms, quantum_cutoff=None) -> Report:
-    from .cluster import is_sigma_period
     ok = is_sigma_period(seed, ms)
     details = {}
     if ok and quantum_cutoff:
@@ -680,7 +591,6 @@ def check_period(seed, ms, quantum_cutoff=None) -> Report:
         ts = TropicalSeed(seed)
         for k in ms.steps:
             eps = ts.sign(k)
-            from .cluster import mutate_tropical
             ts = mutate_tropical(ts, k)
             st.mutate(k, eps)
         st.relabel(ms.sigma)
@@ -708,7 +618,6 @@ _DIAGRAMS = {
 
 
 def _diagram_parts(name):
-    from .qweyl import SPEC_A2, SPEC_C2, build_subst_hom, diagram_commutes
     src_name, tgt_name, hsrc_name, htgt_name, tau_sel, eta_sel, _ = _DIAGRAMS[name]
     spec = SPEC_C2 if name == "Kcom" else SPEC_A2
     src_seed, tgt_seed = builtin(src_name), builtin(tgt_name)
@@ -730,7 +639,6 @@ def _diagram_parts(name):
 def check_diagram(name, drop=None) -> Report:
     """A commuting substitution square, optionally with one constraint
     dropped (the negative test must then fail)."""
-    from .qweyl import diagram_commutes
     sys_name = _DIAGRAMS[name][6]
     if sys_name == "econ+ccon":
         base = constraints("econ").extend(constraints("ccon"), "econ+ccon")
@@ -748,40 +656,22 @@ def check_diagram(name, drop=None) -> Report:
 
 def check_rep_agreement(cutoff=2) -> Report:
     """Torus-variable series pushed through the big substitution map must
-    equal the canonical-variable series on the joint graded region."""
-    from .qweyl import WeylSeries, build_subst_hom, SPEC_C3 as S9
+    equal the canonical-variable series.  The torus grading is the
+    canonical one pulled back along the map, so both truncations keep
+    exactly the same exponents."""
     rules = _re_rules()
     stL, _ = _torus_sides()
-    targs = [f[1].alpha for f in stL.dilogs]
-    gt = _normalized_grading(stiemke_grading(targs), targs)
-    torus_series = expand_product(stL.dilogs, gt, cutoff)
-    phi = build_subst_hom(stL.hom.target, S9, C.PHI_C3)
-    facsL, _ = _weyl_sides(rules)
+    facsL, _ = _weyl_sides()
     wargs = [m.cexp for _, _, m in facsL]
     gw = _normalized_grading(stiemke_grading(wargs), wargs)
-    weyl_series = expand_weyl_product(facsL, S9, gw, cutoff)
-    pushed = phi.apply_series(torus_series, gw, cutoff)
-    sub = WeylSeries(S9, gw, cutoff)
-    for cexp, bucket in pushed.terms.items():
-        for _, (pexp, coeff) in bucket.items():
-            sub.add_term(cexp, pexp.subs(rules), coeff)
-    pushed = sub
-
-    # the pushed torus ball covers a different graded region from the
-    # canonical-variable ball; coefficients must agree wherever both
-    # truncations are complete, i.e. on the common support
-    ok = True
-    for cexp in set(pushed.terms) | set(weyl_series.terms):
-        in_pushed = cexp in pushed.terms
-        in_weyl = cexp in weyl_series.terms
-        if in_pushed and in_weyl:
-            b1, b2 = pushed.terms[cexp], weyl_series.terms[cexp]
-            keys = set(b1) | set(b2)
-            for k in keys:
-                c1 = b1.get(k, (None, None))
-                c2 = b2.get(k, (None, None))
-                if c1[1] is None or c2[1] is None or not (c1[1] == c2[1]):
-                    ok = False
-    both = len(set(pushed.terms) & set(weyl_series.terms))
+    weyl_series = expand_weyl_product(facsL, SPEC_C3, gw, cutoff)
+    phi = build_subst_hom(stL.hom.target, SPEC_C3, C.PHI_C3)
+    phi.images = {l: m.subs_params(rules) for l, m in phi.images.items()}
+    gt = [sum(g * a for g, a in zip(gw, phi.images[l].cexp))
+          for l in phi.source.labels]
+    pushed = phi.apply_series(expand_product(stL.dilogs, gt, cutoff), gw, cutoff)
+    ok = pushed.equal_on(weyl_series)
+    details = {} if ok else {"witness": pushed.first_difference(weyl_series)}
+    compared = len(set(pushed.terms) | set(weyl_series.terms))
     return Report("representation agreement for the dilogarithm part", ok,
-                  {}, {"compared_exponents": both, "cutoff": cutoff})
+                  details, {"compared_exponents": compared, "cutoff": cutoff})

@@ -184,6 +184,16 @@ def test_quantum_mutate_decomposition_two_vertex():
             assert acc == mutated[i], (eps, i)
 
 
+def test_series_inverse_small_grade():
+    # Y1 has grade 1/8, so the inverse needs the tail's powers up to the
+    # eighth within cutoff 1
+    torus = QuantumTorus(two_vertex_seed())
+    g = (Fraction(1, 8), Fraction(1))
+    a = TorusSeries.one(torus, g, 1)
+    a.add_term(torus.unit(1), ONE)
+    assert series_mul(a, series_inverse(a)) == TorusSeries.one(torus, g, 1)
+
+
 def test_quantum_mutate_involution():
     # exact on the two-vertex seed; on larger seeds with mixed-sign
     # gradings the truncation is not an ideal, so the round trip is only

@@ -37,6 +37,16 @@ def test_inverse_monomial():
         (ScalarQ({0: 1, 2: 1})).inverse()
 
 
+def test_scalars_are_unhashable():
+    # 1/(1-s^2) and (1+s^2)/(1-s^4) are equal in different forms; with no
+    # canonical form there is no sound hash, so a set must refuse them
+    a = ScalarQ({0: 1}, ((2, 1),))
+    b = ScalarQ({0: 1, 2: 1}, ((4, 1),))
+    assert a == b
+    with pytest.raises(TypeError):
+        {a, b}
+
+
 def test_fraction_constants():
     half = ScalarQ.from_fraction(Fraction(1, 2))
     assert half + half == ScalarQ.one()

@@ -1,6 +1,8 @@
+import copy
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -95,16 +97,86 @@ def test_rewriting_lemma():
     assert V.check_rewriting_lemma(6).status
 
 
+def _grade(g, vec):
+    return sum(gi * a for gi, a in zip(g, vec))
+
+
+def _negate(facs, idx, pos):
+    """The factor list with the exponent (tuple position ``pos``) of
+    factor ``idx`` negated."""
+    out = list(facs)
+    fac = list(out[idx])
+    fac[pos] = -fac[pos]
+    out[idx] = tuple(fac)
+    return out
+
+
+@contextmanager
+def _swapped(cache, sides):
+    saved = cache["sides"]
+    cache["sides"] = sides
+    try:
+        yield
+    finally:
+        cache["sides"] = saved
+
+
+def _torus_flipped(idx):
+    """Run with left-side torus factor ``idx`` inverted."""
+    stL, stR = V._torus_sides()
+    left = copy.copy(stL)
+    left.dilogs = _negate(stL.dilogs, idx, 2)
+    return _swapped(V._TORUS_CACHE, (left, stR))
+
+
 def test_full_identity_small_cutoff():
     rep = V.check_re_full(cutoff=2, rep="torus")
-    assert rep.status
+    assert rep.status and "witness" not in rep.details
     assert rep.counters["base_q"] == 31 and rep.counters["base_q2"] == 15
+    g = rep.details["grading"]
+    stL, _ = V._torus_sides()
+    idx = min(range(len(stL.dilogs)),
+              key=lambda i: _grade(g, stL.dilogs[i][1].alpha))
+    assert _grade(g, stL.dilogs[idx][1].alpha) <= 2
+    with _torus_flipped(idx):
+        bad = V.check_re_full(cutoff=2, rep="torus")
+    assert not bad.status and bad.details["constant_terms_one"]
+    alpha, left, right = bad.details["witness"]
+    assert left != right and _grade(g, alpha) <= 2
+    assert json.loads(bad.to_json())["details"]["witness"]
+
     rep = V.check_re_full(cutoff=2, rep="weyl")
-    assert rep.status
+    assert rep.status and "witness" not in rep.details
+    g = rep.details["grading"]
+    facsL, facsR = V._weyl_sides()
+    idx = min(range(len(facsL)), key=lambda i: _grade(g, facsL[i][2].cexp))
+    with _swapped(V._WEYL_CACHE, (_negate(facsL, idx, 1), facsR)):
+        bad = V.check_re_full(cutoff=2, rep="weyl")
+    assert not bad.status
+    cexp, pexp, left, right = bad.details["witness"]
+    assert left != right and _grade(g, cexp) <= 2
 
 
 def test_rep_agreement():
-    assert V.check_rep_agreement(cutoff=2).status
+    from qrefl.qtorus import stiemke_grading
+    from qrefl.qweyl import SPEC_C3, build_subst_hom, expand_weyl_product
+    rep = V.check_rep_agreement(cutoff=2)
+    assert rep.status
+    # every exponent of the canonical-variable series is compared
+    facsL, _ = V._weyl_sides()
+    args = [m.cexp for _, _, m in facsL]
+    gw = V._normalized_grading(stiemke_grading(args), args)
+    canonical = expand_weyl_product(facsL, SPEC_C3, gw, 2)
+    assert rep.counters["compared_exponents"] == len(canonical.terms)
+    # negative twin: flip the torus factor whose image has least grade
+    stL, _ = V._torus_sides()
+    phi = build_subst_hom(stL.hom.target, SPEC_C3, C.PHI_C3)
+    grades = [_grade(gw, phi.apply(arg).cexp) for _, arg, _ in stL.dilogs]
+    idx = grades.index(min(grades))
+    assert grades[idx] <= 2
+    with _torus_flipped(idx):
+        bad = V.check_rep_agreement(cutoff=2)
+    assert not bad.status and bad.details["witness"]
 
 
 def test_diagrams_with_negatives():
@@ -165,6 +237,11 @@ def test_cli_smoke():
     out = run_cli("operator", "limit", "--name", "K-rho24--+", "--ray", "lim24")
     assert out.returncode == 0 and out.stdout.count("dilog") == 3
     out = run_cli("quiver", "show", "nonsense")
+    assert out.returncode == 2
+    # flags that no command reads are rejected
+    out = run_cli("verify", "--task", "RE-P", "--constraints", "bogus")
+    assert out.returncode == 2
+    out = run_cli("limit", "--operator", "R-plus", "--ray", "bogus")
     assert out.returncode == 2
 
 
