@@ -89,32 +89,22 @@ def _print_operator(op):
     print(f"tail: {op.tail}")
 
 
+# degeneration ray -> the constraint system its operators are built under
+_RAY_SYSTEMS = {plan[3]: plan[2] for plan in V.FG_LIMITS.values()}
+_LIMIT_ALIAS = {"K-rho24--+": "K-rho24-+", "K-rho24---": "K-rho24--",
+                "K-rho13--+": "K-rho13-+", "K-rho13---": "K-rho13--"}
+
+
 def cmd_operator(args):
     if args.action == "show":
         indices = tuple(int(x) for x in args.indices.split(",")) if args.indices else None
-        op = _build_operator(args.name, indices, args.constraints)
-        _print_operator(op)
+        _print_operator(_build_operator(args.name, indices, args.constraints))
         return 0
-    # limit
-    from .operators import PREFER
-    sysname = args.constraints or {
-        "lim24": "k-c2", "lim13": "k-b2", "elim": "r-fg-plus",
-        "elim2": "r-fg-minus"}[args.ray]
-    rules = rules_for(sysname, PREFER[sysname])
-    name = args.name
-    alias = {"K-rho24--+": "K-rho24-+", "K-rho24---": "K-rho24--",
-             "K-rho13--+": "K-rho13-+", "K-rho13---": "K-rho13--"}
-    name = alias.get(name, name)
-    if name in _OPERATOR_NAMES:
-        kind, sel = _OPERATOR_NAMES[name]
-        if kind == "R":
-            op = build_R(sel, (1, 2, 3), rules=rules)
-        else:
-            op = build_K(sel[0], sel[1], (1, 2, 3, 4), rules=rules)
-    else:
-        raise SystemExit(2)
-    out = take_limit(op, ray(args.ray))
-    _print_operator(out)
+    name = _LIMIT_ALIAS.get(args.name, args.name)
+    if name not in _OPERATOR_NAMES:
+        raise UnknownName(name)
+    op = _build_operator(name, None, args.constraints or _RAY_SYSTEMS[args.ray])
+    _print_operator(take_limit(op, ray(args.ray)))
     return 0
 
 
@@ -207,7 +197,8 @@ def main(argv=None):
     o.add_argument("--name", required=True)
     o.add_argument("--indices", default=None)
     o.add_argument("--constraints", default=None)
-    o.add_argument("--ray", default=None)
+    o.add_argument("--ray", choices=list(_RAY_SYSTEMS), default=None,
+                   help="degeneration ray (required by limit)")
     o.set_defaults(fn=cmd_operator)
 
     v = sub.add_parser("verify", help="run an identity verification task")
@@ -217,8 +208,8 @@ def main(argv=None):
                    help="sign string like '+-+-+-+-'; use --signs=... when it starts with a dash (or letters p/m)")
     v.add_argument("--rep", choices=["torus", "weyl"], default="torus")
     v.add_argument("--variant", default=None)
-    v.add_argument("--system", default=None)
-    v.add_argument("--operator", default=None)
+    v.add_argument("--system", choices=V.WD_SYSTEMS, default=None)
+    v.add_argument("--operator", choices=list(V.FG_LIMITS), default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
 
@@ -228,14 +219,12 @@ def main(argv=None):
     s.set_defaults(fn=cmd_search_signs)
 
     w = sub.add_parser("wd", help="finite-fiber certificate for a system")
-    w.add_argument("--system", required=True,
-                   choices=["pnK", "alnK", "pnL", "pnR", "alL", "alR",
-                            "FFY", "FFuw"])
+    w.add_argument("--system", required=True, choices=V.WD_SYSTEMS)
     w.add_argument("--out", default=None)
     w.set_defaults(fn=cmd_wd)
 
     l = sub.add_parser("limit", help="verify a degeneration limit")
-    l.add_argument("--operator", required=True)
+    l.add_argument("--operator", required=True, choices=list(V.FG_LIMITS))
     l.add_argument("--out", default=None)
     l.set_defaults(fn=cmd_limit)
 
@@ -250,6 +239,8 @@ def main(argv=None):
     p.set_defaults(fn=cmd_period)
 
     args = ap.parse_args(argv)
+    if args.cmd == "operator" and args.action == "limit" and args.ray is None:
+        o.error("operator limit needs --ray")
     try:
         return args.fn(args)
     except UnknownName as exc:

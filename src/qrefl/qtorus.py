@@ -1,4 +1,5 @@
-"""Quantum torus algebra over an exchange seed, monomial maps, dilog series.
+"""Quantum torus algebra over an exchange seed, monomial maps, and the
+graded-series kernel shared with the q-Weyl algebras.
 
 Monomials use the symmetric normalization q^<a,b> Y^a Y^b = Y^(a+b) with
 <a,b> = -a.Bhat.b, so Y^a Y^b = q^(a.Bhat.b) Y^(a+b) and the generators
@@ -8,8 +9,10 @@ s = q^(1/2) (entries of Bhat can be half-integers).
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
-from math import lcm
+from math import floor, gcd, lcm
+from operator import add, attrgetter, mul
 
 from .cluster import ExchangeSeed, FrozenVertex, mutate_matrix
 from .scalars import ONE, ScalarQ
@@ -30,13 +33,25 @@ class Infeasible(Exception):
 class QuantumTorus:
     """Ambient torus: ordered labels plus the Bhat pairing."""
 
-    __slots__ = ("labels", "_index", "_bhat")
+    __slots__ = ("labels", "_index", "_bhat", "_skew")
 
     def __init__(self, seed: ExchangeSeed):
         self.labels = seed.labels
         self._index = {l: i for i, l in enumerate(self.labels)}
         lab = self.labels
         self._bhat = [[seed.bhat(i, j) for j in lab] for i in lab]
+        self._skew = None
+
+    def skew(self):
+        """Sparse integer rows of 2*Bhat, the s-exponent form of the
+        product; built on first use, since most tori never carry a series."""
+        if self._skew is None:
+            two = [[2 * b for b in row] for row in self._bhat]
+            if any(x != int(x) for row in two for x in row):
+                raise ValueError("Bhat has entries outside (1/2)Z")
+            self._skew = [[(j, int(x)) for j, x in enumerate(row) if x]
+                          for row in two]
+        return self._skew
 
     def n(self):
         return len(self.labels)
@@ -246,19 +261,74 @@ def tau_step(seed: ExchangeSeed, k, eps: int,
 # graded truncated series
 
 
-class TorusSeries:
-    """Finite sum of torus monomials supported on grading degree <= cutoff."""
+class GradedSeries:
+    """Finite sum of monomials X^alpha of grading degree <= cutoff.
 
-    __slots__ = ("torus", "grading", "cutoff", "terms")
+    The grading and the cutoff are scaled to integers once, so the
+    truncation test and the s-exponent alpha.S.beta of X^alpha X^beta (S
+    the integer skew form of the ring) need no Fraction arithmetic.
+    Subclasses keep the coefficient layout of ``terms``.
+    """
 
-    def __init__(self, torus, grading, cutoff, terms=None):
-        self.torus = torus
+    __slots__ = ("grading", "cutoff", "terms", "_skew", "_g", "_top")
+
+    def __init__(self, skew, grading, cutoff, terms=None):
         self.grading = tuple(grading)
         self.cutoff = cutoff
         self.terms = terms or {}
+        self._skew = skew
+        scale = lcm(*(Fraction(g).denominator for g in self.grading))
+        self._g = tuple(int(g * scale) for g in self.grading)
+        self._top = floor(cutoff * scale)
 
-    def gdeg(self, alpha) -> Fraction:
-        return sum((g * a for g, a in zip(self.grading, alpha)), Fraction(0))
+    def gdeg(self, alpha) -> int:
+        """Degree of X^alpha in the integer grading (grading times scale)."""
+        return sum(map(mul, self._g, alpha))
+
+    def keeps(self, alpha) -> bool:
+        return self.gdeg(alpha) <= self._top
+
+    def _like(self):
+        """An empty series over the same ring, grading and cutoff."""
+        out = copy(self)
+        out.terms = {}
+        return out
+
+    def _moves(self, beta):
+        """(alpha + beta, s-exponent of X^alpha X^beta, terms[alpha]) for
+        every term whose product with X^beta survives the truncation."""
+        top = self._top - self.gdeg(beta)
+        col = [(i, v) for i, row in enumerate(self._skew)
+               if (v := sum(x * beta[j] for j, x in row))]
+        g = self._g
+        for alpha, c in self.terms.items():
+            if sum(map(mul, g, alpha)) <= top:
+                yield (tuple(map(add, alpha, beta)),
+                       sum(alpha[i] * v for i, v in col), c)
+
+    def expand(self, factors):
+        """self times prod Psi_{q^base}(arg)^expo over ``factors``
+        (base, expo, arg), left to right, each truncated to the cutoff."""
+        acc = self
+        for base, expo, arg in factors:
+            d = self.gdeg(self._exponent(arg))
+            if d <= 0:
+                raise NonpositiveGrading(f"factor argument {arg} of grade <= 0")
+            new = self._like()
+            for n, c in enumerate(dilog_coefficients(base, expo, self._top // d)):
+                new += acc._mul_power(arg.pow(n), c)
+            acc = new
+        return acc
+
+
+class TorusSeries(GradedSeries):
+    """Truncated torus series: alpha -> ScalarQ."""
+
+    __slots__ = ("torus",)
+
+    def __init__(self, torus, grading, cutoff, terms=None):
+        super().__init__(torus.skew(), grading, cutoff, terms)
+        self.torus = torus
 
     @classmethod
     def one(cls, torus, grading, cutoff):
@@ -273,20 +343,20 @@ class TorusSeries:
             self.terms[alpha] = new
 
     def mul_monomial(self, coeff: ScalarQ, beta: tuple) -> "TorusSeries":
-        out = TorusSeries(self.torus, self.grading, self.cutoff)
-        for alpha, c in self.terms.items():
-            new_alpha = tuple(a + b for a, b in zip(alpha, beta))
-            if self.gdeg(new_alpha) > self.cutoff:
-                continue
-            q = ScalarQ.q_pow(self.torus.pairing(alpha, beta))
-            out.add_term(new_alpha, c * coeff * q)
+        out = self._like()
+        for alpha, s, c in self._moves(beta):
+            out.add_term(alpha, c * coeff * ScalarQ.s_pow(s))
         return out
 
-    def __add__(self, other: "TorusSeries") -> "TorusSeries":
-        out = TorusSeries(self.torus, self.grading, self.cutoff, dict(self.terms))
+    _exponent = staticmethod(attrgetter("alpha"))
+
+    def _mul_power(self, p, c):
+        return self.mul_monomial(p.coeff * c, p.alpha)
+
+    def __iadd__(self, other: "TorusSeries") -> "TorusSeries":
         for a, c in other.terms.items():
-            out.add_term(a, c)
-        return out
+            self.add_term(a, c)
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, TorusSeries):
@@ -312,10 +382,9 @@ class TorusSeries:
 
 
 def series_mul(a: TorusSeries, b: TorusSeries) -> TorusSeries:
-    out = TorusSeries(a.torus, a.grading, a.cutoff)
+    out = a._like()
     for beta, cb in b.terms.items():
-        contrib = a.mul_monomial(cb, beta)
-        out = out + contrib
+        out += a.mul_monomial(cb, beta)
     return out
 
 
@@ -323,27 +392,22 @@ def series_inverse(a: TorusSeries) -> TorusSeries:
     """Inverse of monomial * (1 + higher-grade tail)."""
     lead = min(a.terms, key=lambda t: (a.gdeg(t), t))
     lead_coeff = a.terms[lead]
-    inv_lead = TorusSeries(a.torus, a.grading, a.cutoff)
+    inv_lead = a._like()
     inv_lead.add_term(tuple(-x for x in lead), lead_coeff.inverse())
     # t := a lead^-1 - 1 must have positive grade
     t = series_mul(a, inv_lead)
     zero = (0,) * a.torus.n()
     t.add_term(zero, -(t.terms.get(zero, ScalarQ.zero())))
-    for alpha in t.terms:
-        if t.gdeg(alpha) <= 0:
-            raise NonpositiveGrading("series tail not of positive grade")
+    if any(t.gdeg(alpha) <= 0 for alpha in t.terms):
+        raise NonpositiveGrading("series tail not of positive grade")
+    # 1/(1 + t) = sum_n (-t)^n; t has only positive grades, so (-t)^n
+    # truncates to nothing once n times its least grade passes the cutoff
+    t.terms = {alpha: -c for alpha, c in t.terms.items()}
     out = TorusSeries.one(a.torus, a.grading, a.cutoff)
     power = TorusSeries.one(a.torus, a.grading, a.cutoff)
-    n = 0
-    # every term of t has positive grade, so t^n truncates to nothing once
-    # n times the least grade of t exceeds the cutoff
     while power.terms:
-        n += 1
         power = series_mul(power, t)
-        neg = TorusSeries(a.torus, a.grading, a.cutoff)
-        for alpha, c in power.terms.items():
-            neg.add_term(alpha, c if n % 2 == 0 else -c)
-        out = out + neg
+        out += power
     return series_mul(inv_lead, out)
 
 
@@ -359,34 +423,19 @@ def quantum_mutate(seed, yvars: dict, k, grading, cutoff):
     yk = yvars[k]
     qk = seed.d[k]
     out = {}
-    for i in seed.labels:
-        if i == k:
-            try:
-                out[i] = series_inverse(yk)
-            except NonpositiveGrading as exc:
-                raise CutoffTooSmall(str(exc))
-            continue
-        bik = seed.entry(i, k)
-        cur = yvars[i]
-        if bik:
-            s = 1 if bik > 0 else -1
-            try:
-                ypow = series_inverse(yk) if s > 0 else yk
-            except NonpositiveGrading as exc:
-                raise CutoffTooSmall(str(exc))
+    try:
+        yk_inv = series_inverse(yk)
+        for i in seed.labels:
+            bik = seed.entry(i, k)
+            cur = yk_inv if i == k else yvars[i]
             for j in range(1, int(abs(bik)) + 1):
                 factor = TorusSeries.one(yk.torus, grading, cutoff)
-                scaled = TorusSeries(yk.torus, grading, cutoff)
-                for alpha, c in ypow.terms.items():
-                    scaled.add_term(alpha, c * ScalarQ.q_pow(qk * (2 * j - 1)))
-                factor = factor + scaled
-                if s > 0:
-                    try:
-                        factor = series_inverse(factor)
-                    except NonpositiveGrading as exc:
-                        raise CutoffTooSmall(str(exc))
-                cur = series_mul(cur, factor)
-        out[i] = cur
+                for alpha, c in (yk_inv if bik > 0 else yk).terms.items():
+                    factor.add_term(alpha, c * ScalarQ.q_pow(qk * (2 * j - 1)))
+                cur = series_mul(cur, series_inverse(factor) if bik > 0 else factor)
+            out[i] = cur
+    except NonpositiveGrading as exc:
+        raise CutoffTooSmall(str(exc))
     return new_seed, out
 
 
@@ -402,49 +451,15 @@ def dilog_coefficients(base: int, expo: int, nmax: int):
     return out
 
 
-def dilog_series(base: int, arg: TorusElement, expo: int,
-                 grading, cutoff) -> TorusSeries:
-    """Truncated quantum-dilogarithm series in a torus monomial argument."""
-    torus = arg.torus
-    s = TorusSeries(torus, grading, cutoff)
-    g = s.gdeg(arg.alpha)
-    if g <= 0:
-        raise NonpositiveGrading(f"grading {g} on dilog argument")
-    nmax = int(Fraction(cutoff) / g)
-    coeffs = dilog_coefficients(base, expo, nmax)
-    for n in range(nmax + 1):
-        p = arg.pow(n)
-        s.add_term(p.alpha, p.coeff * coeffs[n])
-    return s
-
-
 def expand_product(factors, grading, cutoff, torus=None) -> TorusSeries:
     """Exact truncated product of dilogarithm factors, left to right.
 
     ``factors`` is a list of (base, arg: TorusElement, expo).
     """
-    if not factors:
-        if torus is None:
-            raise ValueError("empty product needs an explicit torus")
-        return TorusSeries.one(torus, grading, cutoff)
-    torus = factors[0][1].torus
-    acc = TorusSeries.one(torus, grading, cutoff)
-    for base, arg, expo in factors:
-        g = acc.gdeg(arg.alpha)
-        if g <= 0:
-            raise NonpositiveGrading(f"grading {g} on factor argument")
-        nmax = int(Fraction(cutoff) / g)
-        coeffs = dilog_coefficients(base, expo, nmax)
-        # multiply acc by sum_n coeffs[n] arg^n with pruning
-        new = TorusSeries(torus, grading, cutoff)
-        pows = [torus.one()]
-        for _ in range(nmax):
-            pows.append(pows[-1] * arg)
-        for n in range(nmax + 1):
-            mono = pows[n]
-            new = new + acc.mul_monomial(mono.coeff * coeffs[n], mono.alpha)
-        acc = new
-    return acc
+    if torus is None and not factors:
+        raise ValueError("empty product needs an explicit torus")
+    one = TorusSeries.one(torus or factors[0][1].torus, grading, cutoff)
+    return one.expand((base, expo, arg) for base, arg, expo in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -535,35 +550,29 @@ def recession_cone_trivial_fm(args) -> bool:
     """Fourier-Motzkin check that {n >= 0 : sum n_i args_i = 0} = {0}.
 
     Intended for small systems (few factors); eliminates the n variables
-    from [n >= 0, A^T n = 0, sum n >= 1].
+    from [n >= 0, A^T n = 0, sum n >= 1].  Rows stay integer and
+    primitive, duplicates merge, and rows with no variables left that
+    hold trivially are dropped, so the row count stays small.
     """
     m = len(args)
     n = len(args[0]) if args else 0
-    # inequalities as rows (c_0 + sum c_i n_i >= 0)
-    ineqs = []
-    for i in range(m):
-        row = [Fraction(0)] * (m + 1)
-        row[1 + i] = Fraction(1)
-        ineqs.append(row)
-    row = [Fraction(-1)] + [Fraction(1)] * m
-    ineqs.append(row)
+    # integer rows (c_0, c_1..c_m) for c_0 + sum c_i n_i >= 0
+    ineqs = {tuple(int(j == i) for j in range(m + 1)) for i in range(1, m + 1)}
+    ineqs.add((-1,) + (1,) * m)
     for j in range(n):
         for sign in (1, -1):
-            row = [Fraction(0)] + [Fraction(sign * args[i][j]) for i in range(m)]
-            ineqs.append(row)
+            ineqs.add((0,) + tuple(sign * a[j] for a in args))
     for var in range(1, m + 1):
         pos = [r for r in ineqs if r[var] > 0]
         neg = [r for r in ineqs if r[var] < 0]
-        zero = [r for r in ineqs if r[var] == 0]
-        new = list(zero)
+        new = {r for r in ineqs if r[var] == 0}
         for p in pos:
             for q in neg:
-                comb = [a * (-q[var]) + b * p[var] for a, b in zip(p, q)]
-                comb[var] = Fraction(0)
-                new.append(comb)
-        ineqs = new
-    feasible = all(r[0] >= 0 for r in ineqs)
-    return not feasible
+                comb = [a * -q[var] + b * p[var] for a, b in zip(p, q)]
+                d = gcd(*comb) or 1
+                new.add(tuple(x // d for x in comb))
+        ineqs = {r for r in new if r[0] < 0 or any(r[1:])}
+    return any(r[0] < 0 for r in ineqs)
 
 
 def staged_certificate(args):

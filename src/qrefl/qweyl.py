@@ -11,8 +11,10 @@ omega(x, y) = sum_i gamma_i (x_ui y_wi - x_wi y_ui).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .params import ParamForm
+from .qtorus import GradedSeries, TorusElement
 from .scalars import ONE, ScalarQ
 
 
@@ -46,6 +48,12 @@ class CanonSpec:
         for axis, val in cexp.items():
             v[self.index(axis)] += int(val)
         return tuple(v)
+
+    def skew(self):
+        """Sparse integer rows of omega, the s-exponent form of the product."""
+        p = self.p
+        return [[(p + i, g)] for i, g in enumerate(self.gamma)] + \
+               [[(i, -g)] for i, g in enumerate(self.gamma)]
 
     def omega(self, x, y) -> int:
         p = self.p
@@ -119,19 +127,14 @@ class WeylMonomial:
         return f"{self.coeff.as_pair_str()}*e^({self.pexp})*e^({mono or '0'})"
 
 
-class WeylSeries:
-    """Graded truncated series: cexp -> {pexp-key: ScalarQ}."""
+class WeylSeries(GradedSeries):
+    """Graded truncated series: cexp -> {pexp-key: (pexp, ScalarQ)}."""
 
-    __slots__ = ("spec", "grading", "cutoff", "terms")
+    __slots__ = ("spec",)
 
     def __init__(self, spec, grading, cutoff, terms=None):
+        super().__init__(spec.skew(), grading, cutoff, terms)
         self.spec = spec
-        self.grading = tuple(grading)
-        self.cutoff = cutoff
-        self.terms = terms or {}
-
-    def gdeg(self, cexp) -> Fraction:
-        return sum((g * a for g, a in zip(self.grading, cexp)), Fraction(0))
 
     @classmethod
     def one(cls, spec, grading, cutoff):
@@ -153,20 +156,21 @@ class WeylSeries:
             bucket[key] = (pexp, coeff)
 
     def mul_monomial(self, m: WeylMonomial) -> "WeylSeries":
-        out = WeylSeries(self.spec, self.grading, self.cutoff)
-        for cexp, bucket in self.terms.items():
-            new_cexp = tuple(a + b for a, b in zip(cexp, m.cexp))
-            if self.gdeg(new_cexp) > self.cutoff:
-                continue
-            w = self.spec.omega(cexp, m.cexp)
-            q = ScalarQ.q_pow(Fraction(w, 2)) * m.coeff
-            for _, (pexp, coeff) in bucket.items():
-                out.add_term(new_cexp, pexp + m.pexp, coeff * q)
+        out = self._like()
+        for cexp, s, bucket in self._moves(m.cexp):
+            q = ScalarQ.s_pow(s) * m.coeff
+            for pexp, coeff in bucket.values():
+                out.add_term(cexp, pexp + m.pexp, coeff * q)
         return out
 
-    def iadd(self, other: "WeylSeries"):
+    _exponent = staticmethod(attrgetter("cexp"))
+
+    def _mul_power(self, p, c):
+        return self.mul_monomial(WeylMonomial(self.spec, p.coeff * c, p.pexp, p.cexp))
+
+    def __iadd__(self, other: "WeylSeries") -> "WeylSeries":
         for cexp, bucket in other.terms.items():
-            for _, (pexp, coeff) in bucket.items():
+            for pexp, coeff in bucket.values():
                 self.add_term(cexp, pexp, coeff)
         return self
 
@@ -191,9 +195,7 @@ class WeylSeries:
         return None
 
     def constant_coeff(self):
-        zero = (0,) * (2 * self.spec.p)
-        bucket = self.terms.get(zero, {})
-        return {k: v for k, v in bucket.items()}
+        return dict(self.terms.get((0,) * (2 * self.spec.p), {}))
 
     def __len__(self):
         return sum(len(b) for b in self.terms.values())
@@ -201,21 +203,7 @@ class WeylSeries:
 
 def expand_weyl_product(factors, spec, grading, cutoff) -> WeylSeries:
     """Product of dilog factors (base, expo, WeylMonomial) left to right."""
-    from .qtorus import NonpositiveGrading, dilog_coefficients
-    acc = WeylSeries.one(spec, grading, cutoff)
-    for base, expo, arg in factors:
-        g = acc.gdeg(arg.cexp)
-        if g <= 0:
-            raise NonpositiveGrading(f"grading {g} on factor argument")
-        nmax = int(Fraction(cutoff) / g)
-        coeffs = dilog_coefficients(base, expo, nmax)
-        new = WeylSeries(spec, grading, cutoff)
-        for n in range(nmax + 1):
-            m = arg.pow(n)
-            m = WeylMonomial(spec, m.coeff * coeffs[n], m.pexp, m.cexp)
-            new.iadd(acc.mul_monomial(m))
-        acc = new
-    return acc
+    return WeylSeries.one(spec, grading, cutoff).expand(factors)
 
 
 class SubstHom:
@@ -229,7 +217,6 @@ class SubstHom:
         self.images = images          # label -> WeylMonomial
 
     def apply(self, x) -> WeylMonomial:
-        from .qtorus import TorusElement
         assert isinstance(x, TorusElement)
         if x.torus is not self.source and x.torus.labels != self.source.labels:
             raise SpecMismatch("element not over the hom's source torus")
@@ -246,7 +233,7 @@ class SubstHom:
         out = WeylSeries(self.spec, grading, cutoff)
         for alpha, coeff in series.terms.items():
             m = self.apply(series.torus.element(coeff, alpha))
-            if out.gdeg(m.cexp) <= cutoff:
+            if out.keeps(m.cexp):
                 out.add_term(m.cexp, m.pexp, m.coeff)
         return out
 
@@ -337,9 +324,9 @@ class AffineCanonMap:
     def apply_series(self, series: "WeylSeries") -> "WeylSeries":
         out = WeylSeries(series.spec, series.grading, series.cutoff)
         for cexp, bucket in series.terms.items():
-            for _, (pexp, coeff) in bucket.items():
+            for pexp, coeff in bucket.values():
                 m = self.apply(WeylMonomial(series.spec, coeff, pexp, cexp))
-                if out.gdeg(m.cexp) <= series.cutoff:
+                if out.keeps(m.cexp):
                     out.add_term(m.cexp, m.pexp, m.coeff)
         return out
 

@@ -20,10 +20,11 @@ from .compose import (CompositeState, FactorSpec, hom_from_table,
                       run_composite)
 from .nilgroup import (NilGroupElement, ORDER_A3, ORDER_A3_PRIME, ORDER_C3,
                        OrderViolation, adjoint, bch_mul, group_equal)
-from .operators import (PREFER, _weyl_factors, build_FG, build_K, build_R,
-                        constraints, iota_operator, ray, rules_for, take_limit)
+from .operators import (PREFER, UnknownName, _weyl_factors, build_FG, build_K,
+                        build_R, constraints, iota_operator, ray, rules_for,
+                        take_limit)
 from .params import LinSystem, ParamForm
-from .qtorus import (Infeasible, QuantumTorus, check_stage_plan,
+from .qtorus import (Infeasible, QuantumTorus, TorusSeries, check_stage_plan,
                      expand_product, match_stage_plan, staged_certificate,
                      stiemke_grading)
 from .quivers import builtin
@@ -298,10 +299,15 @@ def search_good_signs_P():
     return _homogeneous(lambda t: check_re_P(t, rules))
 
 
+_TE_P = {"P+": (1, ORDER_A3), "Pbar-": (-1, ORDER_A3),
+         "P-": (-1, ORDER_A3_PRIME), "Pbar+": (1, ORDER_A3_PRIME)}
+
+
 def check_te_P(which: str) -> Report:
     """Tetrahedron identity for the monomial operators, four variants."""
-    variant, order = {"P+": (1, ORDER_A3), "Pbar-": (-1, ORDER_A3),
-                      "P-": (-1, ORDER_A3_PRIME), "Pbar+": (1, ORDER_A3_PRIME)}[which]
+    if which not in _TE_P:
+        raise UnknownName(which)
+    variant, order = _TE_P[which]
     kind = "Rbar" if "bar" in which else "R"
     rules = _te_rules()
     lhs, rhs = _te_sides(
@@ -426,8 +432,13 @@ def _project(vectors, coords):
     return out
 
 
+WD_SYSTEMS = ("pnK", "alnK", "pnL", "pnR", "alL", "alR", "FFY", "FFuw")
+
+
 def wd_vectors(system: str):
     """Exponent vectors of the named summation-index system."""
+    if system not in WD_SYSTEMS:
+        raise UnknownName(system)
     if system == "pnK":
         torus = QuantumTorus(builtin("B(C2)"))
         coords = (2, 3, 4, 7, 8, 9)
@@ -446,12 +457,10 @@ def wd_vectors(system: str):
         torus = stL.hom.target
         left, right = ([{lab: f[1].alpha[torus.index(lab)] for lab in coords}
                         for f in st.dilogs] for st in (stL, stR))
-    elif system in ("alL", "alR", "FFuw"):
+    else:
         coords = [f"u{i}" for i in range(1, 10)] + [f"w{i}" for i in range(1, 10)]
         left, right = ([{a: m.cexp[SPEC_C3.index(a)] for a in coords}
                         for _, _, m in facs] for facs in _weyl_sides())
-    else:
-        raise ValueError(system)
     if system.startswith("FF"):
         return _project(right[::-1] + left, coords)
     return _project(left if system.endswith("L") else right, coords)
@@ -486,25 +495,28 @@ def check_wd(system: str) -> Report:
 # sign-variant independence
 
 
-def _joint_region(gradings, cutoff):
-    return lambda cexp: all(sum(gi * a for gi, a in zip(g, cexp)) <= cutoff
-                            for g in gradings)
-
-
 def check_K_eps_indep(ktype="rho24", cutoff=5) -> Report:
+    """The four sign variants of K agree pairwise where both truncations
+    are exact; a failure names the first pair that differs and where."""
+    if ktype not in ("rho24", "rho13"):
+        raise UnknownName(ktype)
     table = C.K24_WEYL if ktype == "rho24" else C.K13_WEYL
     series = {}
-    gradings = {}
     for eps in product(_SIGNS, repeat=2):
         facs = _weyl_factors(SPEC_C2, table[eps])
         args = [m.cexp for _, _, m in facs]
-        gradings[eps] = _normalized_grading(stiemke_grading(args), args)
-        series[eps] = expand_weyl_product(facs, SPEC_C2, gradings[eps], cutoff)
-    agree = [series[a].equal_on(series[b],
-                                _joint_region((gradings[a], gradings[b]), cutoff))
-             for a, b in combinations(series, 2)]
-    return Report(f"sign-variant independence for {ktype}", all(agree), {},
-                  {"pairs": len(agree), "cutoff": cutoff})
+        series[eps] = expand_weyl_product(
+            facs, SPEC_C2, _normalized_grading(stiemke_grading(args), args), cutoff)
+    details = {}
+    pairs = list(combinations(series, 2))
+    for a, b in pairs:
+        sa, sb = series[a], series[b]
+        region = lambda cexp: sa.keeps(cexp) and sb.keeps(cexp)
+        if not details and not sa.equal_on(sb, region):
+            details["witness"] = {"signs": (a, b),
+                                  "difference": sa.first_difference(sb, region)}
+    return Report(f"sign-variant independence for {ktype}", not details,
+                  details, {"pairs": len(pairs), "cutoff": cutoff})
 
 
 def check_rewriting_lemma(cutoff=6) -> Report:
@@ -519,23 +531,17 @@ def check_rewriting_lemma(cutoff=6) -> Report:
     torus = QuantumTorus(seed)
     X = torus.gen(1)
     Y = torus.gen(2)
-    terms = {}
-
-    def add(el):
-        cur = terms.get(el.alpha)
-        new = el.coeff if cur is None else cur + el.coeff
-        if new.is_zero():
-            terms.pop(el.alpha, None)
-        else:
-            terms[el.alpha] = new
-
+    # add_term merges equal exponents and drops cancelled terms
+    series = TorusSeries(torus, (0, 0), 0)
     xinv = X.inverse()
     for n in range(cutoff + 3):
         coeff = ScalarQ({0: (-1) ** n}) * ScalarQ.q_pow(-n)
         p = xinv.pow(n)
         base = torus.element(p.coeff * coeff, p.alpha)
-        add(Y * base)
-        add(Y * (torus.element(ScalarQ.q_pow(1), (0, 0)) * X * base))
+        for el in (Y * base,
+                   Y * (torus.element(ScalarQ.q_pow(1), (0, 0)) * X * base)):
+            series.add_term(el.alpha, el.coeff)
+    terms = series.terms
     want = Y * X
     want = torus.element(want.coeff * ScalarQ.q_pow(1), want.alpha)
     ok = True
@@ -555,18 +561,20 @@ def check_rewriting_lemma(cutoff=6) -> Report:
 # limits, periodicity
 
 
+FG_LIMITS = {
+    "K-rho24--+": ("rho24", (-1, 1), "k-c2", "lim24", "K-C2:++-", False),
+    "K-rho24---": ("rho24", (-1, -1), "k-c2", "lim24", "K-C2:-++", False),
+    "K-rho13--+": ("rho13", (-1, 1), "k-b2", "lim13", "K-B2:++-", True),
+    "K-rho13---": ("rho13", (-1, -1), "k-b2", "lim13", "K-B2:-++", True),
+    "R-plus": ("R", "plus", "r-fg-plus", "elim", "R+", False),
+    "R-minus": ("R", "minus", "r-fg-minus", "elim2", "R-", False),
+}
+
+
 def check_fg_limit(name: str) -> Report:
-    plans = {
-        "K-rho24--+": ("rho24", (-1, 1), "k-c2", "lim24", "K-C2:++-", False),
-        "K-rho24---": ("rho24", (-1, -1), "k-c2", "lim24", "K-C2:-++", False),
-        "K-rho13--+": ("rho13", (-1, 1), "k-b2", "lim13", "K-B2:++-", True),
-        "K-rho13---": ("rho13", (-1, -1), "k-b2", "lim13", "K-B2:-++", True),
-        "R-plus": ("R", "plus", "r-fg-plus", "elim", "R+", False),
-        "R-minus": ("R", "minus", "r-fg-minus", "elim2", "R-", False),
-    }
-    if name not in plans:
-        raise ValueError(name)
-    kindsel, variant, sysname, rayname, target, use_iota = plans[name]
+    if name not in FG_LIMITS:
+        raise UnknownName(name)
+    kindsel, variant, sysname, rayname, target, use_iota = FG_LIMITS[name]
     rules = rules_for(sysname, PREFER[sysname])
     if kindsel == "R":
         op = build_R(variant, (1, 2, 3), rules=rules)
@@ -639,6 +647,8 @@ def _diagram_parts(name):
 def check_diagram(name, drop=None) -> Report:
     """A commuting substitution square, optionally with one constraint
     dropped (the negative test must then fail)."""
+    if name not in _DIAGRAMS:
+        raise UnknownName(name)
     sys_name = _DIAGRAMS[name][6]
     if sys_name == "econ+ccon":
         base = constraints("econ").extend(constraints("ccon"), "econ+ccon")

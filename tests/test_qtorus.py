@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qrefl.catalog as C
 from qrefl.cluster import ExchangeSeed
 from qrefl.compose import CompositeState, FactorSpec, hom_from_table
 from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
-                          TorusSeries, dilog_series, expand_product,
+                          TorusSeries, expand_product,
                           quantum_mutate, recession_cone_trivial_fm,
                           series_inverse, series_mul, staged_certificate,
                           stiemke_grading, tau_step)
@@ -91,15 +91,15 @@ def test_dilog_factor_lists_match_catalog():
 def test_dilog_series_coefficients():
     torus = QuantumTorus(two_vertex_seed())
     u = torus.gen(1)
-    plus = dilog_series(1, u, 1, (1, 0), 3)
-    minus = dilog_series(1, u, -1, (1, 0), 3)
+    plus = expand_product([(1, u, 1)], (1, 0), 3)
+    minus = expand_product([(1, u, -1)], (1, 0), 3)
     e1 = torus.unit(1)
     # n = 1 coefficients: -q/(1-q^2) and q/(1-q^2)
     assert plus.terms[e1] == ScalarQ.qpoch_inv(1, 1, {2: -1})
     assert minus.terms[e1] == ScalarQ.qpoch_inv(1, 1, {2: 1})
     assert plus.constant_term() == ONE
     with pytest.raises(NonpositiveGrading):
-        dilog_series(1, u.inverse(), 1, (1, 0), 3)
+        expand_product([(1, u.inverse(), 1)], (1, 0), 3)
 
 
 def test_dilog_recurrence_product():
@@ -224,6 +224,9 @@ def test_stiemke_examples():
 
 
 @settings(max_examples=40, deadline=None)
+# without row reduction, one Fourier-Motzkin step on this input builds
+# over 25 million rows
+@example([(1, -1, -1), (-1, -2, 2), (0, -1, 1), (1, 0, -1), (-2, -2, -2)])
 @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
                 min_size=1, max_size=5))
 def test_grading_oracles_agree(vectors):

@@ -9,7 +9,7 @@ import pytest
 import qrefl.catalog as C
 import qrefl.verify as V
 from qrefl.cluster import MutationSequence, Perm
-from qrefl.operators import constraints
+from qrefl.operators import UnknownName, constraints
 from qrefl.quivers import builtin
 
 
@@ -91,6 +91,32 @@ def test_k_eps_independence_fast():
     assert rep.status
     # cutoff 0: both sides are the constant term 1
     assert V.check_K_eps_indep("rho24", cutoff=0).status
+    with pytest.raises(UnknownName):
+        V.check_K_eps_indep("bogus", cutoff=1)
+
+
+def test_k_eps_independence_negative_twin(monkeypatch):
+    # flip the exponent of the first factor whose argument lies within
+    # cutoff 3 of both its own variant's grading and another's
+    from qrefl.qtorus import stiemke_grading
+    from qrefl.qweyl import SPEC_C2
+    table = C.K24_WEYL
+    vecs = {eps: [SPEC_C2.vec(cx) for _, _, _, cx in rows]
+            for eps, rows in table.items()}
+    grads = {eps: V._normalized_grading(stiemke_grading(vs), vs)
+             for eps, vs in vecs.items()}
+    eps, j = next((eps, j) for eps, vs in vecs.items() for j, v in enumerate(vs)
+                  if any(_grade(grads[eps], v) <= 3 and _grade(grads[o], v) <= 3
+                         for o in table if o != eps))
+    monkeypatch.setattr(C, "K24_WEYL", {**table, eps: _negate(table[eps], j, 1)})
+    rep = V.check_K_eps_indep("rho24", cutoff=3)
+    assert not rep.status
+    wit = rep.details["witness"]
+    assert eps in wit["signs"]
+    *_, mine, theirs = wit["difference"]
+    assert mine != theirs
+    # the report prints the witness
+    assert json.loads(rep.to_json())["details"]["witness"]["signs"]
 
 
 def test_rewriting_lemma():
@@ -243,6 +269,18 @@ def test_cli_smoke():
     assert out.returncode == 2
     out = run_cli("limit", "--operator", "R-plus", "--ray", "bogus")
     assert out.returncode == 2
+    # bad names end in a usage error, not a traceback
+    for bad in (("limit", "--operator", "bogus"),
+                ("verify", "--task", "FG-limit", "--operator", "bogus"),
+                ("verify", "--task", "dilog-wd", "--system", "bogus"),
+                ("verify", "--task", "TE-P", "--variant", "bogus"),
+                ("verify", "--task", "diagram", "--variant", "bogus"),
+                ("verify", "--task", "K-eps-indep", "--variant", "bogus",
+                 "--cutoff", "1"),
+                ("operator", "limit", "--name", "R+"),
+                ("operator", "limit", "--name", "R+", "--ray", "bogus")):
+        out = run_cli(*bad)
+        assert out.returncode == 2 and "Traceback" not in out.stderr, bad
 
 
 def test_composed_monomial_map_respects_target_commutation():
