@@ -3,7 +3,8 @@
 Subcommands: quiver (show/mutate), operator (show/limit), verify,
 search-signs, wd, limit, period.  ``verify --task`` accepts the names of
 the TASKS table.  Exit code 0 on pass, 1 on fail, 2 on usage error
-(an unknown subcommand, flag, task or name).
+(an unknown subcommand, flag, task or name, a flag the chosen task or
+action does not read, bad indices or signs, or a limit that diverges).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import time
 
 from . import verify as V
 from .cluster import MutationSequence, Perm, seed_from_text, seed_to_text
-from .operators import (UnknownName, build_FG, build_K, build_R, constraints,
-                        ray, rules_for, take_limit)
+from .operators import (BadIndices, DivergentFactor, UnknownName, build, ray,
+                        rules_for, take_limit)
 from .quivers import builtin
 
 
@@ -54,33 +55,14 @@ def cmd_quiver(args):
     return 0
 
 
-_OPERATOR_NAMES = {
-    "R+": ("R", "plus"), "R-": ("R", "minus"),
-    "Rbar+": ("R", "bar-plus"), "Rbar-": ("R", "bar-minus"),
-    "R-final": ("R", "final"),
-    "K-rho24++": ("K", ("rho24", (1, 1))), "K-rho24+-": ("K", ("rho24", (1, -1))),
-    "K-rho24-+": ("K", ("rho24", (-1, 1))), "K-rho24--": ("K", ("rho24", (-1, -1))),
-    "K-rho13++": ("K", ("rho13", (1, 1))), "K-rho13+-": ("K", ("rho13", (1, -1))),
-    "K-rho13-+": ("K", ("rho13", (-1, 1))), "K-rho13--": ("K", ("rho13", (-1, -1))),
-}
+class UsageError(Exception):
+    """A flag or value that the chosen task or action cannot use."""
 
 
-def _build_operator(name, indices=None, sysname=None):
-    rules = None
-    if sysname:
-        from .operators import PREFER
-        prefer = PREFER.get(sysname, tuple(sorted(
-            constraints(sysname).symbols())))
-        rules = rules_for(sysname, prefer)
-    if name in _OPERATOR_NAMES:
-        kind, sel = _OPERATOR_NAMES[name]
-        if kind == "R":
-            idx = indices or (1, 2, 3)
-            return build_R(sel, idx, rules=rules)
-        ktype, eps = sel
-        idx = indices or (1, 2, 3, 4)
-        return build_K(ktype, eps, idx, rules=rules)
-    return build_FG(name)
+def _reject_unread(args, flags, reads, what):
+    unread = [f"--{f}" for f in flags if f not in reads and getattr(args, f) is not None]
+    if unread:
+        raise UsageError(f"{what} does not read {', '.join(unread)}")
 
 
 def _print_operator(op):
@@ -90,44 +72,54 @@ def _print_operator(op):
 
 
 # degeneration ray -> the constraint system its operators are built under
-_RAY_SYSTEMS = {plan[3]: plan[2] for plan in V.FG_LIMITS.values()}
-_LIMIT_ALIAS = {"K-rho24--+": "K-rho24-+", "K-rho24---": "K-rho24--",
-                "K-rho13--+": "K-rho13-+", "K-rho13---": "K-rho13--"}
+_RAY_SYSTEMS = {row.ray: row.system for row in V.FG_LIMITS.values()}
+# operator action -> the flags it reads besides --name
+_OPERATOR_READS = {"show": ("indices", "constraints"), "limit": ("ray", "constraints")}
 
 
 def cmd_operator(args):
+    _reject_unread(args, ("indices", "constraints", "ray"),
+                   _OPERATOR_READS[args.action], f"operator {args.action}")
+    rules = rules_for(args.constraints) if args.constraints else None
     if args.action == "show":
-        indices = tuple(int(x) for x in args.indices.split(",")) if args.indices else None
-        _print_operator(_build_operator(args.name, indices, args.constraints))
+        _print_operator(build(args.name, args.indices, rules=rules))
         return 0
-    name = _LIMIT_ALIAS.get(args.name, args.name)
-    if name not in _OPERATOR_NAMES:
-        raise UnknownName(name)
-    op = _build_operator(name, None, args.constraints or _RAY_SYSTEMS[args.ray])
+    if args.ray is None:
+        raise UsageError("operator limit needs --ray")
+    row = V.FG_LIMITS.get(args.name)
+    op = build(row.operator if row else args.name,
+               rules=rules or rules_for(_RAY_SYSTEMS[args.ray]))
     _print_operator(take_limit(op, ray(args.ray)))
     return 0
 
 
 _RE_SIGNS = (1, -1, 1, -1, 1, -1, 1, -1)
 
-# verify task name -> check run on the parsed arguments
+# verify task name -> (the flags it reads, with their defaults; the check
+# run on the parsed arguments).  A task takes as many signs as its default.
 TASKS = {
-    "TE-tau": lambda a: V.check_te_tau((a.signs or (1,))[0]),
-    "TE-eta": lambda a: V.check_te_eta((a.signs or (1,))[0]),
-    "TE-P": lambda a: V.check_te_P(a.variant or "P+"),
-    "TE-seed": lambda a: V.check_te_seed(),
-    "RE-tau": lambda a: V.check_re_tau(a.signs or _RE_SIGNS),
-    "RE-eta": lambda a: V.check_re_eta(a.signs or _RE_SIGNS),
-    "RE-P": lambda a: V.check_re_P(a.signs or _RE_SIGNS),
-    "RE-full": lambda a: V.check_re_full(a.cutoff or 3, a.rep),
-    "RE-seed": lambda a: V.check_re_seed(),
-    "K-eps-indep": lambda a: V.check_K_eps_indep(a.variant or "rho24",
-                                                 a.cutoff or 5),
-    "dilog-wd": lambda a: V.check_wd(a.system or "pnL"),
-    "FG-limit": lambda a: V.check_fg_limit(a.operator or "K-rho24--+"),
-    "diagram": lambda a: V.check_diagram(a.variant or "Kcom"),
-    "lemma": lambda a: V.check_rewriting_lemma(a.cutoff or 6),
+    "TE-tau": ({"signs": (1,)}, lambda a: V.check_te_tau(*a.signs)),
+    "TE-eta": ({"signs": (1,)}, lambda a: V.check_te_eta(*a.signs)),
+    "TE-P": ({"variant": "P+"}, lambda a: V.check_te_P(a.variant)),
+    "TE-seed": ({}, lambda a: V.check_te_seed()),
+    "RE-tau": ({"signs": _RE_SIGNS}, lambda a: V.check_re_tau(a.signs)),
+    "RE-eta": ({"signs": _RE_SIGNS}, lambda a: V.check_re_eta(a.signs)),
+    "RE-P": ({"signs": _RE_SIGNS}, lambda a: V.check_re_P(a.signs)),
+    "RE-full": ({"cutoff": 3, "rep": "torus"},
+                lambda a: V.check_re_full(a.cutoff, a.rep)),
+    "RE-seed": ({}, lambda a: V.check_re_seed()),
+    "K-eps-indep": ({"variant": "rho24", "cutoff": 5},
+                    lambda a: V.check_K_eps_indep(a.variant, a.cutoff)),
+    "dilog-wd": ({"system": "pnL"}, lambda a: V.check_wd(a.system)),
+    "FG-limit": ({"operator": "K-rho24--+"}, lambda a: V.check_fg_limit(a.operator)),
+    "diagram": ({"variant": "Kcom"}, lambda a: V.check_diagram(a.variant)),
+    "lemma": ({"cutoff": 6}, lambda a: V.check_rewriting_lemma(a.cutoff)),
 }
+_VERIFY_FLAGS = ("cutoff", "signs", "rep", "variant", "system", "operator")
+
+
+def _index_tuple(text):
+    return tuple(int(x) for x in text.split(","))
 
 
 def _sign_tuple(text):
@@ -135,8 +127,16 @@ def _sign_tuple(text):
 
 
 def cmd_verify(args):
+    reads, check = TASKS[args.task]
+    _reject_unread(args, _VERIFY_FLAGS, reads, f"verify --task {args.task}")
+    for flag, default in reads.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    if "signs" in reads and len(args.signs) != len(reads["signs"]):
+        raise UsageError(f"verify --task {args.task} takes "
+                         f"{len(reads['signs'])} sign(s), got {len(args.signs)}")
     t0 = time.perf_counter()
-    rep = TASKS[args.task](args)
+    rep = check(args)
     rep.wall_ms = int(1000 * (time.perf_counter() - t0))
     return _print_report(rep, args.out)
 
@@ -195,7 +195,7 @@ def main(argv=None):
     o = sub.add_parser("operator", help="show or degenerate an operator")
     o.add_argument("action", choices=["show", "limit"])
     o.add_argument("--name", required=True)
-    o.add_argument("--indices", default=None)
+    o.add_argument("--indices", type=_index_tuple, default=None)
     o.add_argument("--constraints", default=None)
     o.add_argument("--ray", choices=list(_RAY_SYSTEMS), default=None,
                    help="degeneration ray (required by limit)")
@@ -206,7 +206,7 @@ def main(argv=None):
     v.add_argument("--cutoff", type=int, default=None)
     v.add_argument("--signs", type=_sign_tuple, default=None,
                    help="sign string like '+-+-+-+-'; use --signs=... when it starts with a dash (or letters p/m)")
-    v.add_argument("--rep", choices=["torus", "weyl"], default="torus")
+    v.add_argument("--rep", choices=["torus", "weyl"], default=None)
     v.add_argument("--variant", default=None)
     v.add_argument("--system", choices=V.WD_SYSTEMS, default=None)
     v.add_argument("--operator", choices=list(V.FG_LIMITS), default=None)
@@ -239,16 +239,15 @@ def main(argv=None):
     p.set_defaults(fn=cmd_period)
 
     args = ap.parse_args(argv)
-    if args.cmd == "operator" and args.action == "limit" and args.ray is None:
-        o.error("operator limit needs --ray")
     try:
         return args.fn(args)
     except UnknownName as exc:
         print(f"unknown name: {exc}", file=sys.stderr)
-        return 2
+    except (BadIndices, DivergentFactor, UsageError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

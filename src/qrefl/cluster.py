@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .params import _row_reduce
+
 
 class FrozenVertex(Exception):
     pass
@@ -141,22 +143,7 @@ class ExchangeSeed:
 
     def rank_bhat(self) -> int:
         lab = self.labels
-        rows = [[self.bhat(i, j) for j in lab] for i in lab]
-        rank = 0
-        for col in range(len(lab)):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            pr = rows[rank]
-            inv = Fraction(1) / pr[col]
-            pr[:] = [x * inv for x in pr]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-            rank += 1
-        return rank
+        return _row_reduce([[self.bhat(i, j) for j in lab] for i in lab], len(lab))[0]
 
     def permuted(self, sigma: Perm) -> "ExchangeSeed":
         b = {}

@@ -215,13 +215,12 @@ class NilGroupElement:
         return cls(spec, order, Perm(), q, lin_only, cen)
 
     @classmethod
-    def from_factors(cls, spec, order, factors, rho_pair=None, half=False,
-                     subs_idx=None, psubs=None):
+    def from_factors(cls, spec, order, factors, rho_pair=None, subs_idx=None,
+                     psubs=None):
         """Build from catalog factor data (sequence of exponential factors).
 
         Each factor is ('quad', {(i,j): coeff}) or ('lin', {axis: pexp}).
-        ``half`` scales every exponent by 1/2.  ``rho_pair`` appends the
-        exchange of a canonical pair.
+        ``rho_pair`` appends the exchange of a canonical pair.
         """
         from .cluster import Perm
         from .qweyl import relabel_axis, relabel_pf
@@ -230,17 +229,16 @@ class NilGroupElement:
             return subs_idx.get(i, i) if subs_idx else i
 
         out = cls.identity(spec, order)
-        scale = Fraction(1, 2) if half else Fraction(1)
         for components in factors:
             x = NilLieElement(spec, order)
             for kind, data in components:
                 if kind == "quad":
-                    quad = {(rel(i), rel(j)): Fraction(v) * scale
+                    quad = {(rel(i), rel(j)): Fraction(v)
                             for (i, j), v in data.items()}
                     x = x + NilLieElement(spec, order, quad)
                 else:
                     lin = {relabel_axis(a, subs_idx):
-                           relabel_pf(pf, subs_idx, psubs).scale(scale)
+                           relabel_pf(pf, subs_idx, psubs)
                            for a, pf in data.items()}
                     x = x + NilLieElement(spec, order, {}, lin)
             out = bch_mul(out, cls.from_lie(x))

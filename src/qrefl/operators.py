@@ -1,16 +1,27 @@
-"""Named operators: dilogarithm factor lists with monomial tails,
-parameter systems and elimination, directional limits, and the stacked
-reduction diagrams that force the degeneration constraints.
+"""Named operators: the one table of catalog data for R, Rbar, K and
+their limit targets, the builders that read it (dilogarithm factor lists
+with monomial tails, canonical and torus maps), parameter systems and
+elimination, directional limits, and the stacked reduction diagrams that
+force the degeneration constraints.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import getitem
+from typing import NamedTuple
+
 from . import catalog as C
-from .nilgroup import (NilGroupElement, ORDER_C2_BOT, ORDER_C2_TOP,
-                       TriangularOrder, adjoint)
+from .cluster import Perm
+from .compose import hom_from_table
+from .nilgroup import (NilGroupElement, NilLieElement, ORDER_C3, TriangularOrder,
+                       adjoint)
 from .params import LinSystem, ParamForm
-from .qweyl import (AffineCanonMap, CanonSpec, SPEC_A2, SPEC_B2, SPEC_C2,
-                    WeylMonomial, build_subst_hom, relabel_pf, relabel_axis)
+from .qtorus import QuantumTorus
+from .quivers import builtin
+from .qweyl import (IOTA, AffineCanonMap, CanonSpec, SPEC_A2, SPEC_B2, SPEC_C2,
+                    SPEC_C3, WeylMonomial, build_subst_hom, iota_monomial,
+                    iota_params, iota_vec, relabel_axis, relabel_pf)
 from .scalars import ONE
 
 
@@ -54,20 +65,19 @@ _COMPOUND = {
 
 
 def constraints(name: str) -> LinSystem:
-    """Named parameter system (single or compound)."""
-    if name in C.CONSTRAINTS:
-        rows = [ParamForm(r) for r in C.CONSTRAINTS[name]]
-        return LinSystem(rows, name)
-    if name in _COMPOUND:
-        rows = []
-        for part in _COMPOUND[name]:
-            rows.extend(ParamForm(r) for r in C.CONSTRAINTS[part])
-        return LinSystem(rows, name)
-    raise UnknownName(name)
+    """Named parameter system: a catalog system, a compound, or several
+    catalog systems joined by "+"."""
+    parts = _COMPOUND.get(name, name.split("+"))
+    if not all(part in C.CONSTRAINTS for part in parts):
+        raise UnknownName(name)
+    return LinSystem([ParamForm(r) for part in parts for r in C.CONSTRAINTS[part]],
+                     name)
 
 
-def rules_for(name: str, prefer=()) -> dict:
-    return constraints(name).eliminate(prefer)
+def rules_for(name: str, prefer=None) -> dict:
+    """Solve a named system, by default in its PREFER elimination order."""
+    return constraints(name).eliminate(PREFER.get(name, ()) if prefer is None
+                                       else prefer)
 
 
 class OperatorExpr:
@@ -110,123 +120,165 @@ class OperatorExpr:
         return True
 
 
-def _weyl_factors(spec, data, subs_idx=None, rules=None):
+class Operator(NamedTuple):
+    """Catalog data of one operator.
+
+    The data fields are paths into ``catalog``: a table name, then keys.
+    They are read each time an operator is built, so a patched catalog
+    table shows.  ``order`` gives the blocks of the triangular order,
+    lowest first, as positions in the operator's index tuple.
+    """
+
+    spec: CanonSpec             # the spec the catalog rows are written on
+    order: tuple
+    rows: tuple                 # canonical-variable factor rows
+    tail: tuple                 # tail factors with their exchanged pair
+    eta: tuple = None           # canonical map
+    tau: tuple = None           # torus map
+    tail_pos: int = None        # factors before the tail, if not all
+
+
+def sign_text(signs) -> str:
+    return "".join("+" if s > 0 else "-" for s in signs)
+
+
+K_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_UP, _DOWN = ((0,), (1, 2)), ((2,), (0, 1))
+_TOP, _BOT = ((0,), (1, 3), (2,)), ((3,), (0, 2), (1,))
+
+# name -> catalog data; a name is the operator's kind followed by its signs
+OPERATORS = {
+    "R+": Operator(SPEC_A2, _UP, ("R_WEYL", "+"), ("P_R", "+"),
+                   ("ETA_R", "+"), ("TAU_R", "+")),
+    "R-": Operator(SPEC_A2, _DOWN, ("R_WEYL", "-"), ("P_R", "-"),
+                   ("ETA_R", "-"), ("TAU_R", "-")),
+    "Rbar+": Operator(SPEC_A2, _DOWN, ("RBAR_WEYL", "+"), ("P_RBAR", "+"),
+                      ("ETA_RBAR", "+"), ("TAU_RBAR", "+")),
+    "Rbar-": Operator(SPEC_A2, _UP, ("RBAR_WEYL", "-"), ("P_RBAR", "-"),
+                      ("ETA_RBAR", "-"), ("TAU_RBAR", "-")),
+    "R-final": Operator(SPEC_A2, _UP, ("R_FINAL_WEYL",), ("P_R_FINAL",),
+                        tail_pos=2),
+    **{"K-rho24" + sign_text(e): Operator(SPEC_C2, _TOP, ("K24_WEYL", e),
+                                          ("P_K24",), ("ETA_K24",), ("TAU_K24",))
+       for e in K_SIGNS},
+    **{"K-rho13" + sign_text(e): Operator(SPEC_C2, _BOT, ("K13_WEYL", e),
+                                          ("P_K13",), ("ETA_K13",))
+       for e in K_SIGNS},
+    "K-final": Operator(SPEC_C2, _TOP, ("K_FINAL_WEYL",), ("P_K_FINAL",)),
+    # the Fock-Goncharov limit targets, on B_FG(C2), B_FG(B2) and B_FG(A2)
+    **{f"K-{fg}:{s}": Operator(spec, _TOP, (f"K_FG_{fg}", s, 0),
+                               (f"K_FG_{fg}", s, 1), (f"PIK_{fg}",))
+       for fg, spec in (("C2", SPEC_C2), ("B2", SPEC_B2)) for s in ("++-", "-++")},
+    "R-A2:+": Operator(SPEC_A2, _UP, ("R_FG", "+", 0), ("R_FG", "+", 1),
+                       ("PI_PLUS",)),
+    "R-A2:-": Operator(SPEC_A2, _DOWN, ("R_FG", "-", 0), ("R_FG", "-", 1),
+                       ("PI_MINUS",)),
+}
+
+
+def _read(path):
+    return reduce(getitem, path[1:], getattr(C, path[0]))
+
+
+def _place(name, indices, spec):
+    """The operator's table entry, spec and indices, checked: distinct
+    slots of ``spec`` whose weights repeat those of the catalog data."""
+    if name not in OPERATORS:
+        raise UnknownName(name)
+    op = OPERATORS[name]
+    spec = spec or op.spec
+    indices = tuple(indices or range(1, op.spec.p + 1))
+    if len(indices) != op.spec.p or len(set(indices)) != len(indices) \
+            or not all(1 <= t <= spec.p for t in indices):
+        raise BadIndices(f"{name} takes {op.spec.p} distinct indices in "
+                         f"1..{spec.p}, got {indices}")
+    got = tuple(spec.gamma[t - 1] for t in indices)
+    if got != op.spec.gamma:
+        raise BadIndices(f"{name} needs weights {op.spec.gamma}, got {got}")
+    return op, spec, indices
+
+
+def _order(op, spec, indices):
+    """The triangular order housing the tail: the table's blocks on the
+    operator's own spec, the reflection composite's order on C3."""
+    if spec == op.spec:
+        return TriangularOrder([{indices[p] for p in block} for block in op.order])
+    if spec == SPEC_C3:
+        return ORDER_C3
+    raise BadIndices(f"no triangular order for spec {spec.gamma}")
+
+
+def factors(name, indices=None, spec=None, rules=None):
+    """The dilogarithm factors (base, expo, WeylMonomial) of an operator."""
+    op, spec, indices = _place(name, indices, spec)
+    subs = dict(enumerate(indices, 1))
     out = []
-    for base, expo, pexp, cexp in data:
+    for base, expo, pexp, cexp in _read(op.rows):
         m = WeylMonomial(
-            spec, ONE, relabel_pf(pexp, subs_idx),
-            spec.vec({relabel_axis(a, subs_idx): v for a, v in cexp.items()}))
+            spec, ONE, relabel_pf(pexp, subs),
+            spec.vec({relabel_axis(a, subs): v for a, v in cexp.items()}))
         if rules:
             m = m.subs_params(rules)
         out.append((base, expo, m))
     return out
 
 
-def order_for(spec: CanonSpec, indices) -> TriangularOrder:
-    """Triangular order housing the catalog tails for these indices."""
-    from .nilgroup import ORDER_A3, ORDER_C3
-    if spec.p == 9:
-        return ORDER_C3
-    if spec.p == 4:
-        return ORDER_C2_TOP
-    if spec.p == 3:
-        return TriangularOrder(({indices[0]}, set(indices[1:])))
-    if spec.p == 6:
-        return ORDER_A3
-    raise BadIndices(spec.gamma)
+def tail(name, indices=None, spec=None, order=None, rules=None) -> NilGroupElement:
+    """The monomial tail of an operator, in ``order`` when one is given."""
+    op, spec, indices = _place(name, indices, spec)
+    pdata, rho = _read(op.tail)
+    return NilGroupElement.from_factors(
+        spec, order or _order(op, spec, indices), pdata, rho_pair=rho,
+        subs_idx=dict(enumerate(indices, 1)), psubs=rules)
 
 
-def build_R(variant: str, indices, spec=None, order=None, rules=None) -> OperatorExpr:
+def canonical_map(name, indices=None, spec=None, rules=None) -> AffineCanonMap:
+    """The canonical map eta of an operator."""
+    op, spec, indices = _place(name, indices, spec)
+    return AffineCanonMap.from_table(spec, _read(op.eta),
+                                     subs_idx=dict(enumerate(indices, 1)),
+                                     psubs=rules)
+
+
+def torus_map(name, source, target):
+    """The torus map tau of an operator between two tori."""
+    if name not in OPERATORS:
+        raise UnknownName(name)
+    return hom_from_table(source, target, _read(OPERATORS[name].tau))
+
+
+def build(name, indices=None, spec=None, rules=None) -> OperatorExpr:
+    """An operator by name: its factors and tail on ``indices`` of ``spec``
+    (by default 1, 2, ... of the spec its catalog data are written on)."""
+    op, spec, indices = _place(name, indices, spec)
+    return OperatorExpr(spec, factors(name, indices, spec, rules),
+                        tail(name, indices, spec, rules=rules), op.tail_pos)
+
+
+_R_VARIANTS = {"plus": "R+", "minus": "R-", "bar-plus": "Rbar+",
+               "bar-minus": "Rbar-", "final": "R-final"}
+
+
+def build_R(variant: str, indices, spec=None, rules=None) -> OperatorExpr:
     """Three-index solution operators; indices must sit on weight-one slots."""
-    i, j, k = indices
-    if len({i, j, k}) != 3:
-        raise BadIndices(indices)
-    spec = spec or SPEC_A2
-    for t in indices:
-        if spec.gamma[t - 1] != 1:
-            raise BadIndices(f"index {t} has weight {spec.gamma[t - 1]}")
-    subs = {1: i, 2: j, 3: k}
-    if order is None:
-        if spec.p == 3:
-            up = variant in ("plus", "bar-minus", "final")
-            order = TriangularOrder(({i}, {j, k})) if up else \
-                TriangularOrder(({k}, {i, j}))
-        else:
-            order = order_for(spec, indices)
-    if variant == "final":
-        pre = _weyl_factors(spec, C.R_FINAL_PARTS["pre"], subs, rules)
-        post = _weyl_factors(spec, C.R_FINAL_PARTS["post"], subs, rules)
-        pdata, rho = C.p_final(i, j, k)
-        tail = NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho,
-                                            psubs=rules)
-        return OperatorExpr(spec, pre + post, tail, tail_pos=2)
-    table = {"plus": (C.R_WEYL["+"], C.P_R["+"]),
-             "minus": (C.R_WEYL["-"], C.P_R["-"]),
-             "bar-plus": (C.RBAR_WEYL["+"], C.P_RBAR["+"]),
-             "bar-minus": (C.RBAR_WEYL["-"], C.P_RBAR["-"])}
-    if variant not in table:
+    if variant not in _R_VARIANTS:
         raise UnknownName(variant)
-    facs_data, (pdata, rho) = table[variant]
-    facs = _weyl_factors(spec, facs_data, subs, rules)
-    tail = NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho,
-                                        subs_idx=subs, psubs=rules)
-    return OperatorExpr(spec, facs, tail)
+    return build(_R_VARIANTS[variant], indices, spec, rules)
 
 
-_K24_PAIRS = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-
-
-def build_K(ktype: str, eps, indices, spec=None, order=None, rules=None,
+def build_K(ktype: str, eps, indices, spec=None, rules=None,
             final=False) -> OperatorExpr:
     """Four-index solution operators of the two reflection types."""
-    i, j, k, l = indices
-    spec = spec or SPEC_C2
-    eps = tuple(eps)
-    if eps not in _K24_PAIRS:
+    if tuple(eps) not in K_SIGNS:
         raise BadIndices(f"sign pair {eps} is not one of the allowed four")
-    subs = {1: i, 2: j, 3: k, 4: l}
-    if ktype == "rho24":
-        want = (1, 2, 1, 2)
-        table, (pdata, rho) = C.K24_WEYL[eps], C.P_K24
-        order = order or (ORDER_C2_TOP if spec.p == 4 else order_for(spec, indices))
-    elif ktype == "rho13":
-        want = (1, 2, 1, 2)
-        table, (pdata, rho) = C.K13_WEYL[eps], C.P_K13
-        order = order or (ORDER_C2_BOT if spec.p == 4 else order_for(spec, indices))
-    else:
-        raise UnknownName(ktype)
-    got = tuple(spec.gamma[t - 1] for t in indices)
-    if got != want:
-        raise BadIndices(f"weight pattern {got}, need {want}")
-    if final:
-        facs = _weyl_factors(spec, C.k_final_factors(i, j, k, l, a_equals_c=True), None,
-                             rules)
-        pdata, rho = C.pk_final(i, j, k, l)
-        tail = NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho,
-                                            psubs=rules)
-        return OperatorExpr(spec, facs, tail)
-    facs = _weyl_factors(spec, table, subs, rules)
-    tail = NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho,
-                                        subs_idx=subs, psubs=rules)
-    return OperatorExpr(spec, facs, tail)
+    return build("K-final" if final else f"K-{ktype}{sign_text(eps)}",
+                 indices, spec, rules)
 
 
 def build_FG(name: str) -> OperatorExpr:
-    """Limit-target operators on the small quivers."""
-    cat = {
-        "K-C2:++-": (SPEC_C2, ORDER_C2_TOP, C.K_FG_C2["++-"]),
-        "K-C2:-++": (SPEC_C2, ORDER_C2_TOP, C.K_FG_C2["-++"]),
-        "K-B2:++-": (SPEC_B2, ORDER_C2_TOP, C.K_FG_B2["++-"]),
-        "K-B2:-++": (SPEC_B2, ORDER_C2_TOP, C.K_FG_B2["-++"]),
-        "R+": (SPEC_A2, TriangularOrder(({1}, {2, 3})), C.R_FG["+"]),
-        "R-": (SPEC_A2, TriangularOrder(({3}, {1, 2})), C.R_FG["-"]),
-    }
-    if name not in cat:
-        raise UnknownName(name)
-    spec, order, (facs_data, (pdata, rho)) = cat[name]
-    facs = _weyl_factors(spec, facs_data)
-    tail = NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho)
-    return OperatorExpr(spec, facs, tail)
+    """Limit targets by the names the limit reports print; R+ and R- are
+    the targets R-A2:+ and R-A2:- on B_FG(A2)."""
+    return build({"R+": "R-A2:+", "R-": "R-A2:-"}.get(name, name))
 
 
 def ray(name: str) -> dict:
@@ -269,164 +321,94 @@ def _collect_pexp_diffs(pairs):
     return rows
 
 
+class Reduction(NamedTuple):
+    """A stacked degeneration diagram: the big tori B(X), B'(X) carry the
+    operator, the FG tori B_FG(Y), B'_FG(Y) its limit target.  The middle
+    square compares the canonical maps of the two."""
+
+    big: str                # X
+    fg: str                 # Y
+    phi: tuple              # substitution maps of B(X), B'(X)
+    phi_fg: tuple           # substitution maps of B_FG(Y), B'_FG(Y)
+    alpha: tuple            # monomial maps B_FG(Y) -> B(X), B'_FG(Y) -> B'(X)
+    operator: str
+    target: str
+    ambient: str            # the system the lower square is checked modulo
+    expect: str             # the system the squares should force
+
+
+REDUCTIONS = {
+    "cd-C2": Reduction("C2", "C2", (C.PHI_C2, C.PHIP_C2),
+                       (C.PHI_FG_C2, C.PHIP_FG_C2), (C.ALPHA_C2, C.ALPHA_C2),
+                       "K-rho24-+", "K-C2:++-", "econ+ccon", "condi"),
+    "cd-B2": Reduction("C2", "B2", (C.PHI_C2, C.PHIP_C2),
+                       (C.PSI_FG_B2, C.PSIP_FG_B2), (C.BETA_B2, C.BETA_B2),
+                       "K-rho13-+", "K-B2:++-", "econ+ccon", "con14"),
+    "cd3-left": Reduction("A2", "A2", (C.PHI_A2, C.PHIP_A2),
+                          (C.PHI_FG_A2, C.PHIP_FG_A2), (C.ALPHA_A2, C.ALPHAP_A2),
+                          "R+", "R-A2:+", "econ-a", "pare1+pare1-2"),
+    "cd3-right": Reduction("A2", "A2", (C.PHI_A2, C.PHIP_A2),
+                           (C.PHI_FG_A2, C.PHIP_FG_A2), (C.ALPHA_A2, C.ALPHAP_A2),
+                           "R-", "R-A2:-", "econ-a", "pare1-3+pare1-2"),
+}
+
+
 def reduction_diagram(name: str):
     """Verify a stacked degeneration diagram; return the forced system.
 
     The returned LinSystem is what commutativity of the upper and middle
     squares forces; the lower square is then checked modulo it (together
     with the ambient sum constraints).  Raises on structural mismatch.
+    A limit target on the dual spec B2 is moved to C2 by the index
+    reversal.
     """
-    from .qtorus import QuantumTorus
-    from .quivers import builtin
-    from .compose import hom_from_table
-
-    if name in ("cd-C2", "cd-B2"):
-        big = QuantumTorus(builtin("B(C2)"))
-        bigp = QuantumTorus(builtin("B'(C2)"))
-        phi = build_subst_hom(big, SPEC_C2, C.PHI_C2)
-        phip = build_subst_hom(bigp, SPEC_C2, C.PHIP_C2)
-        if name == "cd-C2":
-            fg = QuantumTorus(builtin("B_FG(C2)"))
-            fgp = QuantumTorus(builtin("B'_FG(C2)"))
-            phi_fg = build_subst_hom(fg, SPEC_C2, C.PHI_FG_C2)
-            phip_fg = build_subst_hom(fgp, SPEC_C2, C.PHIP_FG_C2)
-            alpha = hom_from_table(builtin("B_FG(C2)"), builtin("B(C2)"), C.ALPHA_C2)
-            alphap = hom_from_table(builtin("B'_FG(C2)"), builtin("B'(C2)"), C.ALPHA_C2)
-            eta_small = AffineCanonMap.from_table(SPEC_C2, C.PIK_C2)
-            eta_big = AffineCanonMap.from_table(SPEC_C2, C.ETA_K24)
-            upper = [(phi.apply(alpha.apply(fg.gen(i))), phi_fg.images[i])
-                     for i in fg.labels]
-            lower = [(phip.apply(alphap.apply(fgp.gen(i))), phip_fg.images[i])
-                     for i in fgp.labels]
-            expect = "condi"
-        else:
-            fg = QuantumTorus(builtin("B_FG(B2)"))
-            fgp = QuantumTorus(builtin("B'_FG(B2)"))
-            psi_fg = build_subst_hom(fg, SPEC_B2, C.PSI_FG_B2)
-            psip_fg = build_subst_hom(fgp, SPEC_B2, C.PSIP_FG_B2)
-            beta = hom_from_table(builtin("B_FG(B2)"), builtin("B(C2)"), C.BETA_B2)
-            betap = hom_from_table(builtin("B'_FG(B2)"), builtin("B'(C2)"), C.BETA_B2)
-            eta_small = AffineCanonMap.from_table(SPEC_B2, C.PIK_B2)
-            eta_big = AffineCanonMap.from_table(SPEC_C2, C.ETA_K13)
-            upper = [(phi.apply(beta.apply(fg.gen(i))),
-                      iota_b2_to_c2(psi_fg.images[i])) for i in fg.labels]
-            lower = [(phip.apply(betap.apply(fgp.gen(i))),
-                      iota_b2_to_c2(psip_fg.images[i])) for i in fgp.labels]
-            expect = "con14"
-        rows = _collect_pexp_diffs(upper)
-        rows += _middle_square(eta_big, eta_small, name)
-        forced = LinSystem(rows, name)
-        base = constraints("econ").extend(constraints("ccon"))
-        full = forced.extend(base)
-        for left, right in lower:
-            if not full.implies(left.pexp - right.pexp):
-                raise AssertionError("lower square not implied")
-        return forced, constraints(expect)
-
-    if name in ("cd3-left", "cd3-right"):
-        big = QuantumTorus(builtin("B(A2)"))
-        bigp = QuantumTorus(builtin("B'(A2)"))
-        phi = build_subst_hom(big, SPEC_A2, C.PHI_A2)
-        phip = build_subst_hom(bigp, SPEC_A2, C.PHIP_A2)
-        fg = QuantumTorus(builtin("B_FG(A2)"))
-        fgp = QuantumTorus(builtin("B'_FG(A2)"))
-        phi_fg = build_subst_hom(fg, SPEC_A2, C.PHI_FG_A2)
-        phip_fg = build_subst_hom(fgp, SPEC_A2, C.PHIP_FG_A2)
-        alpha = hom_from_table(builtin("B_FG(A2)"), builtin("B(A2)"), C.ALPHA_A2)
-        alphap = hom_from_table(builtin("B'_FG(A2)"), builtin("B'(A2)"), C.ALPHAP_A2)
-        if name == "cd3-left":
-            eta_big = AffineCanonMap.from_table(SPEC_A2, C.ETA_R["+"])
-            eta_small = AffineCanonMap.from_table(SPEC_A2, C.PI_PLUS)
-            expect = ("pare1", "pare1-2")
-        else:
-            eta_big = AffineCanonMap.from_table(SPEC_A2, C.ETA_R["-"])
-            eta_small = AffineCanonMap.from_table(SPEC_A2, C.PI_MINUS)
-            expect = ("pare1-3", "pare1-2")
-        upper = [(phi.apply(alpha.apply(fg.gen(i))), phi_fg.images[i])
-                 for i in fg.labels]
-        lower = [(phip.apply(alphap.apply(fgp.gen(i))), phip_fg.images[i])
-                 for i in fgp.labels]
-        rows = _collect_pexp_diffs(upper)
-        rows += _middle_square(eta_big, eta_small, name)
-        forced = LinSystem(rows, name)
-        full = forced.extend(constraints("econ-a"))
-        for left, right in lower:
-            if not full.implies(left.pexp - right.pexp):
-                raise AssertionError("lower square not implied")
-        want = LinSystem(sum((list(constraints(e).constraints) for e in expect),
-                             []), "+".join(expect))
-        return forced, want
-
-    raise UnknownName(name)
-
-
-def _middle_square(eta_big: AffineCanonMap, eta_small: AffineCanonMap, ctx):
-    if ctx == "cd-B2":
-        eta_small = _conjugate_by_iota(eta_small)
+    if name not in REDUCTIONS:
+        raise UnknownName(name)
+    r = REDUCTIONS[name]
+    eta_big, eta_small = canonical_map(r.operator), canonical_map(r.target)
+    spec, fg_spec = eta_big.spec, eta_small.spec
+    moved = fg_spec != spec
+    if moved:
+        eta_small = AffineCanonMap(
+            spec, iota_vec([iota_vec(row) for row in eta_small.lin]),
+            iota_vec([iota_params(s) for s in eta_small.shift]), check=False)
+    squares = []
+    for big, fg, phi, phi_fg, alpha in zip(
+            (f"B({r.big})", f"B'({r.big})"), (f"B_FG({r.fg})", f"B'_FG({r.fg})"),
+            r.phi, r.phi_fg, r.alpha):
+        hbig = build_subst_hom(QuantumTorus(builtin(big)), spec, phi)
+        fgt = QuantumTorus(builtin(fg))
+        hfg = build_subst_hom(fgt, fg_spec, phi_fg)
+        hom = hom_from_table(builtin(fg), builtin(big), alpha)
+        squares.append([(hbig.apply(hom.apply(fgt.gen(i))),
+                         iota_monomial(hfg.images[i], spec) if moved else hfg.images[i])
+                        for i in fgt.labels])
+    upper, lower = squares
     if eta_big.lin != eta_small.lin:
         raise AssertionError("linear parts of the middle square differ")
-    rows = []
-    for s1, s2 in zip(eta_big.shift, eta_small.shift):
-        d = s1 - s2
-        if not d.is_zero():
-            rows.append(d)
-    return rows
-
-
-def iota_b2_to_c2(m: WeylMonomial) -> WeylMonomial:
-    flip = {1: 4, 2: 3, 3: 2, 4: 1}
-    cexp = {}
-    for axis in "uw":
-        for idx in range(1, 5):
-            v = m.cexp[SPEC_B2.index(f"{axis}{idx}")]
-            if v:
-                cexp[f"{axis}{flip[idx]}"] = v
-    pexp = ParamForm({("th" + str(flip[int(k[2:])]) if k.startswith("th") else k): v
-                      for k, v in m.pexp.terms.items()}, m.pexp.const)
-    return WeylMonomial(SPEC_C2, m.coeff, pexp, SPEC_C2.vec(cexp))
+    rows = _collect_pexp_diffs(upper)
+    rows += [d for d in (s1 - s2 for s1, s2 in zip(eta_big.shift, eta_small.shift))
+             if not d.is_zero()]
+    forced = LinSystem(rows, name)
+    full = forced.extend(constraints(r.ambient))
+    for left, right in lower:
+        if not full.implies(left.pexp - right.pexp):
+            raise AssertionError("lower square not implied")
+    return forced, constraints(r.expect)
 
 
 def iota_operator(op: OperatorExpr) -> OperatorExpr:
     """Transport an operator over the dual small spec through the index
     reversal u_i -> u_{5-i}, w_i -> w_{5-i}, th_i -> th_{5-i}."""
-    from .nilgroup import NilLieElement
-    flip = {1: 4, 2: 3, 3: 2, 4: 1}
-    facs = [(b, e, iota_b2_to_c2(m)) for b, e, m in op.factors]
+    facs = [(b, e, iota_monomial(m, SPEC_C2)) for b, e, m in op.factors]
     tail = op.tail
     if tail is not None:
-        theta = {f"th{i}": ParamForm({f"th{flip[i]}": 1}) for i in range(1, 5)}
-        order = ORDER_C2_BOT
-        quad = {(flip[i], flip[j]): v for (i, j), v in tail.q.quad.items()}
-        lin = {f"{a[0]}{flip[int(a[1:])]}": pf.subs(theta)
-               for a, pf in tail.l.lin.items()}
-        from .cluster import Perm
-        sigma = Perm({flip[k]: flip[v] for k, v in tail.sigma.map.items()})
+        order = TriangularOrder([{IOTA[i] for i in level} for level in tail.order.levels])
+        quad = {(IOTA[i], IOTA[j]): v for (i, j), v in tail.q.quad.items()}
+        lin = {relabel_axis(a, IOTA): iota_params(pf) for a, pf in tail.l.lin.items()}
+        sigma = Perm({IOTA[k]: IOTA[v] for k, v in tail.sigma.map.items()})
         tail = NilGroupElement(SPEC_C2, order, sigma,
                                NilLieElement(SPEC_C2, order, quad),
                                NilLieElement(SPEC_C2, order, {}, lin),
-                               tail.c.subs(theta))
+                               iota_params(tail.c))
     return OperatorExpr(SPEC_C2, facs, tail, op.tail_pos)
-
-
-def _conjugate_by_iota(eta: AffineCanonMap) -> AffineCanonMap:
-    """iota o eta o iota^{-1}: transport a B2-side map to the C2 spec."""
-    flip = {1: 4, 2: 3, 3: 2, 4: 1}
-
-    def conv_axis(idx):
-        kind = "u" if idx < 4 else "w"
-        i = (idx % 4) + 1
-        return SPEC_C2.index(f"{kind}{flip[i]}")
-
-    n = 8
-    lin = [[0] * n for _ in range(n)]
-    shift = [ParamForm() for _ in range(n)]
-    for a in range(n):
-        ca = conv_axis(a)
-        row = eta.lin[a]
-        for b in range(n):
-            lin[ca][conv_axis(b)] = row[b]
-        pf = eta.shift[a]
-        shift[ca] = ParamForm(
-            {("th" + str(flip[int(k[2:])]) if k.startswith("th") else k): v
-             for k, v in pf.terms.items()}, pf.const)
-    return AffineCanonMap(SPEC_C2, lin, shift, check=False)

@@ -383,27 +383,36 @@ def relabel_pf(pexp, subs_idx, psubs=None) -> ParamForm:
     return out
 
 
-def build_subst_hom(torus, spec, table, subs_idx=None) -> SubstHom:
+def build_subst_hom(torus, spec, table) -> SubstHom:
     """SubstHom from a catalog table {label: (pexp, cexp)}."""
-    images = {}
-    for label, (pexp, cexp) in table.items():
-        images[label] = WeylMonomial(
-            spec, ONE, relabel_pf(pexp, subs_idx),
-            spec.vec({relabel_axis(a, subs_idx): v for a, v in cexp.items()}))
-    return SubstHom(torus, spec, images)
+    return SubstHom(torus, spec, {label: WeylMonomial.from_dicts(spec, pexp, cexp)
+                                  for label, (pexp, cexp) in table.items()})
+
+
+# the index reversal i -> 5 - i between the C2 and B2 specs
+IOTA = {1: 4, 2: 3, 3: 2, 4: 1}
+_IOTA_TH = {f"th{i}": ParamForm({f"th{j}": 1}) for i, j in IOTA.items()}
+
+
+def iota_vec(v):
+    """An 8-entry sequence over the axes (u1..u4, w1..w4) with the indices
+    reversed; the rows of a map are reversed the same way."""
+    return v[3::-1] + v[:3:-1]
+
+
+def iota_params(form):
+    """A parameter form (linear or quadratic) with th_i -> th_{5-i}."""
+    return form.subs(_IOTA_TH)
+
+
+def iota_monomial(m: WeylMonomial, spec: CanonSpec) -> WeylMonomial:
+    """The index reversal of a monomial, landing on ``spec``."""
+    return WeylMonomial(spec, m.coeff, iota_params(m.pexp), iota_vec(m.cexp))
 
 
 def iota_c2_to_b2(m: WeylMonomial) -> WeylMonomial:
     """Index reversal u_i -> u_{5-i}, w_i -> w_{5-i}, th_i -> th_{5-i}."""
-    flip = {1: 4, 2: 3, 3: 2, 4: 1}
-    cexp = {}
-    for axis, idx in ((a, i) for a in "uw" for i in range(1, 5)):
-        v = m.cexp[SPEC_C2.index(f"{axis}{idx}")]
-        if v:
-            cexp[f"{axis}{flip[idx]}"] = v
-    pexp = ParamForm({("th" + str(flip[int(k[2:])]) if k.startswith("th") else k): v
-                      for k, v in m.pexp.terms.items()}, m.pexp.const)
-    return WeylMonomial(SPEC_B2, m.coeff, pexp, SPEC_B2.vec(cexp))
+    return iota_monomial(m, SPEC_B2)
 
 
 def diagram_commutes(h_src: SubstHom, h_tgt: SubstHom, tau, eta: AffineCanonMap,

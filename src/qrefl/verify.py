@@ -11,25 +11,25 @@ import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
+from typing import NamedTuple
 
 from . import catalog as C
 from . import compositions as FX
 from .cluster import (ExchangeSeed, Perm, TropicalSeed, is_sigma_period,
                       mutate_tropical)
-from .compose import (CompositeState, FactorSpec, hom_from_table,
-                      run_composite)
-from .nilgroup import (NilGroupElement, ORDER_A3, ORDER_A3_PRIME, ORDER_C3,
-                       OrderViolation, adjoint, bch_mul, group_equal)
-from .operators import (PREFER, UnknownName, _weyl_factors, build_FG, build_K,
-                        build_R, constraints, iota_operator, ray, rules_for,
-                        take_limit)
+from .compose import CompositeState, FactorSpec, run_composite
+from .nilgroup import (ORDER_A3, ORDER_A3_PRIME, OrderViolation, adjoint,
+                       bch_mul, group_equal)
+from .operators import (OPERATORS, UnknownName, build, build_FG, canonical_map,
+                        constraints, factors, iota_operator, ray, rules_for,
+                        sign_text, tail, take_limit, torus_map)
 from .params import LinSystem, ParamForm
 from .qtorus import (Infeasible, QuantumTorus, TorusSeries, check_stage_plan,
                      expand_product, match_stage_plan, staged_certificate,
                      stiemke_grading)
 from .quivers import builtin
-from .qweyl import (AffineCanonMap, SPEC_A2, SPEC_A3, SPEC_C2, SPEC_C3,
-                    build_subst_hom, diagram_commutes, expand_weyl_product)
+from .qweyl import (AffineCanonMap, SPEC_A3, SPEC_C3, build_subst_hom,
+                    diagram_commutes, expand_weyl_product)
 from .scalars import ONE, ScalarQ
 
 
@@ -76,6 +76,7 @@ _TE_FINAL = {"L": FX.TETRAHEDRON_FINAL["LHS"], "R": FX.TETRAHEDRON_FINAL["RHS"]}
 _TE_ORDER = ((4, 5, 6), (2, 3, 6), (1, 3, 5), (1, 2, 4))
 _SIGNS = (1, -1)
 _GOOD = (1, -1, 1, -1)      # the good R/Rbar signs of each reflection side
+_K = "K-rho24-+"            # the K of the reflection composite
 
 
 def _specs(rows):
@@ -85,12 +86,14 @@ def _specs(rows):
 def _fold_side(side, deltas, factor, mul):
     """Left fold of one reflection side with the level's product ``mul``.
 
-    Row by row, ``factor(kind, spaces, delta)`` gives the factor value:
-    the R/Rbar rows take their signs from ``deltas`` in order, the K rows
-    take None.  Each factor is built just before it is multiplied in.
+    Row by row, ``factor(name, spaces)`` gives the value of the named
+    operator: the R/Rbar rows take their signs from ``deltas`` in order,
+    the K rows are ``_K``.  Each factor is built just before it is
+    multiplied in.
     """
     signs = iter(deltas)
-    return reduce(mul, (factor(kind, spaces, None if kind == "K" else next(signs))
+    return reduce(mul, (factor(_K if kind == "K" else kind + sign_text((next(signs),)),
+                               spaces)
                         for kind, spaces, _, _ in _REFLECTION[side]))
 
 
@@ -188,41 +191,18 @@ def check_re_seed() -> Report:
 # canonical-transformation level
 
 
-def _signed(r_table, rbar_table):
-    """{(kind, delta): entry} for the R/Rbar tables keyed by "+"/"-"."""
-    return {(kind, d): table["+" if d > 0 else "-"]
-            for kind, table in (("R", r_table), ("Rbar", rbar_table))
-            for d in _SIGNS}
-
-
-_ETA_TABLES = _signed(C.ETA_R, C.ETA_RBAR)
-
-
-def eta_factor(spec, kind, spaces, delta=None):
-    table = C.ETA_K24 if kind == "K" else _ETA_TABLES[(kind, delta)]
-    return AffineCanonMap.from_table(spec, table,
-                                     subs_idx=dict(zip((1, 2, 3, 4), spaces)))
-
-
 def _eta_side(side, deltas, cache={}):
     key = (side, deltas)
     if key not in cache:
         cache[key] = _fold_side(
-            side, deltas,
-            lambda kind, spaces, d: eta_factor(SPEC_C3, kind, spaces, d),
+            side, deltas, lambda name, spaces: canonical_map(name, spaces, SPEC_C3),
             AffineCanonMap.compose)
     return cache[key]
 
 
-def _eta_rules():
-    return rules_for("eta-3dre",
-                     ("e1", "e2", "e4", "e5", "e7", "e8",
-                      "c4", "c8", "c7", "a4", "a8", "a7"))
-
-
 def check_re_eta(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
     if rules is None:
-        rules = _eta_rules()
+        rules = rules_for("eta-3dre")
     etaL = _eta_side("L", tuple(delta8[:4])).subs_params(rules)
     etaR = _eta_side("R", tuple(delta8[4:])).subs_params(rules)
     ok = etaL == etaR
@@ -234,7 +214,7 @@ def check_re_eta(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
 
 
 def search_good_signs_eta(homogeneous=True):
-    rules = _eta_rules()
+    rules = rules_for("eta-3dre")
     if homogeneous:
         return _homogeneous(lambda t: check_re_eta(t, rules))
     return _pair_search(lambda side, t: _eta_side(side, t).subs_params(rules),
@@ -247,9 +227,8 @@ def check_te_eta(delta=1) -> Report:
     ok = True
     for kind in ("R", "Rbar"):
         lhs, rhs = _te_sides(
-            lambda spaces: AffineCanonMap.from_table(
-                SPEC_A3, _ETA_TABLES[(kind, delta)],
-                subs_idx=dict(zip((1, 2, 3), spaces)), psubs=rules),
+            lambda spaces: canonical_map(kind + sign_text((delta,)), spaces,
+                                         SPEC_A3, rules),
             AffineCanonMap.compose)
         ok = ok and lhs == rhs
     return Report(f"canonical-map tetrahedron identity, sign {delta:+d}", ok)
@@ -258,31 +237,14 @@ def check_te_eta(delta=1) -> Report:
 # ---------------------------------------------------------------------------
 # operator (triangular group) level
 
-_P_TABLES = _signed(C.P_R, C.P_RBAR)
-
-
-def p_factor(spec, order, kind, spaces, delta=None, rules=None):
-    pdata, rho = C.P_K24 if kind == "K" else _P_TABLES[(kind, delta)]
-    return NilGroupElement.from_factors(spec, order, pdata, rho_pair=rho,
-                                        subs_idx=dict(zip((1, 2, 3, 4), spaces)),
-                                        psubs=rules)
-
-
 def _p_side(side, deltas, rules):
-    return _fold_side(
-        side, deltas,
-        lambda kind, spaces, d: p_factor(SPEC_C3, ORDER_C3, kind, spaces, d, rules),
-        bch_mul)
-
-
-def _re_rules():
-    return rules_for("3dre", ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8",
-                              "e9", "a1", "a2", "a3", "a4", "a5", "a6", "a7",
-                              "a8", "a9", "c5", "c7", "c8"))
+    return _fold_side(side, deltas,
+                      lambda name, spaces: tail(name, spaces, SPEC_C3, rules=rules),
+                      bch_mul)
 
 
 def check_re_P(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
-    rules = rules or _re_rules()
+    rules = rules or rules_for("3dre")
     try:
         lhs = _p_side("L", tuple(delta8[:4]), rules)
         rhs = _p_side("R", tuple(delta8[4:]), rules)
@@ -295,24 +257,23 @@ def check_re_P(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
 
 
 def search_good_signs_P():
-    rules = _re_rules()
+    rules = rules_for("3dre")
     return _homogeneous(lambda t: check_re_P(t, rules))
 
 
-_TE_P = {"P+": (1, ORDER_A3), "Pbar-": (-1, ORDER_A3),
-         "P-": (-1, ORDER_A3_PRIME), "Pbar+": (1, ORDER_A3_PRIME)}
+# variant -> the operator and the order on A3 that houses its four tails
+_TE_P = {"P+": ("R+", ORDER_A3), "Pbar-": ("Rbar-", ORDER_A3),
+         "P-": ("R-", ORDER_A3_PRIME), "Pbar+": ("Rbar+", ORDER_A3_PRIME)}
 
 
 def check_te_P(which: str) -> Report:
     """Tetrahedron identity for the monomial operators, four variants."""
     if which not in _TE_P:
         raise UnknownName(which)
-    variant, order = _TE_P[which]
-    kind = "Rbar" if "bar" in which else "R"
+    name, order = _TE_P[which]
     rules = _te_rules()
-    lhs, rhs = _te_sides(
-        lambda spaces: p_factor(SPEC_A3, order, kind, spaces, variant, rules),
-        bch_mul)
+    lhs, rhs = _te_sides(lambda spaces: tail(name, spaces, SPEC_A3, order, rules),
+                         bch_mul)
     ok, wit = group_equal(lhs, rhs)
     return Report(f"operator-level tetrahedron identity, {which}", ok,
                   {"witness": wit} if wit else {})
@@ -334,7 +295,10 @@ def _torus_sides():
     return _TORUS_CACHE["sides"]
 
 
-def _normalized_grading(g, args):
+def _grading(args):
+    """The Stiemke grading of the arguments, scaled so that the lowest
+    argument has degree one."""
+    g = stiemke_grading(args)
     low = min(sum(gi * a for gi, a in zip(g, v)) for v in args)
     return tuple(Fraction(gi, low) for gi in g)
 
@@ -342,7 +306,7 @@ def _normalized_grading(g, args):
 def check_re_full_torus(cutoff=3) -> Report:
     stL, stR = _torus_sides()
     args = [f[1].alpha for f in stL.dilogs] + [f[1].alpha for f in stR.dilogs]
-    g = _normalized_grading(stiemke_grading(args), args)
+    g = _grading(args)
     sL = expand_product(stL.dilogs, g, cutoff)
     sR = expand_product(stR.dilogs, g, cutoff)
     ok = sL == sR
@@ -360,40 +324,33 @@ def check_re_full_torus(cutoff=3) -> Report:
 
 
 _WEYL_CACHE = {}
-_WEYL_TABLES = _signed(C.R_WEYL, C.RBAR_WEYL)
 
 
-def _weyl_sides(rules=None):
+def _weyl_sides():
     """The 46 dilogarithm factors of each side in canonical variables."""
-    if rules is None and "sides" in _WEYL_CACHE:
-        return _WEYL_CACHE["sides"]
-    cache_default = rules is None
-    rules = rules or _re_rules()
+    if "sides" not in _WEYL_CACHE:
+        def factor(name, spaces):
+            op = build(name, spaces, SPEC_C3)
+            return op.factors, adjoint(op.tail)
 
-    def factor(kind, spaces, d):
-        data = C.K24_WEYL[(-1, 1)] if kind == "K" else _WEYL_TABLES[(kind, d)]
-        tail = p_factor(SPEC_C3, ORDER_C3, kind, spaces, d)
-        return (_weyl_factors(SPEC_C3, data, dict(zip((1, 2, 3, 4), spaces))),
-                adjoint(tail))
+        def mul(left, right):
+            # the right operator's factors move left past the monomial tails
+            facs, ad = left
+            raw, t = right
+            return facs + [(b, e, ad.apply(m)) for b, e, m in raw], ad.compose(t)
 
-    def mul(left, right):
-        # the right operator's factors move left past the monomial tails
-        facs, ad = left
-        raw, t = right
-        return facs + [(b, e, ad.apply(m)) for b, e, m in raw], ad.compose(t)
-
-    sides = tuple([(b, e, m.subs_params(rules)) for b, e, m in
-                   _fold_side(side, _GOOD, factor, mul)[0]]
-                  for side in "LR")
-    if cache_default:
-        _WEYL_CACHE["sides"] = sides
-    return sides
+        rules = rules_for("3dre")
+        _WEYL_CACHE["sides"] = tuple(
+            [(b, e, m.subs_params(rules))
+             for b, e, m in _fold_side(side, _GOOD, factor, mul)[0]]
+            for side in "LR")
+    return _WEYL_CACHE["sides"]
 
 
 def check_re_full_weyl(cutoff=3) -> Report:
     facsL, facsR = _weyl_sides()
     args = [m.cexp for _, _, m in facsL] + [m.cexp for _, _, m in facsR]
-    g = _normalized_grading(stiemke_grading(args), args)
+    g = _grading(args)
     sL = expand_weyl_product(facsL, SPEC_C3, g, cutoff)
     sR = expand_weyl_product(facsR, SPEC_C3, g, cutoff)
     ok = sL.equal_on(sR)
@@ -498,15 +455,14 @@ def check_wd(system: str) -> Report:
 def check_K_eps_indep(ktype="rho24", cutoff=5) -> Report:
     """The four sign variants of K agree pairwise where both truncations
     are exact; a failure names the first pair that differs and where."""
-    if ktype not in ("rho24", "rho13"):
+    if f"K-{ktype}++" not in OPERATORS:
         raise UnknownName(ktype)
-    table = C.K24_WEYL if ktype == "rho24" else C.K13_WEYL
     series = {}
     for eps in product(_SIGNS, repeat=2):
-        facs = _weyl_factors(SPEC_C2, table[eps])
+        facs = factors(f"K-{ktype}{sign_text(eps)}")
         args = [m.cexp for _, _, m in facs]
-        series[eps] = expand_weyl_product(
-            facs, SPEC_C2, _normalized_grading(stiemke_grading(args), args), cutoff)
+        series[eps] = expand_weyl_product(facs, facs[0][2].spec, _grading(args),
+                                          cutoff)
     details = {}
     pairs = list(combinations(series, 2))
     for a, b in pairs:
@@ -561,32 +517,35 @@ def check_rewriting_lemma(cutoff=6) -> Report:
 # limits, periodicity
 
 
+class FGLimit(NamedTuple):
+    operator: str       # built under ``system``, then taken along ``ray``
+    system: str
+    ray: str
+    target: str         # the limit target, by the name build_FG takes
+
+
 FG_LIMITS = {
-    "K-rho24--+": ("rho24", (-1, 1), "k-c2", "lim24", "K-C2:++-", False),
-    "K-rho24---": ("rho24", (-1, -1), "k-c2", "lim24", "K-C2:-++", False),
-    "K-rho13--+": ("rho13", (-1, 1), "k-b2", "lim13", "K-B2:++-", True),
-    "K-rho13---": ("rho13", (-1, -1), "k-b2", "lim13", "K-B2:-++", True),
-    "R-plus": ("R", "plus", "r-fg-plus", "elim", "R+", False),
-    "R-minus": ("R", "minus", "r-fg-minus", "elim2", "R-", False),
+    "K-rho24--+": FGLimit("K-rho24-+", "k-c2", "lim24", "K-C2:++-"),
+    "K-rho24---": FGLimit("K-rho24--", "k-c2", "lim24", "K-C2:-++"),
+    "K-rho13--+": FGLimit("K-rho13-+", "k-b2", "lim13", "K-B2:++-"),
+    "K-rho13---": FGLimit("K-rho13--", "k-b2", "lim13", "K-B2:-++"),
+    "R-plus": FGLimit("R+", "r-fg-plus", "elim", "R+"),
+    "R-minus": FGLimit("R-", "r-fg-minus", "elim2", "R-"),
 }
 
 
 def check_fg_limit(name: str) -> Report:
     if name not in FG_LIMITS:
         raise UnknownName(name)
-    kindsel, variant, sysname, rayname, target, use_iota = FG_LIMITS[name]
-    rules = rules_for(sysname, PREFER[sysname])
-    if kindsel == "R":
-        op = build_R(variant, (1, 2, 3), rules=rules)
-    else:
-        op = build_K(kindsel, variant, (1, 2, 3, 4), rules=rules)
-    lim = take_limit(op, ray(rayname))
-    want = build_FG(target)
-    if use_iota:
+    row = FG_LIMITS[name]
+    lim = take_limit(build(row.operator, rules=rules_for(row.system)), ray(row.ray))
+    want = build_FG(row.target)
+    if want.spec != lim.spec:
+        # a target on the dual spec B2 moves over by the index reversal
         want = iota_operator(want)
     okf = lim.equal_factors(want)
     okt, wit = group_equal(lim.tail, want.tail)
-    return Report(f"degeneration limit {name} -> {target}", okf and okt,
+    return Report(f"degeneration limit {name} -> {row.target}", okf and okt,
                   {"witness": wit} if wit else {},
                   {"survivors": len(lim.factors)})
 
@@ -616,32 +575,25 @@ def check_period(seed, ms, quantum_cutoff=None) -> Report:
 # ---------------------------------------------------------------------------
 # commuting squares and representation agreement
 
+# square -> operator, source and target quivers, their substitution maps,
+# and the constraint system
 _DIAGRAMS = {
-    "Rcom1+": ("B'(A2)", "B(A2)", "PHIP_A2", "PHI_A2", ("R", "+"), ("ETA_R", "+"), "econ-a"),
-    "Rcom1-": ("B'(A2)", "B(A2)", "PHIP_A2", "PHI_A2", ("R", "-"), ("ETA_R", "-"), "econ-a"),
-    "Rcom2+": ("B(A2)", "B'(A2)", "PHIBARP_A2", "PHIBAR_A2", ("Rbar", "+"), ("ETA_RBAR", "+"), "econ-a"),
-    "Rcom2-": ("B(A2)", "B'(A2)", "PHIBARP_A2", "PHIBAR_A2", ("Rbar", "-"), ("ETA_RBAR", "-"), "econ-a"),
-    "Kcom": ("B'(C2)", "B(C2)", "PHIP_C2", "PHI_C2", ("K", None), ("ETA_K24", None), "econ+ccon"),
+    "Rcom1+": ("R+", "B'(A2)", "B(A2)", C.PHIP_A2, C.PHI_A2, "econ-a"),
+    "Rcom1-": ("R-", "B'(A2)", "B(A2)", C.PHIP_A2, C.PHI_A2, "econ-a"),
+    "Rcom2+": ("Rbar+", "B(A2)", "B'(A2)", C.PHIBARP_A2, C.PHIBAR_A2, "econ-a"),
+    "Rcom2-": ("Rbar-", "B(A2)", "B'(A2)", C.PHIBARP_A2, C.PHIBAR_A2, "econ-a"),
+    "Kcom": (_K, "B'(C2)", "B(C2)", C.PHIP_C2, C.PHI_C2, "econ+ccon"),
 }
 
 
 def _diagram_parts(name):
-    src_name, tgt_name, hsrc_name, htgt_name, tau_sel, eta_sel, _ = _DIAGRAMS[name]
-    spec = SPEC_C2 if name == "Kcom" else SPEC_A2
-    src_seed, tgt_seed = builtin(src_name), builtin(tgt_name)
-    src_torus, tgt_torus = QuantumTorus(src_seed), QuantumTorus(tgt_seed)
-    h_src = build_subst_hom(src_torus, spec, getattr(C, hsrc_name))
-    h_tgt = build_subst_hom(tgt_torus, spec, getattr(C, htgt_name))
-    kind, key = tau_sel
-    if kind == "K":
-        tau = hom_from_table(src_torus, tgt_torus, C.TAU_K24)
-        eta = AffineCanonMap.from_table(spec, C.ETA_K24)
-    else:
-        table = C.TAU_R[key] if kind == "R" else C.TAU_RBAR[key]
-        tau = hom_from_table(src_torus, tgt_torus, table)
-        eta = AffineCanonMap.from_table(
-            spec, C.ETA_R[key] if kind == "R" else C.ETA_RBAR[key])
-    return h_src, h_tgt, tau, eta
+    op, src_name, tgt_name, src_table, tgt_table, _ = _DIAGRAMS[name]
+    eta = canonical_map(op)
+    src_torus = QuantumTorus(builtin(src_name))
+    tgt_torus = QuantumTorus(builtin(tgt_name))
+    return (build_subst_hom(src_torus, eta.spec, src_table),
+            build_subst_hom(tgt_torus, eta.spec, tgt_table),
+            torus_map(op, src_torus, tgt_torus), eta)
 
 
 def check_diagram(name, drop=None) -> Report:
@@ -649,11 +601,7 @@ def check_diagram(name, drop=None) -> Report:
     dropped (the negative test must then fail)."""
     if name not in _DIAGRAMS:
         raise UnknownName(name)
-    sys_name = _DIAGRAMS[name][6]
-    if sys_name == "econ+ccon":
-        base = constraints("econ").extend(constraints("ccon"), "econ+ccon")
-    else:
-        base = constraints(sys_name)
+    base = constraints(_DIAGRAMS[name][5])
     if drop is not None:
         base = base.drop(drop)
     prefer = tuple(f"e{i}" for i in range(1, 5)) + ("c3", "c1")
@@ -669,11 +617,11 @@ def check_rep_agreement(cutoff=2) -> Report:
     equal the canonical-variable series.  The torus grading is the
     canonical one pulled back along the map, so both truncations keep
     exactly the same exponents."""
-    rules = _re_rules()
+    rules = rules_for("3dre")
     stL, _ = _torus_sides()
     facsL, _ = _weyl_sides()
     wargs = [m.cexp for _, _, m in facsL]
-    gw = _normalized_grading(stiemke_grading(wargs), wargs)
+    gw = _grading(wargs)
     weyl_series = expand_weyl_product(facsL, SPEC_C3, gw, cutoff)
     phi = build_subst_hom(stL.hom.target, SPEC_C3, C.PHI_C3)
     phi.images = {l: m.subs_params(rules) for l, m in phi.images.items()}

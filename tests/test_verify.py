@@ -98,13 +98,11 @@ def test_k_eps_independence_fast():
 def test_k_eps_independence_negative_twin(monkeypatch):
     # flip the exponent of the first factor whose argument lies within
     # cutoff 3 of both its own variant's grading and another's
-    from qrefl.qtorus import stiemke_grading
     from qrefl.qweyl import SPEC_C2
     table = C.K24_WEYL
     vecs = {eps: [SPEC_C2.vec(cx) for _, _, _, cx in rows]
             for eps, rows in table.items()}
-    grads = {eps: V._normalized_grading(stiemke_grading(vs), vs)
-             for eps, vs in vecs.items()}
+    grads = {eps: V._grading(vs) for eps, vs in vecs.items()}
     eps, j = next((eps, j) for eps, vs in vecs.items() for j, v in enumerate(vs)
                   if any(_grade(grads[eps], v) <= 3 and _grade(grads[o], v) <= 3
                          for o in table if o != eps))
@@ -184,14 +182,13 @@ def test_full_identity_small_cutoff():
 
 
 def test_rep_agreement():
-    from qrefl.qtorus import stiemke_grading
     from qrefl.qweyl import SPEC_C3, build_subst_hom, expand_weyl_product
     rep = V.check_rep_agreement(cutoff=2)
     assert rep.status
     # every exponent of the canonical-variable series is compared
     facsL, _ = V._weyl_sides()
     args = [m.cexp for _, _, m in facsL]
-    gw = V._normalized_grading(stiemke_grading(args), args)
+    gw = V._grading(args)
     canonical = expand_weyl_product(facsL, SPEC_C3, gw, 2)
     assert rep.counters["compared_exponents"] == len(canonical.terms)
     # negative twin: flip the torus factor whose image has least grade
@@ -219,7 +216,13 @@ def test_diagrams_with_negatives():
 def test_fg_limit_reports():
     for name in ("K-rho24--+", "K-rho24---", "K-rho13--+", "K-rho13---",
                  "R-plus", "R-minus"):
-        assert V.check_fg_limit(name).status, name
+        rep = V.check_fg_limit(name)
+        assert rep.status, name
+        # the CLI prints the same limit, one line per surviving factor
+        out = run_cli("operator", "limit", "--name", name,
+                      "--ray", V.FG_LIMITS[name].ray)
+        assert out.returncode == 0, (name, out.stderr)
+        assert out.stdout.count("dilog") == rep.counters["survivors"], name
 
 
 def test_period_quantum_consistency():
@@ -278,9 +281,20 @@ def test_cli_smoke():
                 ("verify", "--task", "K-eps-indep", "--variant", "bogus",
                  "--cutoff", "1"),
                 ("operator", "limit", "--name", "R+"),
-                ("operator", "limit", "--name", "R+", "--ray", "bogus")):
+                ("operator", "limit", "--name", "R+", "--ray", "bogus"),
+                # bad signs, indices and limits
+                ("verify", "--task", "RE-tau", "--signs=+-+"),
+                ("operator", "show", "--name", "K-rho24++", "--indices", "1,2"),
+                ("operator", "show", "--name", "R+", "--indices", "1,1,2"),
+                ("operator", "limit", "--name", "K-rho24++", "--ray", "lim24"),
+                # flags that the chosen task or action does not read
+                ("verify", "--task", "RE-seed", "--variant", "bogus",
+                 "--cutoff", "7", "--system", "pnK"),
+                ("verify", "--task", "TE-tau", "--signs=+-"),
+                ("operator", "show", "--name", "R+", "--ray", "lim24")):
         out = run_cli(*bad)
         assert out.returncode == 2 and "Traceback" not in out.stderr, bad
+        assert len(out.stderr.splitlines()) == 1 or "usage:" in out.stderr, bad
 
 
 def test_composed_monomial_map_respects_target_commutation():
