@@ -14,17 +14,17 @@ import sys
 import time
 
 from . import verify as V
-from .cluster import MutationSequence, Perm, seed_from_text, seed_to_text
-from .operators import (BadIndices, DivergentFactor, UnknownName, build, ray,
-                        rules_for, take_limit)
+from .cluster import (BadIndex, FrozenVertex, MutationSequence, Perm,
+                      UnknownName, seed_from_text, seed_to_text)
+from .operators import (BadIndices, DivergentFactor, build, ray, rules_for,
+                        take_limit)
 from .quivers import builtin
 
 
 def _load_quiver(value):
-    from .cluster import UnknownName as ClusterUnknown
     try:
         return builtin(value)
-    except (UnknownName, ClusterUnknown):
+    except UnknownName:
         with open(value) as fh:
             seed, _ = seed_from_text(fh.read())
         return seed
@@ -42,19 +42,6 @@ def _print_report(rep, out):
     return 0 if rep.status else 1
 
 
-def cmd_quiver(args):
-    if args.action == "show":
-        seed = _load_quiver(args.name)
-        sys.stdout.write(seed_to_text(seed))
-        return 0
-    seed = _load_quiver(args.file)
-    steps = [int(x) for x in args.seq.split(",") if x]
-    ms = MutationSequence(steps, Perm())
-    out = ms.apply_matrix(seed)
-    sys.stdout.write(seed_to_text(out))
-    return 0
-
-
 class UsageError(Exception):
     """A flag or value that the chosen task or action cannot use."""
 
@@ -63,6 +50,32 @@ def _reject_unread(args, flags, reads, what):
     unread = [f"--{f}" for f in flags if f not in reads and getattr(args, f) is not None]
     if unread:
         raise UsageError(f"{what} does not read {', '.join(unread)}")
+
+
+def _steps(text):
+    """Mutation vertices from a comma-separated list of integers."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        raise UsageError(f"--seq takes comma-separated vertices, got {text!r}")
+
+
+# quiver action -> the argument that names its quiver, the flags it reads
+_QUIVER_READS = {"show": ("name", ()), "mutate": ("file", ("seq",))}
+
+
+def cmd_quiver(args):
+    source, reads = _QUIVER_READS[args.action]
+    if getattr(args, source) is None:
+        raise UsageError(f"quiver {args.action} needs "
+                         f"{'a name' if source == 'name' else '--file'}")
+    _reject_unread(args, ("name", "file", "seq"), (source,) + reads,
+                   f"quiver {args.action}")
+    seed = _load_quiver(getattr(args, source))
+    if args.action == "mutate":
+        seed = MutationSequence(_steps(args.seq or ""), Perm()).apply_matrix(seed)
+    sys.stdout.write(seed_to_text(seed))
+    return 0
 
 
 def _print_operator(op):
@@ -122,13 +135,21 @@ def _index_tuple(text):
     return tuple(int(x) for x in text.split(","))
 
 
+_SIGN_CHARS = {"+": 1, "p": 1, "-": -1, "m": -1}
+
+
 def _sign_tuple(text):
-    return tuple(1 if s in "+1p" else -1 for s in text.replace(",", ""))
+    """Signs from a string over + or p (plus) and - or m (minus)."""
+    if not set(text) <= set(_SIGN_CHARS):
+        raise UsageError(f"--signs takes + or p and - or m, got {text!r}")
+    return tuple(_SIGN_CHARS[c] for c in text)
 
 
 def cmd_verify(args):
     reads, check = TASKS[args.task]
     _reject_unread(args, _VERIFY_FLAGS, reads, f"verify --task {args.task}")
+    if args.signs is not None:
+        args.signs = _sign_tuple(args.signs)
     for flag, default in reads.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
@@ -171,8 +192,7 @@ def cmd_period(args):
     if args.seq in ("R-seq", "Rbar-seq", "K-seq", "FG-R-seq", "FG-K-seq"):
         ms = builtin(args.seq)
     else:
-        steps = [int(x) for x in args.seq.split(",") if x]
-        ms = MutationSequence(steps, Perm())
+        ms = MutationSequence(_steps(args.seq), Perm())
     full = ms.then(ms.inverse()) if args.round_trip else ms
     rep = V.check_period(seed, full, quantum_cutoff=args.cutoff)
     return _print_report(rep, args.out)
@@ -189,7 +209,7 @@ def main(argv=None):
     q.add_argument("action", choices=["show", "mutate"])
     q.add_argument("name", nargs="?", help="builtin name (for show)")
     q.add_argument("--file", help="quiver file (for mutate)")
-    q.add_argument("--seq", default="", help="comma-separated steps")
+    q.add_argument("--seq", default=None, help="comma-separated steps (for mutate)")
     q.set_defaults(fn=cmd_quiver)
 
     o = sub.add_parser("operator", help="show or degenerate an operator")
@@ -204,8 +224,9 @@ def main(argv=None):
     v = sub.add_parser("verify", help="run an identity verification task")
     v.add_argument("--task", required=True, choices=list(TASKS))
     v.add_argument("--cutoff", type=int, default=None)
-    v.add_argument("--signs", type=_sign_tuple, default=None,
-                   help="sign string like '+-+-+-+-'; use --signs=... when it starts with a dash (or letters p/m)")
+    v.add_argument("--signs", default=None,
+                   help="signs as + or p and - or m, like '+-+-+-+-' or pmpmpmpm; "
+                        "write --signs=... when the string starts with a dash")
     v.add_argument("--rep", choices=["torus", "weyl"], default=None)
     v.add_argument("--variant", default=None)
     v.add_argument("--system", choices=V.WD_SYSTEMS, default=None)
@@ -243,7 +264,7 @@ def main(argv=None):
         return args.fn(args)
     except UnknownName as exc:
         print(f"unknown name: {exc}", file=sys.stderr)
-    except (BadIndices, DivergentFactor, UsageError) as exc:
+    except (BadIndex, BadIndices, DivergentFactor, FrozenVertex, UsageError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)

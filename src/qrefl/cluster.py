@@ -99,11 +99,10 @@ class ExchangeSeed:
         for i in self.labels:
             self.b.setdefault(i, {})
         self.d = {i: int(d[i]) for i in self.labels}
-        self.frozen = frozenset(
-            i for i in self.labels
-            if any(self.entry(i, j).denominator != 1
-                   or self.entry(j, i).denominator != 1 for j in self.neighbors(i))
-        )
+        # a vertex is frozen when its row or column holds a half-integer
+        self.frozen = frozenset(k for i, row in self.b.items()
+                                for j, v in row.items() if v.denominator != 1
+                                for k in (i, j))
         if check:
             self.validate()
 
@@ -112,13 +111,6 @@ class ExchangeSeed:
 
     def bhat(self, i, j) -> Fraction:
         return self.entry(i, j) * self.d[j]
-
-    def neighbors(self, i):
-        out = set(self.b.get(i, {}))
-        for j in self.labels:
-            if self.entry(j, i):
-                out.add(j)
-        return out
 
     def validate(self):
         g = 0

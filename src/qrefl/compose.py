@@ -102,24 +102,21 @@ class CompositeState:
         self.relabel(spec.sigma())
 
 
-def run_composite(seed: ExchangeSeed, factors, deltas=None, kpairs=None,
+def run_composite(seed: ExchangeSeed, factors, deltas=None,
                   final_sigma: Perm = None):
     """Apply factor specs in order; return the final CompositeState.
 
     ``deltas`` assigns a sign to each R/Rbar factor (in factor order);
-    ``kpairs`` assigns an epsilon pair to each K factor.
+    the K factors take their default epsilon pair.
     """
     st = CompositeState(seed)
-    di = ki = 0
+    di = 0
     for spec in factors:
         if spec.kind in ("R", "Rbar"):
-            delta = 1 if deltas is None else deltas[di]
+            st.apply_factor(spec, delta=1 if deltas is None else deltas[di])
             di += 1
-            st.apply_factor(spec, delta=delta)
         else:
-            kp = (-1, 1) if kpairs is None else kpairs[ki]
-            ki += 1
-            st.apply_factor(spec, kpair=kp)
+            st.apply_factor(spec)
     if final_sigma is not None:
         st.relabel(final_sigma)
     return st

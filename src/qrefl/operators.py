@@ -12,7 +12,7 @@ from operator import getitem
 from typing import NamedTuple
 
 from . import catalog as C
-from .cluster import Perm
+from .cluster import Perm, UnknownName
 from .compose import hom_from_table
 from .nilgroup import (NilGroupElement, NilLieElement, ORDER_C3, TriangularOrder,
                        adjoint)
@@ -30,10 +30,6 @@ class BadIndices(Exception):
 
 
 class DivergentFactor(Exception):
-    pass
-
-
-class UnknownName(Exception):
     pass
 
 

@@ -4,7 +4,10 @@ graded-series kernel shared with the q-Weyl algebras.
 Monomials use the symmetric normalization q^<a,b> Y^a Y^b = Y^(a+b) with
 <a,b> = -a.Bhat.b, so Y^a Y^b = q^(a.Bhat.b) Y^(a+b) and the generators
 satisfy Y_i Y_j = q^(2 bhat_ij) Y_j Y_i.  Coefficients are ScalarQ in
-s = q^(1/2) (entries of Bhat can be half-integers).
+s = q^(1/2) (entries of Bhat can be half-integers), so the product rule
+is Y^a Y^b = s^(a.S.b) Y^(a+b) with the integer skew form S = 2*Bhat.
+The q-Weyl algebras share the rule with S = omega; both keep S as sparse
+integer rows, read by ``skew_pair``.
 """
 
 from __future__ import annotations
@@ -30,28 +33,46 @@ class Infeasible(Exception):
     pass
 
 
-class QuantumTorus:
-    """Ambient torus: ordered labels plus the Bhat pairing."""
+def skew_image(rows, b) -> list:
+    """S.b for the integer skew form S with sparse rows ``rows``
+    (rows[i] lists (j, S_ij) for S_ij != 0); by skewness it is read off
+    the rows of the support of b."""
+    out = [0] * len(rows)
+    for j, bj in enumerate(b):
+        if bj:
+            for i, x in rows[j]:
+                out[i] -= x * bj
+    return out
 
-    __slots__ = ("labels", "_index", "_bhat", "_skew")
+
+def skew_pair(rows, a, b) -> int:
+    """a.S.b, the s-exponent of the product X^a X^b of two monomials in a
+    ring whose product rule is the integer skew form S."""
+    return sum(map(mul, a, skew_image(rows, b)))
+
+
+class QuantumTorus:
+    """Ambient torus: ordered labels plus the integer skew form 2*Bhat."""
+
+    __slots__ = ("labels", "_index", "_rows")
 
     def __init__(self, seed: ExchangeSeed):
         self.labels = seed.labels
-        self._index = {l: i for i, l in enumerate(self.labels)}
-        lab = self.labels
-        self._bhat = [[seed.bhat(i, j) for j in lab] for i in lab]
-        self._skew = None
+        self._index = index = {l: i for i, l in enumerate(self.labels)}
+        d = seed.d
+        self._rows = []
+        for i in self.labels:
+            row = []
+            for j, v in seed.b[i].items():
+                x, r = divmod(2 * v.numerator * d[j], v.denominator)
+                if r:
+                    raise ValueError("Bhat has entries outside (1/2)Z")
+                row.append((index[j], x))
+            self._rows.append(row)
 
     def skew(self):
-        """Sparse integer rows of 2*Bhat, the s-exponent form of the
-        product; built on first use, since most tori never carry a series."""
-        if self._skew is None:
-            two = [[2 * b for b in row] for row in self._bhat]
-            if any(x != int(x) for row in two for x in row):
-                raise ValueError("Bhat has entries outside (1/2)Z")
-            self._skew = [[(j, int(x)) for j, x in enumerate(row) if x]
-                          for row in two]
-        return self._skew
+        """Sparse integer rows of 2*Bhat, the s-exponent form of the product."""
+        return self._rows
 
     def n(self):
         return len(self.labels)
@@ -61,30 +82,14 @@ class QuantumTorus:
 
     def pairing(self, a, b) -> Fraction:
         """a . Bhat . b for integer exponent vectors."""
-        tot = Fraction(0)
-        bh = self._bhat
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = bh[i]
-            for j, bj in enumerate(b):
-                if bj and row[j]:
-                    tot += ai * row[j] * bj
-        return tot
+        return Fraction(skew_pair(self._rows, a, b), 2)
 
-    def ordering_twist(self, a) -> Fraction:
-        """sum_{i<j} a_i a_j bhat_ij: Y^a is q^-twist times the ordered
+    def ordering_twist(self, a) -> int:
+        """sum_{i<j} a_i a_j 2 bhat_ij: Y^a is s^-twist times the ordered
         product of the generator powers Y_1^a_1 ... Y_n^a_n."""
-        tot = Fraction(0)
-        bh = self._bhat
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = bh[i]
-            for j in range(i + 1, len(a)):
-                if a[j] and row[j]:
-                    tot += ai * row[j] * a[j]
-        return tot
+        rows = self._rows
+        return sum(ai * x * a[j] for i, ai in enumerate(a) if ai
+                   for j, x in rows[i] if j > i)
 
     def unit(self, label):
         return tuple(1 if l == label else 0 for l in self.labels)
@@ -125,8 +130,8 @@ class TorusElement:
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         if self.torus is not other.torus:
             raise SeedMismatch("elements from different tori")
-        pair = self.torus.pairing(self.alpha, other.alpha)
-        c = self.coeff * other.coeff * ScalarQ.q_pow(pair)
+        s = skew_pair(self.torus._rows, self.alpha, other.alpha)
+        c = self.coeff * other.coeff * ScalarQ.s_pow(s)
         return TorusElement(self.torus, c,
                             tuple(a + b for a, b in zip(self.alpha, other.alpha)))
 
@@ -147,8 +152,7 @@ class TorusElement:
         return out
 
     def commutes_with(self, other: "TorusElement") -> bool:
-        return self.torus.pairing(self.alpha, other.alpha) == \
-            self.torus.pairing(other.alpha, self.alpha)
+        return skew_pair(self.torus._rows, self.alpha, other.alpha) == 0
 
     def __eq__(self, other):
         return (isinstance(other, TorusElement) and self.alpha == other.alpha
@@ -161,34 +165,55 @@ class TorusElement:
         return f"{self.coeff.as_pair_str()}*{terms or '1'}"
 
 
-class TorusHom:
-    """Monomial homomorphism between quantum tori, given on generators.
+class MonomialHom:
+    """Multiplicative map out of a quantum torus, given on generators.
 
-    ``source`` is the QuantumTorus of the domain (its pairing is needed
-    to push general monomials through), ``images`` maps source labels to
-    TorusElements of the target.
+    ``source`` is the QuantumTorus of the domain and ``images`` maps its
+    labels to monomials of the target algebra; Y^alpha goes to
+    s^-twist(alpha) times the ordered product of the images' powers.
+    Subclasses name the target and its scalars (``constant``).
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "images")
+
+    def apply(self, x: TorusElement):
+        if x.torus is not self.source and x.torus.labels != self.source.labels:
+            raise SeedMismatch("element not over the hom's source torus")
+        twist = ScalarQ.s_pow(-self.source.ordering_twist(x.alpha))
+        out = self.constant(x.coeff * twist)
+        for l, a in zip(self.source.labels, x.alpha):
+            if a:
+                out = out * self.images[l].pow(a)
+        return out
+
+    def respects_commutation(self, seed: ExchangeSeed) -> bool:
+        """Images must q-commute exactly like the generators of ``seed``."""
+        for a in seed.labels:
+            for b in seed.labels:
+                want = self.constant(ScalarQ.q_pow(2 * seed.bhat(a, b)))
+                if self.images[a] * self.images[b] != \
+                        want * self.images[b] * self.images[a]:
+                    return False
+        return True
+
+
+class TorusHom(MonomialHom):
+    """Monomial homomorphism between quantum tori: ``images`` maps source
+    labels to TorusElements of ``target``."""
+
+    __slots__ = ("target",)
 
     def __init__(self, source: QuantumTorus, target: QuantumTorus, images: dict):
         self.source = source
         self.target = target
         self.images = images
 
+    def constant(self, coeff: ScalarQ) -> TorusElement:
+        return self.target.element(coeff, (0,) * self.target.n())
+
     @classmethod
     def identity(cls, torus: QuantumTorus):
         return cls(torus, torus, {l: torus.gen(l) for l in torus.labels})
-
-    def apply(self, x: TorusElement) -> TorusElement:
-        if x.torus is not self.source and x.torus.labels != self.source.labels:
-            raise SeedMismatch("element not over the hom's source torus")
-        twist = ScalarQ.q_pow(-self.source.ordering_twist(x.alpha))
-        out = self.target.element(x.coeff * twist, (0,) * self.target.n())
-        for l, a in zip(self.source.labels, x.alpha):
-            if a:
-                out = out * self.images[l].pow(a)
-        return out
 
     def compose(self, inner: "TorusHom") -> "TorusHom":
         """self o inner (inner applied first)."""
@@ -197,18 +222,6 @@ class TorusHom:
             raise SeedMismatch("homs not composable")
         images = {l: self.apply(img) for l, img in inner.images.items()}
         return TorusHom(inner.source, self.target, images)
-
-    def respects_commutation(self, source_seed: ExchangeSeed) -> bool:
-        """Images must q-commute exactly like the source generators."""
-        lab = source_seed.labels
-        for a in lab:
-            for b in lab:
-                lhs = self.images[a] * self.images[b]
-                rhs = self.images[b] * self.images[a]
-                want = ScalarQ.q_pow(2 * source_seed.bhat(a, b))
-                if lhs.coeff != rhs.coeff * want or lhs.alpha != rhs.alpha:
-                    return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, TorusHom):
@@ -298,13 +311,11 @@ class GradedSeries:
         """(alpha + beta, s-exponent of X^alpha X^beta, terms[alpha]) for
         every term whose product with X^beta survives the truncation."""
         top = self._top - self.gdeg(beta)
-        col = [(i, v) for i, row in enumerate(self._skew)
-               if (v := sum(x * beta[j] for j, x in row))]
+        col = skew_image(self._skew, beta)
         g = self._g
         for alpha, c in self.terms.items():
             if sum(map(mul, g, alpha)) <= top:
-                yield (tuple(map(add, alpha, beta)),
-                       sum(alpha[i] * v for i, v in col), c)
+                yield tuple(map(add, alpha, beta)), sum(map(mul, alpha, col)), c
 
     def expand(self, factors):
         """self times prod Psi_{q^base}(arg)^expo over ``factors``

@@ -5,16 +5,16 @@ A monomial is coeff * e^(pexp) * e^(cexp . uvec) in symmetric-exponential
 normal form, where pexp is a ParamForm (central, commutes with all
 generators) and cexp is an integer vector over (u_1..u_p, w_1..w_p).
 The product rule is e^X e^Y = q^(omega(X,Y)/2) e^(X+Y) with
-omega(x, y) = sum_i gamma_i (x_ui y_wi - x_wi y_ui).
+omega(x, y) = sum_i gamma_i (x_ui y_wi - x_wi y_ui), i.e. the product picks
+up s^omega(X,Y) with omega an integer skew form (see ``qtorus.skew_pair``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
 
 from .params import ParamForm
-from .qtorus import GradedSeries, TorusElement
+from .qtorus import GradedSeries, MonomialHom, skew_pair
 from .scalars import ONE, ScalarQ
 
 
@@ -29,11 +29,13 @@ class NonUnimodular(Exception):
 class CanonSpec:
     """p canonical pairs with weights gamma_i."""
 
-    __slots__ = ("p", "gamma")
+    __slots__ = ("p", "gamma", "_rows")
 
     def __init__(self, gamma):
         self.gamma = tuple(int(g) for g in gamma)
-        self.p = len(self.gamma)
+        self.p = p = len(self.gamma)
+        self._rows = [[(p + i, g)] for i, g in enumerate(self.gamma)] + \
+                     [[(i, -g)] for i, g in enumerate(self.gamma)]
 
     def axes(self):
         return [f"u{i}" for i in range(1, self.p + 1)] + \
@@ -51,16 +53,10 @@ class CanonSpec:
 
     def skew(self):
         """Sparse integer rows of omega, the s-exponent form of the product."""
-        p = self.p
-        return [[(p + i, g)] for i, g in enumerate(self.gamma)] + \
-               [[(i, -g)] for i, g in enumerate(self.gamma)]
+        return self._rows
 
     def omega(self, x, y) -> int:
-        p = self.p
-        tot = 0
-        for i in range(p):
-            tot += self.gamma[i] * (x[i] * y[p + i] - x[p + i] * y[i])
-        return tot
+        return skew_pair(self._rows, x, y)
 
     def __eq__(self, other):
         return isinstance(other, CanonSpec) and self.gamma == other.gamma
@@ -93,8 +89,8 @@ class WeylMonomial:
     def __mul__(self, other: "WeylMonomial") -> "WeylMonomial":
         if self.spec != other.spec:
             raise SpecMismatch("different canonical specs")
-        w = self.spec.omega(self.cexp, other.cexp)
-        c = self.coeff * other.coeff * ScalarQ.q_pow(Fraction(w, 2))
+        w = skew_pair(self.spec._rows, self.cexp, other.cexp)
+        c = self.coeff * other.coeff * ScalarQ.s_pow(w)
         return WeylMonomial(self.spec, c, self.pexp + other.pexp,
                             tuple(a + b for a, b in zip(self.cexp, other.cexp)))
 
@@ -206,27 +202,18 @@ def expand_weyl_product(factors, spec, grading, cutoff) -> WeylSeries:
     return WeylSeries.one(spec, grading, cutoff).expand(factors)
 
 
-class SubstHom:
+class SubstHom(MonomialHom):
     """Multiplicative map from a quantum torus into a q-Weyl algebra."""
 
-    __slots__ = ("source", "spec", "images")
+    __slots__ = ("spec",)
 
     def __init__(self, source, spec: CanonSpec, images: dict):
         self.source = source          # QuantumTorus
         self.spec = spec
         self.images = images          # label -> WeylMonomial
 
-    def apply(self, x) -> WeylMonomial:
-        assert isinstance(x, TorusElement)
-        if x.torus is not self.source and x.torus.labels != self.source.labels:
-            raise SpecMismatch("element not over the hom's source torus")
-        twist = ScalarQ.q_pow(-self.source.ordering_twist(x.alpha))
-        out = WeylMonomial(self.spec, x.coeff * twist,
-                           ParamForm(), (0,) * (2 * self.spec.p))
-        for l, a in zip(self.source.labels, x.alpha):
-            if a:
-                out = out * self.images[l].pow(a)
-        return out
+    def constant(self, coeff: ScalarQ) -> WeylMonomial:
+        return WeylMonomial(self.spec, coeff, ParamForm(), (0,) * (2 * self.spec.p))
 
     def apply_series(self, series, grading, cutoff) -> "WeylSeries":
         """Image of a truncated torus series, term by term."""
@@ -236,18 +223,6 @@ class SubstHom:
             if out.keeps(m.cexp):
                 out.add_term(m.cexp, m.pexp, m.coeff)
         return out
-
-    def respects_commutation(self, seed) -> bool:
-        for i in seed.labels:
-            for j in seed.labels:
-                lhs = self.images[i] * self.images[j]
-                rhs = self.images[j] * self.images[i]
-                want = ScalarQ.q_pow(2 * seed.bhat(i, j))
-                if lhs.cexp != rhs.cexp or lhs.pexp != rhs.pexp:
-                    return False
-                if lhs.coeff != rhs.coeff * want:
-                    return False
-        return True
 
 
 class AffineCanonMap:
@@ -291,18 +266,11 @@ class AffineCanonMap:
         return cls(spec, lin, shift)
 
     def preserves_commutators(self) -> bool:
-        p = self.spec.p
-        n = 2 * p
-        for a in range(n):
-            for b in range(a + 1, n):
-                ea = self.lin[a]
-                eb = self.lin[b]
-                want = 0
-                if b == a + p:
-                    want = self.spec.gamma[a]
-                if self.spec.omega(ea, eb) != want:
-                    return False
-        return True
+        """omega(lin[a], lin[b]) = omega(e_a, e_b) for every pair of rows."""
+        rows = self.spec.skew()
+        return all(skew_pair(rows, ea, eb) == dict(rows[a]).get(b, 0)
+                   for a, ea in enumerate(self.lin)
+                   for b, eb in enumerate(self.lin) if a < b)
 
     def apply_vec(self, cexp):
         n = 2 * self.spec.p

@@ -15,14 +15,14 @@ from typing import NamedTuple
 
 from . import catalog as C
 from . import compositions as FX
-from .cluster import (ExchangeSeed, Perm, TropicalSeed, is_sigma_period,
-                      mutate_tropical)
-from .compose import CompositeState, FactorSpec, run_composite
+from .cluster import (ExchangeSeed, Perm, TropicalSeed, UnknownName,
+                      is_sigma_period, mutate_tropical)
+from .compose import FactorSpec, dilog_factors, run_composite
 from .nilgroup import (ORDER_A3, ORDER_A3_PRIME, OrderViolation, adjoint,
                        bch_mul, group_equal)
-from .operators import (OPERATORS, UnknownName, build, build_FG, canonical_map,
-                        constraints, factors, iota_operator, ray, rules_for,
-                        sign_text, tail, take_limit, torus_map)
+from .operators import (OPERATORS, build, build_FG, canonical_map, constraints,
+                        factors, iota_operator, ray, rules_for, sign_text, tail,
+                        take_limit, torus_map)
 from .params import LinSystem, ParamForm
 from .qtorus import (Infeasible, QuantumTorus, TorusSeries, check_stage_plan,
                      expand_product, match_stage_plan, staged_certificate,
@@ -554,17 +554,14 @@ def check_period(seed, ms, quantum_cutoff=None) -> Report:
     ok = is_sigma_period(seed, ms)
     details = {}
     if ok and quantum_cutoff:
-        st = CompositeState(seed)
-        ts = TropicalSeed(seed)
+        ts, signs = TropicalSeed(seed), []
         for k in ms.steps:
-            eps = ts.sign(k)
+            signs.append(ts.sign(k))
             ts = mutate_tropical(ts, k)
-            st.mutate(k, eps)
-        st.relabel(ms.sigma)
-        args = [f[1].alpha for f in st.dilogs]
-        g = stiemke_grading(args)
-        series = expand_product(st.dilogs, g, quantum_cutoff)
-        zero = (0,) * st.hom.target.n()
+        dilogs, _ = dilog_factors(seed, ms, signs)
+        g = stiemke_grading([arg.alpha for _, arg, _ in dilogs])
+        series = expand_product(dilogs, g, quantum_cutoff)
+        zero = (0,) * seed.n()
         quantum_ok = (list(series.terms) == [zero]
                       and series.terms[zero] == ONE)
         details["quantum_consistent_to_cutoff"] = quantum_ok

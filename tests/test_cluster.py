@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
-from qrefl.cluster import (BadIndex, FrozenVertex, MutationSequence, Perm,
-                           TropicalSeed, is_sigma_period, mutate_matrix,
-                           mutate_tropical, seed_from_text, seed_to_text)
+from qrefl.cluster import (BadIndex, ExchangeSeed, FrozenVertex,
+                           MutationSequence, Perm, TropicalSeed,
+                           is_sigma_period, mutate_matrix, mutate_tropical,
+                           seed_from_text, seed_to_text)
 from qrefl.quivers import builtin, names
 import qrefl.catalog as C
 
@@ -31,6 +34,20 @@ def test_mutation_errors():
         mutate_matrix(seed, 1)
     with pytest.raises(BadIndex):
         mutate_matrix(seed, 99)
+
+
+def test_frozen_set_and_support_check():
+    # frozen: a half-integer anywhere in the vertex's row or column
+    for name in ("B(A2)", "B(C2)", "B(C3)", "B_FG(B2)"):
+        seed = builtin(name)
+        for s in [seed] + [mutate_matrix(seed, k) for k in seed.mutable()]:
+            lab = s.labels
+            assert s.frozen == {i for i in lab if any(
+                s.entry(i, j).denominator != 1 or s.entry(j, i).denominator != 1
+                for j in lab)}
+    # a skew-symmetrizable matrix has a symmetric support
+    with pytest.raises(ValueError):
+        ExchangeSeed((1, 2), {1: {2: Fraction(1)}}, {1: 1, 2: 1})
 
 
 def test_named_sequences_hit_targets():

@@ -242,3 +242,31 @@ def test_grading_oracles_agree(vectors):
     greedy = staged_certificate(vectors)
     if greedy is not None:
         assert feasible
+
+
+_TORI = {name: QuantumTorus(builtin(name)) for name in ("B(C2)", "B(C3)")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_TORI)), st.data())
+def test_torus_products_match_bhat_sums(name, data):
+    # B(C2) has weights 2 and half-integer frozen entries; the s-powers
+    # read off the integer rows of 2*Bhat must equal the Fraction sums
+    # built straight from the seed
+    seed, torus = builtin(name), _TORI[name]
+    vec = st.lists(st.integers(-2, 2), min_size=torus.n(), max_size=torus.n())
+    a, b = data.draw(vec), data.draw(vec)
+    lab = list(enumerate(seed.labels))
+    pair = sum((a[i] * b[j] * seed.bhat(k, l) for i, k in lab for j, l in lab),
+               Fraction(0))
+    twist = sum((a[i] * a[j] * seed.bhat(k, l) for i, k in lab for j, l in lab
+                 if i < j), Fraction(0))
+    prod = torus.element(ONE, a) * torus.element(ONE, b)
+    assert prod.coeff == ScalarQ.q_pow(pair)
+    assert prod.alpha == tuple(x + y for x, y in zip(a, b))
+    assert torus.pairing(a, b) == pair
+    assert torus.element(ONE, a).commutes_with(torus.element(ONE, b)) == (pair == 0)
+    assert torus.ordering_twist(a) == 2 * twist
+    # the ordered product of generator powers is s^twist Y^a
+    ordered = torus.monomial(0, [(k, a[i]) for i, k in lab])
+    assert ordered == torus.element(ScalarQ.q_pow(twist), a)

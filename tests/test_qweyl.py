@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qrefl.catalog as C
 from qrefl.params import ParamForm
@@ -140,3 +141,18 @@ def test_subst_and_affine_series_application():
     eta = AffineCanonMap.from_table(SPEC_A2, C.ETA_R["+"])
     moved = eta.apply_series(out)
     assert len(moved) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([SPEC_C3, SPEC_B2]), st.data())
+def test_weyl_products_match_omega_sums(spec, data):
+    p = spec.p
+    vec = st.lists(st.integers(-3, 3), min_size=2 * p, max_size=2 * p)
+    x, y = data.draw(vec), data.draw(vec)
+    want = sum(g * (x[i] * y[p + i] - x[p + i] * y[i])
+               for i, g in enumerate(spec.gamma))
+    prod = WeylMonomial(spec, ONE, ParamForm(), tuple(x)) * \
+        WeylMonomial(spec, ONE, ParamForm(), tuple(y))
+    assert prod.coeff == ScalarQ.q_pow(Fraction(want, 2))
+    assert prod.cexp == tuple(a + b for a, b in zip(x, y))
+    assert spec.omega(x, y) == want

@@ -249,7 +249,7 @@ def run_cli(*args):
         capture_output=True, text=True)
 
 
-def test_cli_smoke():
+def test_cli_smoke(tmp_path):
     out = run_cli("quiver", "show", "B(C2)")
     assert out.returncode == 0 and out.stdout.startswith("n 11")
     out = run_cli("verify", "--task", "RE-seed")
@@ -267,6 +267,10 @@ def test_cli_smoke():
     assert out.returncode == 0 and out.stdout.count("dilog") == 3
     out = run_cli("quiver", "show", "nonsense")
     assert out.returncode == 2
+    quiver = tmp_path / "a2.quiver"
+    quiver.write_text(run_cli("quiver", "show", "B(A2)").stdout)
+    out = run_cli("verify", "--task", "TE-tau", "--signs=m")
+    assert out.returncode == 0 and "sign -1" in out.stdout
     # flags that no command reads are rejected
     out = run_cli("verify", "--task", "RE-P", "--constraints", "bogus")
     assert out.returncode == 2
@@ -291,7 +295,18 @@ def test_cli_smoke():
                 ("verify", "--task", "RE-seed", "--variant", "bogus",
                  "--cutoff", "7", "--system", "pnK"),
                 ("verify", "--task", "TE-tau", "--signs=+-"),
-                ("operator", "show", "--name", "R+", "--ray", "lim24")):
+                ("operator", "show", "--name", "R+", "--ray", "lim24"),
+                ("quiver", "show", "B(A2)", "--seq", "1,2"),
+                # signs other than + or p and - or m, vertices that are not
+                # there, frozen or not integers, and missing quivers
+                ("verify", "--task", "TE-tau", "--signs=x"),
+                ("verify", "--task", "RE-tau", "--signs=1,-1,1,-1,1,-1,1,-1"),
+                ("period", "--quiver", "B(A2)", "--seq", "99"),
+                ("period", "--quiver", "B(A2)", "--seq", "0"),
+                ("quiver", "mutate", "--file", str(quiver), "--seq", "0"),
+                ("quiver", "mutate", "--file", str(quiver), "--seq", "6,x"),
+                ("quiver", "show"),
+                ("quiver", "mutate", "--seq", "6")):
         out = run_cli(*bad)
         assert out.returncode == 2 and "Traceback" not in out.stderr, bad
         assert len(out.stderr.splitlines()) == 1 or "usage:" in out.stderr, bad
