@@ -46,8 +46,9 @@ class UsageError(Exception):
     """A flag or value that the chosen task or action cannot use."""
 
 
-def _reject_unread(args, flags, reads, what):
-    unread = [f"--{f}" for f in flags if f not in reads and getattr(args, f) is not None]
+def _reject_unread(args, flags, reads, what, positional=()):
+    unread = [f"the {f} argument" if f in positional else f"--{f}"
+              for f in flags if f not in reads and getattr(args, f) is not None]
     if unread:
         raise UsageError(f"{what} does not read {', '.join(unread)}")
 
@@ -70,7 +71,7 @@ def cmd_quiver(args):
         raise UsageError(f"quiver {args.action} needs "
                          f"{'a name' if source == 'name' else '--file'}")
     _reject_unread(args, ("name", "file", "seq"), (source,) + reads,
-                   f"quiver {args.action}")
+                   f"quiver {args.action}", positional=("name",))
     seed = _load_quiver(getattr(args, source))
     if args.action == "mutate":
         seed = MutationSequence(_steps(args.seq or ""), Perm()).apply_matrix(seed)

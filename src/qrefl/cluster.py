@@ -134,8 +134,10 @@ class ExchangeSeed:
         return [i for i in self.labels if i not in self.frozen]
 
     def rank_bhat(self) -> int:
+        """Rank of Bhat, from the integer rows of 2*Bhat (B lies in (1/2)Z)."""
         lab = self.labels
-        return _row_reduce([[self.bhat(i, j) for j in lab] for i in lab], len(lab))[0]
+        return len(_row_reduce([[int(2 * self.bhat(i, j)) for j in lab] for i in lab],
+                               len(lab)))
 
     def permuted(self, sigma: Perm) -> "ExchangeSeed":
         b = {}

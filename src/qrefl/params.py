@@ -4,13 +4,14 @@ Parameter symbols are short strings ('a1', 'd7', 'th2', ...).  A
 ParamForm is an affine-linear combination with exact rational
 coefficients; ParamQuad adds degree-two monomials (needed for the
 central part of the triangular operator group).  LinSystem does exact
-Gaussian elimination for rank computation and for solving a system into
-a substitution map.
+fraction-free Gaussian elimination on integer rows (``pivot``) for rank
+computation and for solving a system into a substitution map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ParamForm:
@@ -216,20 +217,21 @@ class LinSystem:
         return sorted(out)
 
     def _rows(self, order):
+        """Each constraint as an integer row: coefficients, then constant."""
         idx = {s: i for i, s in enumerate(order)}
         rows = []
         for c in self.constraints:
-            row = [Fraction(0)] * len(order)
+            den = lcm(c.const.denominator, *(v.denominator for v in c.terms.values()))
+            row = [0] * len(order) + [int(c.const * den)]
             for k, v in c.terms.items():
-                row[idx[k]] = v
-            row.append(c.const)
+                row[idx[k]] = int(v * den)
             rows.append(row)
         return rows
 
     def rank(self) -> int:
         order = self.symbols()
         rows = self._rows(order)
-        return _row_reduce(rows, len(order))[0]
+        return len(_row_reduce(rows, len(order)))
 
     def extend(self, other: "LinSystem", name="") -> "LinSystem":
         return LinSystem(self.constraints + other.constraints, name)
@@ -257,41 +259,42 @@ class LinSystem:
         order = list(prefer) + [s for s in self.symbols() if s not in prefer]
         rows = self._rows(order)
         n = len(order)
-        rank, pivots = _row_reduce(rows, n)
-        for row in rows:
-            if all(v == 0 for v in row[:n]) and row[n] != 0:
-                raise Inconsistent(self.name or "linear system")
+        pivots = _row_reduce(rows, n)
+        if any(row[n] and not any(row[:n]) for row in rows):
+            raise Inconsistent(self.name or "linear system")
         rules = {}
-        for r, col in enumerate(pivots):
-            form = ParamForm({}, -rows[r][n])
-            for j in range(n):
-                if j != col and rows[r][j]:
-                    form = form + ParamForm({order[j]: -rows[r][j]})
-            rules[order[col]] = form
+        for row, col in zip(rows, pivots):
+            p = row[col]
+            rules[order[col]] = ParamForm(
+                {order[j]: Fraction(-row[j], p) for j in range(n) if j != col and row[j]},
+                Fraction(-row[n], p))
         return rules
 
 
+def pivot(rows, r, c):
+    """Fraction-free Gauss-Jordan step (Bareiss 1968): with p = rows[r][c],
+    every other integer row i becomes p*row_i - row_i[c]*row_r over its
+    gcd.  For p > 0 each row stays a positive multiple of its rational
+    counterpart, so every sign and every ratio within a row is kept."""
+    pr = rows[r]
+    p = pr[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            new = [p * a - f * b for a, b in zip(row, pr)]
+            g = gcd(*new) or 1
+            rows[i] = [x // g for x in new]
+
+
 def _row_reduce(rows, ncols):
-    """In-place fraction-exact RREF over the first ncols columns."""
-    rank = 0
+    """In-place integer reduced echelon form over the first ncols columns;
+    returns the pivot columns (row k holds the k-th pivot)."""
     pivots = []
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = Fraction(1) / pr[col]
-        for j in range(len(pr)):
-            pr[j] *= inv
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        pivots.append(col)
-        rank += 1
-    return rank, pivots
+        k = len(pivots)
+        piv = next((r for r in range(k, len(rows)) if rows[r][col]), None)
+        if piv is not None:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            pivot(rows, k, col)
+            pivots.append(col)
+    return pivots

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from copy import copy
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, lcm
 from operator import add, attrgetter, mul
 
 from .cluster import ExchangeSeed, FrozenVertex, mutate_matrix
+from .params import pivot
 from .scalars import ONE, ScalarQ
 
 
@@ -477,113 +478,60 @@ def expand_product(factors, grading, cutoff, torus=None) -> TorusSeries:
 # finiteness certificates: positive grading / recession cone
 
 
-def stiemke_grading(args, strict=Fraction(1)):
-    """Integer functional g with g(arg) >= 1 for every exponent vector.
+def stiemke_grading(args):
+    """Integer functional g with g(arg) >= 1 for every integer exponent vector.
 
-    Exact rational phase-1 simplex; raises Infeasible when some
-    nonnegative combination of the args vanishes (nontrivial recession
-    cone).
+    Exact phase-1 simplex on an integer tableau; raises Infeasible when
+    some nonnegative combination of the args vanishes (nontrivial
+    recession cone).
     """
-    rows = [tuple(a) for a in args]
+    rows = sorted({tuple(a) for a in args})
     if not rows:
         raise ValueError("no arguments")
-    rows = sorted(set(rows))
-    n = len(rows[0])
-    sol = _solve_lp_geq(rows, [strict] * len(rows), n)
+    sol = _solve_lp_geq(rows, len(rows[0]))
     if sol is None:
         raise Infeasible("no positive grading exists")
     den = lcm(*(v.denominator for v in sol))
     return tuple(int(v * den) for v in sol)
 
 
-def _solve_lp_geq(rows, rhs, nvars):
-    """Feasible x (free sign) with rows[i] . x >= rhs[i], or None.
+def _solve_lp_geq(rows, nvars):
+    """Feasible x (free sign) with rows[i] . x >= 1 for every i, or None.
 
-    Phase-1 simplex over exact rationals: write x = xp - xm and
-    rows.x - slack = rhs with xp, xm, slack >= 0, then drive artificial
-    variables to zero (Bland-style tie break, so it terminates).
+    Phase-1 simplex: write x = xp - xm and rows.x - slack = 1 with xp,
+    xm, slack >= 0, then drive artificial variables to zero (Bland-style
+    tie break, so it terminates).  The tableau is integer, its last row
+    is the objective, and ``pivot`` updates all rows on a positive entry;
+    the ratio test cross-multiplies.
     """
     m = len(rows)
     ncols = 2 * nvars + m           # xp, xm, slack
     total = ncols + m               # + artificials
-    rows_t = []
-    for i, row in enumerate(rows):
-        r = [Fraction(x) for x in row] + [Fraction(-x) for x in row]
-        r += [Fraction(-1) if j == i else Fraction(0) for j in range(m)]
-        b = Fraction(rhs[i])
-        if b < 0:
-            r = [-x for x in r]
-            b = -b
-        r += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        r.append(b)
-        rows_t.append(r)
+    tab = [list(row) + [-x for x in row] + [-int(j == i) for j in range(m)]
+           + [int(j == i) for j in range(m)] + [1] for i, row in enumerate(rows)]
+    tab.append([sum(col) for col in zip(*tab)][:ncols] + [0] * m + [m])
     basis = [ncols + i for i in range(m)]
-    z = [Fraction(0)] * (total + 1)
-    for r in rows_t:
-        for j in range(total + 1):
-            z[j] += r[j]
-    for j in range(ncols, total):
-        z[j] = Fraction(0)
     while True:
-        piv_col = next((j for j in range(ncols) if z[j] > 0), None)
+        piv_col = next((j for j in range(ncols) if tab[m][j] > 0), None)
         if piv_col is None:
             break
         piv_row, best = None, None
-        for i, r in enumerate(rows_t):
-            if r[piv_col] > 0:
-                ratio = r[total] / r[piv_col]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[piv_row]):
-                    best, piv_row = ratio, i
+        for i in range(m):
+            a, b = tab[i][piv_col], tab[i][total]
+            if a > 0 and (best is None or b * best[1] < best[0] * a or
+                          (b * best[1] == best[0] * a and basis[i] < basis[piv_row])):
+                piv_row, best = i, (b, a)
         if piv_row is None:
             return None
-        pv = rows_t[piv_row][piv_col]
-        rows_t[piv_row] = [x / pv for x in rows_t[piv_row]]
-        pr = rows_t[piv_row]
-        for i in range(m):
-            if i != piv_row and rows_t[i][piv_col]:
-                f = rows_t[i][piv_col]
-                rows_t[i] = [a - f * b for a, b in zip(rows_t[i], pr)]
-        if z[piv_col]:
-            f = z[piv_col]
-            z = [a - f * b for a, b in zip(z, pr)]
+        pivot(tab, piv_row, piv_col)
         basis[piv_row] = piv_col
-    if z[total] != 0:
+    if tab[m][total] != 0:
         return None
     x = [Fraction(0)] * ncols
     for i, bcol in enumerate(basis):
         if bcol < ncols:
-            x[bcol] = rows_t[i][total]
+            x[bcol] = Fraction(tab[i][total], tab[i][bcol])
     return [x[j] - x[nvars + j] for j in range(nvars)]
-
-
-def recession_cone_trivial_fm(args) -> bool:
-    """Fourier-Motzkin check that {n >= 0 : sum n_i args_i = 0} = {0}.
-
-    Intended for small systems (few factors); eliminates the n variables
-    from [n >= 0, A^T n = 0, sum n >= 1].  Rows stay integer and
-    primitive, duplicates merge, and rows with no variables left that
-    hold trivially are dropped, so the row count stays small.
-    """
-    m = len(args)
-    n = len(args[0]) if args else 0
-    # integer rows (c_0, c_1..c_m) for c_0 + sum c_i n_i >= 0
-    ineqs = {tuple(int(j == i) for j in range(m + 1)) for i in range(1, m + 1)}
-    ineqs.add((-1,) + (1,) * m)
-    for j in range(n):
-        for sign in (1, -1):
-            ineqs.add((0,) + tuple(sign * a[j] for a in args))
-    for var in range(1, m + 1):
-        pos = [r for r in ineqs if r[var] > 0]
-        neg = [r for r in ineqs if r[var] < 0]
-        new = {r for r in ineqs if r[var] == 0}
-        for p in pos:
-            for q in neg:
-                comb = [a * -q[var] + b * p[var] for a, b in zip(p, q)]
-                d = gcd(*comb) or 1
-                new.add(tuple(x // d for x in comb))
-        ineqs = {r for r in new if r[0] < 0 or any(r[1:])}
-    return any(r[0] < 0 for r in ineqs)
 
 
 def staged_certificate(args):

@@ -553,17 +553,19 @@ def check_fg_limit(name: str) -> Report:
 def check_period(seed, ms, quantum_cutoff=None) -> Report:
     ok = is_sigma_period(seed, ms)
     details = {}
-    if ok and quantum_cutoff:
+    if ok and quantum_cutoff is not None:
         ts, signs = TropicalSeed(seed), []
         for k in ms.steps:
             signs.append(ts.sign(k))
             ts = mutate_tropical(ts, k)
         dilogs, _ = dilog_factors(seed, ms, signs)
-        g = stiemke_grading([arg.alpha for _, arg, _ in dilogs])
-        series = expand_product(dilogs, g, quantum_cutoff)
-        zero = (0,) * seed.n()
-        quantum_ok = (list(series.terms) == [zero]
-                      and series.terms[zero] == ONE)
+        quantum_ok = True           # an empty product is 1
+        if dilogs:
+            g = stiemke_grading([arg.alpha for _, arg, _ in dilogs])
+            series = expand_product(dilogs, g, quantum_cutoff)
+            zero = (0,) * seed.n()
+            quantum_ok = (list(series.terms) == [zero]
+                          and series.terms[zero] == ONE)
         details["quantum_consistent_to_cutoff"] = quantum_ok
         ok = ok and quantum_ok
     return Report("sigma-periodicity", ok, details)

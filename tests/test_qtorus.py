@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,8 +8,7 @@ import qrefl.catalog as C
 from qrefl.cluster import ExchangeSeed
 from qrefl.compose import CompositeState, FactorSpec, hom_from_table
 from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
-                          TorusSeries, expand_product,
-                          quantum_mutate, recession_cone_trivial_fm,
+                          TorusSeries, expand_product, quantum_mutate,
                           series_inverse, series_mul, staged_certificate,
                           stiemke_grading, tau_step)
 from qrefl.quivers import builtin
@@ -213,6 +213,37 @@ def test_quantum_mutate_involution():
     assert list(y1[1].terms) == [(-1, 0)]
 
 
+def recession_cone_trivial_fm(args) -> bool:
+    """Fourier-Motzkin check that {n >= 0 : sum n_i args_i = 0} = {0}.
+
+    The independent oracle for ``stiemke_grading``: it shares no code
+    with the simplex.  Intended for small systems (few factors);
+    eliminates the n variables from [n >= 0, A^T n = 0, sum n >= 1].
+    Rows stay integer and primitive, duplicates merge, and rows with no
+    variables left that hold trivially are dropped, so the row count
+    stays small.
+    """
+    m = len(args)
+    n = len(args[0]) if args else 0
+    # integer rows (c_0, c_1..c_m) for c_0 + sum c_i n_i >= 0
+    ineqs = {tuple(int(j == i) for j in range(m + 1)) for i in range(1, m + 1)}
+    ineqs.add((-1,) + (1,) * m)
+    for j in range(n):
+        for sign in (1, -1):
+            ineqs.add((0,) + tuple(sign * a[j] for a in args))
+    for var in range(1, m + 1):
+        pos = [r for r in ineqs if r[var] > 0]
+        neg = [r for r in ineqs if r[var] < 0]
+        new = {r for r in ineqs if r[var] == 0}
+        for p in pos:
+            for q in neg:
+                comb = [a * -q[var] + b * p[var] for a, b in zip(p, q)]
+                d = gcd(*comb) or 1
+                new.add(tuple(x // d for x in comb))
+        ineqs = {r for r in new if r[0] < 0 or any(r[1:])}
+    return any(r[0] < 0 for r in ineqs)
+
+
 def test_stiemke_examples():
     g = stiemke_grading([(1, 0), (0, 1)])
     assert g[0] >= 1 and g[1] >= 1
@@ -234,10 +265,12 @@ def test_grading_oracles_agree(vectors):
     if not vectors:
         return
     try:
-        stiemke_grading(vectors)
+        g = stiemke_grading(vectors)
         feasible = True
     except Infeasible:
         feasible = False
+    if feasible:
+        assert all(sum(a * b for a, b in zip(g, v)) >= 1 for v in vectors)
     assert recession_cone_trivial_fm(vectors) == feasible
     greedy = staged_certificate(vectors)
     if greedy is not None:

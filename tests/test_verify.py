@@ -310,6 +310,10 @@ def test_cli_smoke(tmp_path):
         out = run_cli(*bad)
         assert out.returncode == 2 and "Traceback" not in out.stderr, bad
         assert len(out.stderr.splitlines()) == 1 or "usage:" in out.stderr, bad
+    # an unread positional argument is not named as a flag
+    out = run_cli("quiver", "mutate", "B(A2)", "--file", str(quiver))
+    assert out.returncode == 2
+    assert out.stderr == "UsageError: quiver mutate does not read the name argument\n"
 
 
 def test_composed_monomial_map_respects_target_commutation():
