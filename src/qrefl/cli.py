@@ -4,7 +4,8 @@ Subcommands: quiver (show/mutate), operator (show/limit), verify,
 search-signs, wd, limit, period.  ``verify --task`` accepts the names of
 the TASKS table.  Exit code 0 on pass, 1 on fail, 2 on usage error
 (an unknown subcommand, flag, task or name, a flag the chosen task or
-action does not read, bad indices or signs, or a limit that diverges).
+action does not read, bad indices, signs or cutoffs, a malformed quiver
+file, or a limit that diverges).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import sys
 import time
 
 from . import verify as V
-from .cluster import (BadIndex, FrozenVertex, MutationSequence, Perm,
-                      UnknownName, seed_from_text, seed_to_text)
+from .cluster import (BadIndex, FrozenVertex, MalformedQuiver, MutationSequence,
+                      Perm, UnknownName, seed_from_text, seed_to_text)
 from .operators import (BadIndices, DivergentFactor, build, ray, rules_for,
                         take_limit)
 from .quivers import builtin
@@ -51,6 +52,16 @@ def _reject_unread(args, flags, reads, what, positional=()):
               for f in flags if f not in reads and getattr(args, f) is not None]
     if unread:
         raise UsageError(f"{what} does not read {', '.join(unread)}")
+
+
+def _cutoff(text):
+    """A truncation order: a nonnegative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"takes a nonnegative integer, got {text!r}")
 
 
 def _steps(text):
@@ -224,7 +235,7 @@ def main(argv=None):
 
     v = sub.add_parser("verify", help="run an identity verification task")
     v.add_argument("--task", required=True, choices=list(TASKS))
-    v.add_argument("--cutoff", type=int, default=None)
+    v.add_argument("--cutoff", type=_cutoff, default=None)
     v.add_argument("--signs", default=None,
                    help="signs as + or p and - or m, like '+-+-+-+-' or pmpmpmpm; "
                         "write --signs=... when the string starts with a dash")
@@ -255,7 +266,7 @@ def main(argv=None):
     p.add_argument("--seq", required=True)
     p.add_argument("--round-trip", action="store_true",
                    help="append the inverse sequence first")
-    p.add_argument("--cutoff", type=int, default=None,
+    p.add_argument("--cutoff", type=_cutoff, default=None,
                    help="also check the dilogarithm identity to this order")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_period)
@@ -265,7 +276,8 @@ def main(argv=None):
         return args.fn(args)
     except UnknownName as exc:
         print(f"unknown name: {exc}", file=sys.stderr)
-    except (BadIndex, BadIndices, DivergentFactor, FrozenVertex, UsageError) as exc:
+    except (BadIndex, BadIndices, DivergentFactor, FrozenVertex, MalformedQuiver,
+            UsageError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)

@@ -287,6 +287,17 @@ def is_sigma_period(seed: ExchangeSeed, ms: MutationSequence) -> bool:
     return end == start
 
 
+def tropical_signs(seed: ExchangeSeed, ms: MutationSequence) -> tuple:
+    """The tropical sign of y_k at every step k of ``ms``, walked from the
+    initial tropical seed of ``seed``; raises ValueError at a step whose
+    y_k is not sign-coherent."""
+    ts, signs = TropicalSeed(seed), []
+    for k in ms.steps:
+        signs.append(ts.sign(k))
+        ts = mutate_tropical(ts, k)
+    return tuple(signs)
+
+
 def seed_to_text(seed: ExchangeSeed, sequences=None) -> str:
     lab = seed.labels
     lines = [f"n {len(lab)}"]
@@ -305,7 +316,28 @@ def seed_to_text(seed: ExchangeSeed, sequences=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+class MalformedQuiver(ValueError):
+    """A quiver file that does not describe an exchange seed."""
+
+
+def _entries(key, vals, count=None, kind=int):
+    """The values of a ``key`` line (None when it is missing), read by
+    ``kind``; ``count`` of them when a count is given."""
+    if vals is None:
+        raise MalformedQuiver(f"no {key} line")
+    if count is not None and len(vals) != count:
+        raise MalformedQuiver(f"expected {count} entries on the {key} line, "
+                              f"got {len(vals)}")
+    try:
+        return [kind(x) for x in vals]
+    except (ValueError, ZeroDivisionError):
+        raise MalformedQuiver(f"{key} line holds {' '.join(vals)!r}, "
+                              f"not {'integers' if kind is int else 'fractions'}")
+
+
 def seed_from_text(text: str):
+    """The seed and named sequences of a quiver file (the format that
+    seed_to_text writes); raises MalformedQuiver on anything else."""
     fields = {}
     seqs = {}
     for line in text.splitlines():
@@ -316,25 +348,29 @@ def seed_from_text(text: str):
         if key == "seq":
             name, _, body = rest.partition(" ")
             steps_part, _, sig_part = body.partition("|")
-            steps = tuple(int(x) for x in steps_part.split())
-            seqs[name] = MutationSequence(steps, _parse_cycles(sig_part.strip()))
+            try:
+                steps = tuple(int(x) for x in steps_part.split())
+                seqs[name] = MutationSequence(steps, _parse_cycles(sig_part.strip()))
+            except ValueError:
+                raise MalformedQuiver(f"seq {name} holds a vertex that is not an integer")
         else:
             fields[key] = rest.split()
-    n = int(fields["n"][0])
-    labels = [int(x) for x in fields.get("labels", map(str, range(1, n + 1)))]
-    d = {i: int(v) for i, v in zip(labels, fields["d"])}
-    vals = [Fraction(x) for x in fields["b"]]
-    b = {}
-    it = iter(vals)
-    for i in labels:
-        for j in labels:
-            v = next(it)
-            if v:
-                b.setdefault(i, {})[j] = v
-    seed = ExchangeSeed(labels, b, d)
-    declared = {int(x) for x in fields.get("frozen", [])}
-    if declared and declared != set(seed.frozen):
-        raise ValueError("declared frozen set disagrees with the matrix")
+    n, = _entries("n", fields.get("n"), 1)
+    if n < 1:
+        raise MalformedQuiver(f"n must be positive, got {n}")
+    default = [str(i) for i in range(1, n + 1)]
+    labels = _entries("labels", fields.get("labels", default), n)
+    if len(set(labels)) != n:
+        raise MalformedQuiver("labels repeat")
+    d = dict(zip(labels, _entries("d", fields.get("d"), n)))
+    vals = iter(_entries("b", fields.get("b"), n * n, Fraction))
+    b = {i: {j: next(vals) for j in labels} for i in labels}
+    try:
+        seed = ExchangeSeed(labels, b, d)
+    except ValueError as exc:
+        raise MalformedQuiver(str(exc))
+    if "frozen" in fields and set(_entries("frozen", fields["frozen"])) != seed.frozen:
+        raise MalformedQuiver("declared frozen set disagrees with the matrix")
     return seed, seqs
 
 

@@ -369,10 +369,8 @@ def adjoint(g: NilGroupElement) -> AffineCanonMap:
     return AffineCanonMap(spec, rows, shifts, check=False)
 
 
-def group_equal(g, h, rules=None):
-    """Equality of canonical forms, optionally after parameter substitution."""
-    a = g.subs_params(rules) if rules else g
-    b = h.subs_params(rules) if rules else h
-    if a == b:
+def group_equal(g, h):
+    """Equality of canonical forms, with a discrepancy when they differ."""
+    if g == h:
         return True, None
-    return False, a.discrepancy(b)
+    return False, g.discrepancy(h)

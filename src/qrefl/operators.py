@@ -251,26 +251,6 @@ def build(name, indices=None, spec=None, rules=None) -> OperatorExpr:
                         tail(name, indices, spec, rules=rules), op.tail_pos)
 
 
-_R_VARIANTS = {"plus": "R+", "minus": "R-", "bar-plus": "Rbar+",
-               "bar-minus": "Rbar-", "final": "R-final"}
-
-
-def build_R(variant: str, indices, spec=None, rules=None) -> OperatorExpr:
-    """Three-index solution operators; indices must sit on weight-one slots."""
-    if variant not in _R_VARIANTS:
-        raise UnknownName(variant)
-    return build(_R_VARIANTS[variant], indices, spec, rules)
-
-
-def build_K(ktype: str, eps, indices, spec=None, rules=None,
-            final=False) -> OperatorExpr:
-    """Four-index solution operators of the two reflection types."""
-    if tuple(eps) not in K_SIGNS:
-        raise BadIndices(f"sign pair {eps} is not one of the allowed four")
-    return build("K-final" if final else f"K-{ktype}{sign_text(eps)}",
-                 indices, spec, rules)
-
-
 def build_FG(name: str) -> OperatorExpr:
     """Limit targets by the names the limit reports print; R+ and R- are
     the targets R-A2:+ and R-A2:- on B_FG(A2)."""

@@ -245,32 +245,6 @@ def perm_hom(torus_src: QuantumTorus, torus_tgt: QuantumTorus, sigma) -> TorusHo
     return TorusHom(torus_src, torus_tgt, images)
 
 
-def tau_step(seed: ExchangeSeed, k, eps: int,
-             torus_src: QuantumTorus = None,
-             torus_tgt: QuantumTorus = None) -> TorusHom:
-    """Monomial part of a single mutation at k with decomposition sign eps.
-
-    Maps the torus of mutate_matrix(seed, k) to the torus of seed:
-    Y'_k -> Y_k^-1 and Y'_i -> Y^(e_i + [eps b_ik]_+ e_k).
-    """
-    if k in seed.frozen:
-        raise FrozenVertex(k)
-    torus_tgt = torus_tgt or QuantumTorus(seed)
-    torus_src = torus_src or QuantumTorus(mutate_matrix(seed, k))
-    images = {}
-    for i in seed.labels:
-        if i == k:
-            images[i] = torus_tgt.gen(k, -1)
-        else:
-            m = eps * seed.entry(i, k)
-            mplus = int(m) if m > 0 else 0
-            a = [0] * torus_tgt.n()
-            a[torus_tgt.index(i)] += 1
-            a[torus_tgt.index(k)] += mplus
-            images[i] = torus_tgt.element(ONE, tuple(a))
-    return TorusHom(torus_src, torus_tgt, images)
-
-
 # ---------------------------------------------------------------------------
 # graded truncated series
 

@@ -378,11 +378,6 @@ def iota_monomial(m: WeylMonomial, spec: CanonSpec) -> WeylMonomial:
     return WeylMonomial(spec, m.coeff, iota_params(m.pexp), iota_vec(m.cexp))
 
 
-def iota_c2_to_b2(m: WeylMonomial) -> WeylMonomial:
-    """Index reversal u_i -> u_{5-i}, w_i -> w_{5-i}, th_i -> th_{5-i}."""
-    return iota_monomial(m, SPEC_B2)
-
-
 def diagram_commutes(h_src: SubstHom, h_tgt: SubstHom, tau, eta: AffineCanonMap,
                      rules=None):
     """Check eta o h_src == h_tgt o tau on every source generator.

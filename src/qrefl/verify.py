@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 from . import catalog as C
 from . import compositions as FX
-from .cluster import (ExchangeSeed, Perm, TropicalSeed, UnknownName,
-                      is_sigma_period, mutate_tropical)
-from .compose import FactorSpec, dilog_factors, run_composite
+from .cluster import (ExchangeSeed, MutationSequence, Perm, TropicalSeed,
+                      UnknownName, is_sigma_period, tropical_signs)
+from .compose import composite_sequence, composite_signs, run_composite
 from .nilgroup import (ORDER_A3, ORDER_A3_PRIME, OrderViolation, adjoint,
                        bch_mul, group_equal)
 from .operators import (OPERATORS, build, build_FG, canonical_map, constraints,
@@ -71,16 +71,18 @@ def _jsonable(x):
 _REFLECTION = {"L": FX.REFLECTION_LHS, "R": FX.REFLECTION_RHS}
 _TETRAHEDRON = {"L": FX.TETRAHEDRON_LHS, "R": FX.TETRAHEDRON_RHS}
 _TE_FINAL = {"L": FX.TETRAHEDRON_FINAL["LHS"], "R": FX.TETRAHEDRON_FINAL["RHS"]}
+# each side as one mutation sequence; a tetrahedron side ends with its
+# final relabel
+_RE_SEQ = {side: composite_sequence(rows) for side, rows in _REFLECTION.items()}
+_TE_SEQ = {side: composite_sequence(rows).then(
+               MutationSequence((), Perm.transpositions(_TE_FINAL[side])))
+           for side, rows in _TETRAHEDRON.items()}
 # the spaces of the four tetrahedron factors of the left side, in product
 # order; the right side takes them in reverse
 _TE_ORDER = ((4, 5, 6), (2, 3, 6), (1, 3, 5), (1, 2, 4))
 _SIGNS = (1, -1)
 _GOOD = (1, -1, 1, -1)      # the good R/Rbar signs of each reflection side
 _K = "K-rho24-+"            # the K of the reflection composite
-
-
-def _specs(rows):
-    return [FactorSpec(*row) for row in rows]
 
 
 def _fold_side(side, deltas, factor, mul):
@@ -128,8 +130,8 @@ def _pair_search(side_value, same):
 
 
 def _tau_side(side, deltas):
-    return run_composite(builtin("B(C3)"), _specs(_REFLECTION[side]),
-                         deltas=deltas)
+    return run_composite(builtin("B(C3)"), _RE_SEQ[side],
+                         composite_signs(_REFLECTION[side], deltas))
 
 
 def _same_tau(stL, stR):
@@ -157,24 +159,16 @@ def search_good_signs_tau(homogeneous=True):
 
 def check_te_tau(delta=1) -> Report:
     """Monomial-level tetrahedron identity on the 17-vertex seed."""
-    stL, stR = (run_composite(builtin("B(A3)"), _specs(_TETRAHEDRON[side]),
-                              deltas=(delta,) * 4,
-                              final_sigma=Perm.transpositions(_TE_FINAL[side]))
+    stL, stR = (run_composite(builtin("B(A3)"), _TE_SEQ[side],
+                              composite_signs(_TETRAHEDRON[side], (delta,) * 4))
                 for side in "LR")
     return Report(f"monomial-level tetrahedron identity, sign {delta:+d}",
                   _same_tau(stL, stR))
 
 
-def _tropical_side(seed, rows, final=()):
-    cur = TropicalSeed(seed)
-    for spec in _specs(rows):
-        cur = spec.as_sequence().apply_tropical(cur)
-    return cur.permuted(Perm.transpositions(final)) if final else cur
-
-
 def check_te_seed() -> Report:
     """Tropical equality of the two composite tetrahedron sequences."""
-    outs = [_tropical_side(builtin("B(A3)"), _TETRAHEDRON[side], _TE_FINAL[side])
+    outs = [_TE_SEQ[side].apply_tropical(TropicalSeed(builtin("B(A3)")))
             for side in "LR"]
     ok = outs[0] == outs[1] and outs[0].seed == builtin("B'(A3)")
     return Report("seed-level tetrahedron identity", ok)
@@ -182,7 +176,8 @@ def check_te_seed() -> Report:
 
 def check_re_seed() -> Report:
     """Tropical equality of the two composite reflection sequences."""
-    outs = [_tropical_side(builtin("B(C3)"), _REFLECTION[side]) for side in "LR"]
+    outs = [_RE_SEQ[side].apply_tropical(TropicalSeed(builtin("B(C3)")))
+            for side in "LR"]
     ok = outs[0] == outs[1] and outs[0].seed == builtin("B'(C3)")
     return Report("seed-level reflection identity", ok)
 
@@ -288,10 +283,7 @@ _TORUS_CACHE = {}
 
 def _torus_sides():
     if "sides" not in _TORUS_CACHE:
-        _TORUS_CACHE["sides"] = tuple(
-            run_composite(builtin("B(C3)"), _specs(_REFLECTION[side]),
-                          deltas=_GOOD)
-            for side in "LR")
+        _TORUS_CACHE["sides"] = tuple(_tau_side(side, _GOOD) for side in "LR")
     return _TORUS_CACHE["sides"]
 
 
@@ -554,11 +546,7 @@ def check_period(seed, ms, quantum_cutoff=None) -> Report:
     ok = is_sigma_period(seed, ms)
     details = {}
     if ok and quantum_cutoff is not None:
-        ts, signs = TropicalSeed(seed), []
-        for k in ms.steps:
-            signs.append(ts.sign(k))
-            ts = mutate_tropical(ts, k)
-        dilogs, _ = dilog_factors(seed, ms, signs)
+        dilogs = run_composite(seed, ms, tropical_signs(seed, ms)).dilogs
         quantum_ok = True           # an empty product is 1
         if dilogs:
             g = stiemke_grading([arg.alpha for _, arg, _ in dilogs])

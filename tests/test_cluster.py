@@ -3,11 +3,14 @@ from fractions import Fraction
 import pytest
 
 from qrefl.cluster import (BadIndex, ExchangeSeed, FrozenVertex,
-                           MutationSequence, Perm, TropicalSeed,
-                           is_sigma_period, mutate_matrix, mutate_tropical,
-                           seed_from_text, seed_to_text)
+                           MalformedQuiver, MutationSequence, Perm,
+                           TropicalSeed, is_sigma_period, mutate_matrix,
+                           mutate_tropical, seed_from_text, seed_to_text,
+                           tropical_signs)
+from qrefl.compose import composite_sequence
 from qrefl.quivers import builtin, names
 import qrefl.catalog as C
+import qrefl.compositions as FX
 
 
 def test_catalog_names_complete():
@@ -102,12 +105,13 @@ def test_sign_coherence_along_builtin_sequences():
 
 
 def test_k_sequence_tropical_signs_in_big_composite():
-    from qrefl.compose import FactorSpec, tropical_signs_of
-    import qrefl.compositions as FX
-    specs = [FactorSpec(*row) for row in FX.REFLECTION_LHS]
-    signs, _ = tropical_signs_of(builtin("B(C3)"), specs)
-    assert tuple(signs[1]) == (1, 1, 1, 1, 1, 1, -1, -1, 1, 1)
-    assert tuple(signs) == C.TROPICAL_SIGNS_LHS
+    ms = composite_sequence(FX.REFLECTION_LHS)
+    flat = iter(tropical_signs(builtin("B(C3)"), ms))
+    # split the walk's signs per factor by the factors' step counts
+    signs = tuple(tuple(next(flat) for _ in steps)
+                  for _, _, steps, _ in FX.REFLECTION_LHS)
+    assert signs[1] == (1, 1, 1, 1, 1, 1, -1, -1, 1, 1)
+    assert signs == C.TROPICAL_SIGNS_LHS
 
 
 def test_sigma_period_basics():
@@ -143,18 +147,11 @@ def test_sequence_inverse_roundtrip():
 
 
 def test_reflection_roundtrip_is_period():
-    import qrefl.compositions as FX
-    from qrefl.compose import FactorSpec
     seed = builtin("B(C3)")
-    total = None
-    for row in FX.REFLECTION_LHS:
-        ms = FactorSpec(*row).as_sequence()
-        total = ms if total is None else total.then(ms)
-    back = None
-    for row in FX.REFLECTION_RHS:
-        ms = FactorSpec(*row).as_sequence()
-        back = ms if back is None else back.then(ms)
-    assert is_sigma_period(seed, total.then(back.inverse()))
+    msL = composite_sequence(FX.REFLECTION_LHS)
+    msR = composite_sequence(FX.REFLECTION_RHS)
+    assert is_sigma_period(seed, msL.then(msR.inverse()))
+    assert not is_sigma_period(seed, msL.then(msL.inverse()).then(msR))
 
 
 def test_permutation_action():
@@ -171,5 +168,25 @@ def test_file_roundtrip(tmp_path):
     assert loaded == seed
     assert seqs["K"].steps == builtin("K-seq").steps
     bad = text.replace("frozen 1 5 6 10 11", "frozen 1 2")
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedQuiver):
         seed_from_text(bad)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("b 0 1 -1 0\n", "b 0 1 -1\n"),           # short b row
+    ("b 0 1 -1 0\n", "b 0 1 -1 0 5\n"),       # extra b entry
+    ("d 1 1\n", "d 1\n"),                     # short d row
+    ("d 1 1\n", "d 1 x\n"),                   # d entry not an integer
+    ("b 0 1 -1 0\n", "b 0 1 1 0\n"),          # not skew-symmetrizable
+    ("b 0 1 -1 0\n", "b 0 1/0 -1 0\n"),       # b entry not a fraction
+    ("n 2\n", "n 0\n"),
+    ("n 2\n", ""),                             # no n line
+    ("labels 1 2\n", "labels 1 1\n"),
+    ("b 0 1 -1 0\n", "frozen\nb 0 1/2 -1/2 0\n"),  # 1, 2 frozen, none declared
+])
+def test_malformed_quiver_files(old, new):
+    text = "n 2\nlabels 1 2\nd 1 1\nb 0 1 -1 0\n"
+    seed, _ = seed_from_text(text)
+    assert seed.entry(1, 2) == 1 and seed.entry(2, 1) == -1
+    with pytest.raises(MalformedQuiver):
+        seed_from_text(text.replace(old, new))

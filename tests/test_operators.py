@@ -2,8 +2,8 @@ import pytest
 
 import qrefl.catalog as C
 from qrefl.nilgroup import adjoint, group_equal
-from qrefl.operators import (BadIndices, DivergentFactor, build_FG, build_K,
-                             build_R, constraints, iota_operator, ray,
+from qrefl.operators import (BadIndices, DivergentFactor, UnknownName, build,
+                             build_FG, constraints, iota_operator, ray,
                              reduction_diagram, rules_for, take_limit)
 from qrefl.params import LinSystem, ParamForm
 from qrefl.qtorus import QuantumTorus
@@ -47,15 +47,15 @@ def test_eliminations_match_reference_solutions():
 
 
 def test_build_R_examples():
-    op = build_R("plus", (1, 2, 3))
+    op = build("R+", (1, 2, 3))
     b, e, m = op.factors[0]
     assert (b, e) == (1, -1)
     assert m.pexp == ParamForm({"d3": -1, "c2": -1, "b1": -1})
     assert m.cexp == op.spec.vec({"u1": 1, "u3": 1, "w1": 1, "w2": -1, "w3": 1})
     with pytest.raises(BadIndices):
-        build_R("plus", (1, 1, 2))
+        build("R+", (1, 1, 2))
     with pytest.raises(BadIndices):
-        build_R("plus", (1, 3, 6), spec=SPEC_C3)  # slot 3 has weight two
+        build("R+", (1, 3, 6), spec=SPEC_C3)  # slot 3 has weight two
 
 
 def _middle_pair_commutes(op):
@@ -80,51 +80,52 @@ def test_ac_swap_relates_variants():
         swap[f"a{i}"] = ParamForm({f"c{i}": 1})
         swap[f"c{i}"] = ParamForm({f"a{i}": 1})
     sum_rules = constraints("econ-a").eliminate(("e1", "e2", "e3"))
-    plus = build_R("plus", (1, 2, 3)).subs_params(swap)
-    barminus = build_R("bar-minus", (1, 2, 3))
+    plus = build("R+", (1, 2, 3)).subs_params(swap)
+    barminus = build("Rbar-", (1, 2, 3))
     assert _middle_pair_commutes(plus)
     assert _swap_middle(plus).equal_factors(barminus)
-    ok, _ = group_equal(plus.tail, barminus.tail, sum_rules)
+    ok, _ = group_equal(plus.tail.subs_params(sum_rules),
+                        barminus.tail.subs_params(sum_rules))
     assert ok
-    minus = build_R("minus", (1, 2, 3)).subs_params(swap)
-    barplus = build_R("bar-plus", (1, 2, 3))
+    minus = build("R-", (1, 2, 3)).subs_params(swap)
+    barplus = build("Rbar+", (1, 2, 3))
     assert _middle_pair_commutes(minus)
     assert _swap_middle(minus).equal_factors(barplus)
-    ok, _ = group_equal(minus.tail, barplus.tail, sum_rules)
+    ok, _ = group_equal(minus.tail.subs_params(sum_rules),
+                        barplus.tail.subs_params(sum_rules))
     assert ok
 
 
 def test_final_printings_agree_under_theorem_constraints():
     rules = rules_for("3dre", tuple(f"e{i}" for i in range(1, 10)) +
                       tuple(f"a{i}" for i in range(1, 10)) + ("c5", "c7", "c8"))
-    mid = build_R("final", (1, 2, 4), spec=SPEC_C3, rules=rules)
+    mid = build("R-final", (1, 2, 4), spec=SPEC_C3, rules=rules)
     assert mid.tail_pos == 2
-    plus = build_R("plus", (1, 2, 4), spec=SPEC_C3, rules=rules)
+    plus = build("R+", (1, 2, 4), spec=SPEC_C3, rules=rules)
     norm = mid.normalized()
     assert norm.tail_pos == len(norm.factors)
     assert norm.equal_factors(plus)
     ok, wit = group_equal(norm.tail, plus.tail)
     assert ok, wit
     # four-index final form equals the default sign-variant
-    kf = build_K("rho24", (-1, 1), (1, 3, 5, 6), spec=SPEC_C3, final=True,
-                 rules=rules)
-    kv = build_K("rho24", (-1, 1), (1, 3, 5, 6), spec=SPEC_C3, rules=rules)
+    kf = build("K-final", (1, 3, 5, 6), spec=SPEC_C3, rules=rules)
+    kv = build("K-rho24-+", (1, 3, 5, 6), spec=SPEC_C3, rules=rules)
     assert kf.equal_factors(kv)
     ok, wit = group_equal(kf.tail, kv.tail)
     assert ok, wit
 
 
 def test_build_K_examples_and_guard():
-    op = build_K("rho24", (-1, 1), (1, 2, 3, 4))
+    op = build("K-rho24-+", (1, 2, 3, 4))
     b, e, m = op.factors[2]
     assert (b, e) == (1, -1)
     assert m.pexp == ParamForm({"a3": 1, "b1": -1, "b3": 1, "c2": -1, "c3": 1})
     assert m.cexp == SPEC_C2.vec({"u1": 1, "u3": -1, "w1": 1, "w2": -1, "w3": 1})
     assert adjoint(op.tail) == AffineCanonMap.from_table(SPEC_C2, C.ETA_K24)
+    with pytest.raises(UnknownName):
+        build("K-rho24+", (1, 2, 3, 4))  # one sign, not a pair
     with pytest.raises(BadIndices):
-        build_K("rho24", (2, 1), (1, 2, 3, 4))
-    with pytest.raises(BadIndices):
-        build_K("rho24", (-1, 1), (2, 1, 4, 3))  # weight pattern broken
+        build("K-rho24-+", (2, 1, 4, 3))  # weight pattern broken
 
 
 def test_appendix_forms_equal_substituted_ten_factor_lists():
@@ -176,7 +177,7 @@ def test_build_FG_catalog():
 def test_take_limit_idempotent_and_zero_ray():
     rules = rules_for("k-c2", ("a1", "a3", "c1", "c2", "c3", "d1", "d2", "d3",
                                "d4", "e1", "e2", "e3", "e4"))
-    op = build_K("rho24", (-1, 1), (1, 2, 3, 4), rules=rules)
+    op = build("K-rho24-+", (1, 2, 3, 4), rules=rules)
     lim = take_limit(op, ray("lim24"))
     assert len(lim.factors) == 3
     again = take_limit(lim, ray("lim24"))
@@ -193,22 +194,21 @@ def test_all_fg_limits():
     kai13 = rules_for("k-b2", ("a3", "c1", "c2", "c3", "c4", "b1", "b2", "b3",
                                "b4", "e1", "e2", "e3", "e4"))
     cases = [
-        ("rho24", (-1, 1), kai24, "lim24", build_FG("K-C2:++-")),
-        ("rho24", (-1, -1), kai24, "lim24", build_FG("K-C2:-++")),
-        ("rho13", (-1, 1), kai13, "lim13", iota_operator(build_FG("K-B2:++-"))),
-        ("rho13", (-1, -1), kai13, "lim13", iota_operator(build_FG("K-B2:-++"))),
+        ("K-rho24-+", kai24, "lim24", build_FG("K-C2:++-")),
+        ("K-rho24--", kai24, "lim24", build_FG("K-C2:-++")),
+        ("K-rho13-+", kai13, "lim13", iota_operator(build_FG("K-B2:++-"))),
+        ("K-rho13--", kai13, "lim13", iota_operator(build_FG("K-B2:-++"))),
     ]
-    for ktype, eps, rules, rname, want in cases:
-        lim = take_limit(build_K(ktype, eps, (1, 2, 3, 4), rules=rules),
-                         ray(rname))
+    for name, rules, rname, want in cases:
+        lim = take_limit(build(name, (1, 2, 3, 4), rules=rules), ray(rname))
         assert lim.equal_factors(want)
         ok, wit = group_equal(lim.tail, want.tail)
         assert ok, wit
-    for variant, sysname, rname, target in (("plus", "r-fg-plus", "elim", "R+"),
-                                            ("minus", "r-fg-minus", "elim2", "R-")):
+    for name, sysname, rname, target in (("R+", "r-fg-plus", "elim", "R+"),
+                                         ("R-", "r-fg-minus", "elim2", "R-")):
         rules = rules_for(sysname, ("a1", "a2", "a3", "c1", "c2", "c3", "d1",
                                     "d2", "d3", "e1", "e2", "e3"))
-        lim = take_limit(build_R(variant, (1, 2, 3), rules=rules), ray(rname))
+        lim = take_limit(build(name, (1, 2, 3), rules=rules), ray(rname))
         want = build_FG(target)
         assert lim.equal_factors(want)
         ok, wit = group_equal(lim.tail, want.tail)

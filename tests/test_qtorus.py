@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qrefl.catalog as C
-from qrefl.cluster import ExchangeSeed
-from qrefl.compose import CompositeState, FactorSpec, hom_from_table
+from qrefl.cluster import ExchangeSeed, MutationSequence, Perm, mutate_matrix
+from qrefl.compose import hom_from_table, run_composite
 from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
                           TorusSeries, expand_product, quantum_mutate,
                           series_inverse, series_mul, staged_certificate,
-                          stiemke_grading, tau_step)
+                          stiemke_grading)
 from qrefl.quivers import builtin
 from qrefl.scalars import ONE, ScalarQ
 
@@ -39,24 +39,25 @@ def test_center_elements_commute():
             assert z.commutes_with(torus.gen(l))
 
 
+# the mutation sequences of R (and Rbar, from B'(A2)) and of K
+R_SEQ = MutationSequence((6, 5, 7, 2), Perm.transpositions(((5, 7), (2, 6))))
+K_SEQ = MutationSequence((8, 3, 9, 2, 7, 4, 9, 2, 8, 3))
+
+
 def test_tau_step_images():
+    # the monomial part of one mutation step
     seed = builtin("B(A2)")
-    t = tau_step(seed, 6, 1)
+    t = run_composite(seed, MutationSequence((6,)), (1,)).hom
     assert t.images[6] == t.target.gen(6, -1)
-    assert t.respects_commutation(
-        __import__("qrefl.cluster", fromlist=["mutate_matrix"]).mutate_matrix(seed, 6))
+    assert t.respects_commutation(mutate_matrix(seed, 6))
 
 
 def test_tau_catalog_and_inverse_property():
     BA2, BpA2 = builtin("B(A2)"), builtin("B'(A2)")
     for key in ("+", "-"):
-        st1 = CompositeState(BA2)
-        st1.apply_factor(FactorSpec("R", (1, 2, 3), (6, 5, 7, 2),
-                                    ((5, 7), (2, 6))), delta=1 if key == "+" else -1)
+        st1 = run_composite(BA2, R_SEQ, C.EPS_R[key])
         assert st1.hom == hom_from_table(st1.seed, BA2, C.TAU_R[key])
-        st2 = CompositeState(BpA2)
-        st2.apply_factor(FactorSpec("Rbar", (1, 2, 3), (6, 5, 7, 2),
-                                    ((5, 7), (2, 6))), delta=1 if key == "+" else -1)
+        st2 = run_composite(BpA2, R_SEQ, C.EPS_R[key])
         # tau o taubar is the identity homomorphism
         comp = st1.hom.compose(st2.hom)
         ident = hom_from_table(BA2, BA2, {})
@@ -67,9 +68,7 @@ def test_tauK_catalog_and_eps_independence():
     BC2 = builtin("B(C2)")
     homs = []
     for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        s = CompositeState(BC2)
-        s.apply_factor(FactorSpec("K", (1, 2, 3, 4), (8, 3, 9, 2, 7, 4, 9, 2, 8, 3)),
-                       kpair=pair)
+        s = run_composite(BC2, K_SEQ, C.eps_k24(*pair))
         homs.append(s.hom)
         assert s.hom == hom_from_table(s.seed, BC2, C.TAU_K24)
     assert all(h == homs[0] for h in homs)
@@ -78,9 +77,7 @@ def test_tauK_catalog_and_eps_independence():
 def test_dilog_factor_lists_match_catalog():
     BC2 = builtin("B(C2)")
     T = QuantumTorus(BC2)
-    s = CompositeState(BC2)
-    s.apply_factor(FactorSpec("K", (1, 2, 3, 4), (8, 3, 9, 2, 7, 4, 9, 2, 8, 3)),
-                   kpair=(-1, 1))
+    s = run_composite(BC2, K_SEQ, C.eps_k24(-1, 1))
     want = [(b, T.monomial(sx, pw), e) for b, e, sx, pw in C.K24_TORUS[(-1, 1)]]
     assert [(b, a, e) for b, a, e in s.dilogs] == want
     # first factor argument is the plain generator of the first step
@@ -133,20 +130,31 @@ def test_expand_product_associativity_and_empty():
 
 
 def test_dilog_factors_function():
-    from qrefl.compose import dilog_factors
-    from qrefl.quivers import builtin
-    from qrefl.catalog import eps_k24, K24_TORUS
     seed = builtin("B(C2)")
     ms = builtin("K-seq")
-    facs, hom = dilog_factors(seed, ms, eps_k24(1, 1))
+    facs = run_composite(seed, ms, C.eps_k24(1, 1)).dilogs
     T = QuantumTorus(seed)
-    want = [(b, T.monomial(s, pw), e) for b, e, s, pw in K24_TORUS[(1, 1)]]
+    want = [(b, T.monomial(s, pw), e) for b, e, s, pw in C.K24_TORUS[(1, 1)]]
     assert [(b, a, e) for b, a, e in facs] == want
     # the first argument is always the generator of the first step
     assert facs[0][1].alpha == tuple(
         (-1 if l == ms.steps[0] else 0) for l in T.labels)
     with pytest.raises(ValueError):
-        dilog_factors(seed, ms, (1, 1))
+        run_composite(seed, ms, (1, 1))
+
+
+def test_one_relabel_walk_matches_factor_by_factor():
+    # relabelling once at the end of a folded sequence gives the same
+    # seed, monomial map and factors as relabelling after every factor
+    BA2 = builtin("B(A2)")
+    signs = C.EPS_R["+"] + C.EPS_R["-"]
+    folded = run_composite(BA2, R_SEQ.then(R_SEQ), signs)
+    first = run_composite(BA2, R_SEQ, signs[:4])
+    second = run_composite(first.seed, R_SEQ, signs[4:])
+    assert folded.seed == second.seed
+    assert folded.hom == first.hom.compose(second.hom)
+    pushed = [(b, first.hom.apply(a), e) for b, a, e in second.dilogs]
+    assert folded.dilogs == first.dilogs + pushed
 
 
 def test_quantum_mutate_decomposition_two_vertex():
@@ -161,7 +169,7 @@ def test_quantum_mutate_decomposition_two_vertex():
     new_seed, mutated = quantum_mutate(seed, ys, 1, g, N)
     # both decomposition branches agree with the direct rational formula
     for eps in (1, -1):
-        tau = tau_step(seed, 1, eps)
+        tau = run_composite(seed, MutationSequence((1,)), (eps,)).hom
         for i in (1, 2):
             mono = tau.apply(tau.source.gen(i))
             # conjugation by the dilogarithm of Y_1^eps: the argument

@@ -9,7 +9,7 @@ from qrefl.qtorus import QuantumTorus
 from qrefl.quivers import builtin
 from qrefl.qweyl import (AffineCanonMap, NonUnimodular, SPEC_A2, SPEC_B2,
                          SPEC_C2, SPEC_C3, SpecMismatch, WeylMonomial,
-                         build_subst_hom, diagram_commutes, iota_c2_to_b2)
+                         build_subst_hom, diagram_commutes, iota_monomial)
 from qrefl.scalars import ONE, ScalarQ
 
 
@@ -110,7 +110,7 @@ def test_affine_compose_and_identity():
 
 def test_iota_roundtrip():
     m = WeylMonomial.from_dicts(SPEC_C2, {"th2": 1}, {"u1": 1, "w4": -1})
-    out = iota_c2_to_b2(m)
+    out = iota_monomial(m, SPEC_B2)
     assert out.cexp == SPEC_B2.vec({"u4": 1, "w1": -1})
     assert out.pexp == ParamForm({"th3": 1})
 

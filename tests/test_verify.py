@@ -271,6 +271,18 @@ def test_cli_smoke(tmp_path):
     quiver.write_text(run_cli("quiver", "show", "B(A2)").stdout)
     out = run_cli("verify", "--task", "TE-tau", "--signs=m")
     assert out.returncode == 0 and "sign -1" in out.stdout
+    # malformed quiver files: a short or long b row, a short or
+    # non-integer d row, a matrix that is not skew-symmetrizable
+    good = "n 2\nlabels 1 2\nd 1 1\nb 0 1 -1 0\n"
+    malformed = []
+    for i, (old, new) in enumerate((("b 0 1 -1 0", "b 0 1 -1"),
+                                    ("b 0 1 -1 0", "b 0 1 -1 0 5"),
+                                    ("d 1 1", "d 1"), ("d 1 1", "d 1 x"),
+                                    ("b 0 1 -1 0", "b 0 1 1 0"))):
+        path = tmp_path / f"malformed{i}.quiver"
+        path.write_text(good.replace(old, new))
+        malformed += [("quiver", "mutate", "--file", str(path), "--seq", "1"),
+                      ("period", "--quiver", str(path), "--seq", "1,1")]
     # flags that no command reads are rejected
     out = run_cli("verify", "--task", "RE-P", "--constraints", "bogus")
     assert out.returncode == 2
@@ -306,7 +318,12 @@ def test_cli_smoke(tmp_path):
                 ("quiver", "mutate", "--file", str(quiver), "--seq", "0"),
                 ("quiver", "mutate", "--file", str(quiver), "--seq", "6,x"),
                 ("quiver", "show"),
-                ("quiver", "mutate", "--seq", "6")):
+                ("quiver", "mutate", "--seq", "6"),
+                # negative cutoffs
+                ("verify", "--task", "K-eps-indep", "--cutoff", "-1"),
+                ("verify", "--task", "lemma", "--cutoff", "-2"),
+                ("period", "--quiver", "B(A2)", "--seq", "6,6", "--cutoff", "-1"),
+                *malformed):
         out = run_cli(*bad)
         assert out.returncode == 2 and "Traceback" not in out.stderr, bad
         assert len(out.stderr.splitlines()) == 1 or "usage:" in out.stderr, bad

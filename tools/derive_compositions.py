@@ -17,8 +17,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qrefl import catalog as C
-from qrefl.cluster import Perm
-from qrefl.compose import CompositeState, FactorSpec
+from qrefl.cluster import Perm, tropical_signs
+from qrefl.compose import CompositeState, composite_sequence, composite_signs
 from qrefl.qtorus import QuantumTorus
 from qrefl.quivers import builtin
 
@@ -46,36 +46,37 @@ def solve_k_faces(seed, m7, m2, m9, m4):
 
 
 def build_side(seed0, layout, cross, refl):
+    """Solve each factor's face vertices on the seed the factors before it
+    leave, and apply it there; returns the final state and the rows
+    (kind, spaces, steps, sigma_pairs)."""
     cross = dict(cross)
     refl = dict(refl)
     st = CompositeState(seed0)
-    specs = []
+    rows = []
     for kind, spaces in layout:
         if kind == "R":
             i, j, k = spaces
             a, b, c = cross[i], cross[j], cross[k]
             f = solve_r_face(st.seed, a, b, c)
-            spec = FactorSpec("R", spaces, (f, a, c, b), ((a, c), (b, f)))
-            st.apply_factor(spec, delta=+1)
+            row, delta = ("R", spaces, (f, a, c, b), ((a, c), (b, f))), +1
         elif kind == "Rbar":
             i, j, k = spaces
             s7, s2, s5 = cross[i], cross[j], cross[k]
             f = solve_r_face(st.seed, s5, s2, s7)
-            spec = FactorSpec("Rbar", spaces, (f, s5, s7, s2),
-                              ((s5, s7), (s2, f)))
-            st.apply_factor(spec, delta=-1)
+            row, delta = ("Rbar", spaces, (f, s5, s7, s2), ((s5, s7), (s2, f))), -1
         else:
             i, j, k, l = spaces
             m7, m2 = cross[i], refl[j]
             m9, m4 = cross[k], refl[l]
             m8, m3 = solve_k_faces(st.seed, m7, m2, m9, m4)
-            spec = FactorSpec("K", spaces,
-                              (m8, m3, m9, m2, m7, m4, m9, m2, m8, m3))
-            st.apply_factor(spec, kpair=(-1, 1))
+            row, delta = ("K", spaces, (m8, m3, m9, m2, m7, m4, m9, m2, m8, m3), ()), None
             cross[i], cross[k] = cross[k], cross[i]
             refl[j], refl[l] = refl[l], refl[j]
-        specs.append(spec)
-    return st, specs
+        for step, eps in zip(row[2], composite_signs([row], (delta,))):
+            st.mutate(step, eps)
+        st.relabel(Perm.transpositions(row[3]))
+        rows.append(row)
+    return st, rows
 
 
 def main():
@@ -90,8 +91,8 @@ def main():
                   ("Rbar", (2, 5, 8)), ("R", (1, 7, 8)), ("K", (1, 3, 5, 6)),
                   ("Rbar", (1, 2, 4))]
 
-    stL, specsL = build_side(BC3, lhs_layout, cross, refl)
-    stR, specsR = build_side(BC3, rhs_layout, cross, refl)
+    stL, rowsL = build_side(BC3, lhs_layout, cross, refl)
+    stR, rowsR = build_side(BC3, rhs_layout, cross, refl)
 
     T = QuantumTorus(BC3)
 
@@ -111,11 +112,12 @@ def main():
     assert stL.hom == stR.hom, "composed monomial maps differ"
     print("composed monomial maps agree (tau-level identity, signs (+,-))")
 
-    from qrefl.compose import tropical_signs_of
-    sigL, _ = tropical_signs_of(BC3, specsL)
-    sigR, _ = tropical_signs_of(BC3, specsR)
-    assert tuple(sigL) == C.TROPICAL_SIGNS_LHS, sigL
-    assert tuple(sigR) == C.TROPICAL_SIGNS_RHS, sigR
+    def signs_per_factor(rows):
+        flat = iter(tropical_signs(BC3, composite_sequence(rows)))
+        return tuple(tuple(next(flat) for _ in row[2]) for row in rows)
+
+    assert signs_per_factor(rowsL) == C.TROPICAL_SIGNS_LHS
+    assert signs_per_factor(rowsR) == C.TROPICAL_SIGNS_RHS
     print("tropical sign sequences match the reference data")
 
     # tetrahedron side: A3
@@ -124,24 +126,18 @@ def main():
     crossA = {1: 11, 2: 6, 3: 3, 4: 13, 5: 8, 6: 15}
     te_lhs = [("R", t) for t in [(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)]]
     te_rhs = [("R", t) for t in [(4, 5, 6), (2, 3, 6), (1, 3, 5), (1, 2, 4)]]
-    stTL, specsTL = build_side(BA3, te_lhs, crossA, {})
-    stTR, specsTR = build_side(BA3, te_rhs, crossA, {})
+    stTL, rowsTL = build_side(BA3, te_lhs, crossA, {})
+    stTR, rowsTR = build_side(BA3, te_rhs, crossA, {})
     endL = stTL.seed.permuted(Perm.transpositions([(7, 14)]))
     endR = stTR.seed.permuted(Perm.transpositions([(7, 12)]))
     assert endL == endR == BpA3, "tetrahedron sides disagree"
     print("tetrahedron sides agree and land on the corrected target")
 
-    def dump(specs):
-        out = []
-        for s in specs:
-            out.append((s.kind, s.spaces, s.steps, s.sigma_pairs))
-        return out
-
     payload = {
-        "REFLECTION_LHS": dump(specsL),
-        "REFLECTION_RHS": dump(specsR),
-        "TETRAHEDRON_LHS": dump(specsTL),
-        "TETRAHEDRON_RHS": dump(specsTR),
+        "REFLECTION_LHS": rowsL,
+        "REFLECTION_RHS": rowsR,
+        "TETRAHEDRON_LHS": rowsTL,
+        "TETRAHEDRON_RHS": rowsTR,
         "TETRAHEDRON_FINAL": {"LHS": ((7, 14),), "RHS": ((7, 12),)},
     }
     path = os.path.join(os.path.dirname(__file__), "..", "src", "qrefl",
