@@ -23,12 +23,12 @@ from .quivers import builtin
 
 
 def _load_quiver(value):
+    """A builtin quiver, or the seed and named sequences of a quiver file."""
     try:
-        return builtin(value)
+        return builtin(value), {}
     except UnknownName:
         with open(value) as fh:
-            seed, _ = seed_from_text(fh.read())
-        return seed
+            return seed_from_text(fh.read())
 
 
 def _print_report(rep, out):
@@ -83,7 +83,7 @@ def cmd_quiver(args):
                          f"{'a name' if source == 'name' else '--file'}")
     _reject_unread(args, ("name", "file", "seq"), (source,) + reads,
                    f"quiver {args.action}", positional=("name",))
-    seed = _load_quiver(getattr(args, source))
+    seed, _ = _load_quiver(getattr(args, source))
     if args.action == "mutate":
         seed = MutationSequence(_steps(args.seq or ""), Perm()).apply_matrix(seed)
     sys.stdout.write(seed_to_text(seed))
@@ -91,9 +91,10 @@ def cmd_quiver(args):
 
 
 def _print_operator(op):
-    for base, expo, m in op.factors:
-        print(f"dilog base=q^{base} expo={expo:+d} arg={m}")
-    print(f"tail: {op.tail}")
+    lines = [f"dilog base=q^{base} expo={expo:+d} arg={m}"
+             for base, expo, m in op.factors]
+    lines.insert(op.tail_pos, f"tail: {op.tail}")
+    print("\n".join(lines))
 
 
 # degeneration ray -> the constraint system its operators are built under
@@ -199,12 +200,23 @@ def cmd_limit(args):
     return _print_report(rep, args.out)
 
 
+def _sequence(text, named):
+    """A sequence named in the quiver file, a builtin sequence, or
+    comma-separated vertices."""
+    if text in named:
+        return named[text]
+    try:
+        ms = builtin(text)
+    except UnknownName:
+        ms = None
+    if isinstance(ms, MutationSequence):
+        return ms
+    return MutationSequence(_steps(text), Perm())
+
+
 def cmd_period(args):
-    seed = _load_quiver(args.quiver)
-    if args.seq in ("R-seq", "Rbar-seq", "K-seq", "FG-R-seq", "FG-K-seq"):
-        ms = builtin(args.seq)
-    else:
-        ms = MutationSequence(_steps(args.seq), Perm())
+    seed, named = _load_quiver(args.quiver)
+    ms = _sequence(args.seq, named)
     full = ms.then(ms.inverse()) if args.round_trip else ms
     rep = V.check_period(seed, full, quantum_cutoff=args.cutoff)
     return _print_report(rep, args.out)

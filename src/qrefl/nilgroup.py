@@ -40,8 +40,6 @@ class TriangularOrder:
 ORDER_A3 = TriangularOrder(({1}, {2, 4}, {3, 5, 6}))
 ORDER_A3_PRIME = TriangularOrder(({6}, {4, 5}, {1, 2, 3}))
 ORDER_C3 = TriangularOrder(({1}, {2, 4}, {3, 5, 6, 7, 8, 9}))
-ORDER_C2_TOP = TriangularOrder(({1}, {2, 4}, {3}))      # houses the 2-4 movers
-ORDER_C2_BOT = TriangularOrder(({4}, {1, 3}, {2}))      # houses the 1-3 movers
 
 
 class NilLieElement:
@@ -215,37 +213,24 @@ class NilGroupElement:
         return cls(spec, order, Perm(), q, lin_only, cen)
 
     @classmethod
-    def from_factors(cls, spec, order, factors, rho_pair=None, subs_idx=None,
-                     psubs=None):
+    def from_factors(cls, spec, order, factors, rho_pair=None):
         """Build from catalog factor data (sequence of exponential factors).
 
         Each factor is ('quad', {(i,j): coeff}) or ('lin', {axis: pexp}).
         ``rho_pair`` appends the exchange of a canonical pair.
         """
         from .cluster import Perm
-        from .qweyl import relabel_axis, relabel_pf
-
-        def rel(i):
-            return subs_idx.get(i, i) if subs_idx else i
 
         out = cls.identity(spec, order)
         for components in factors:
             x = NilLieElement(spec, order)
             for kind, data in components:
-                if kind == "quad":
-                    quad = {(rel(i), rel(j)): Fraction(v)
-                            for (i, j), v in data.items()}
-                    x = x + NilLieElement(spec, order, quad)
-                else:
-                    lin = {relabel_axis(a, subs_idx):
-                           relabel_pf(pf, subs_idx, psubs)
-                           for a, pf in data.items()}
-                    x = x + NilLieElement(spec, order, {}, lin)
+                x = x + (NilLieElement(spec, order, data) if kind == "quad"
+                         else NilLieElement(spec, order, {}, data))
             out = bch_mul(out, cls.from_lie(x))
         if rho_pair:
             a, b = rho_pair
-            out = bch_mul(out, cls(spec, order,
-                                   Perm({rel(a): rel(b), rel(b): rel(a)}),
+            out = bch_mul(out, cls(spec, order, Perm({a: b, b: a}),
                                    NilLieElement(spec, order),
                                    NilLieElement(spec, order), ParamQuad()))
         return out

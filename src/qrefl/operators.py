@@ -1,8 +1,9 @@
 """Named operators: the one table of catalog data for R, Rbar, K and
-their limit targets, the builders that read it (dilogarithm factor lists
-with monomial tails, canonical and torus maps), parameter systems and
-elimination, directional limits, and the stacked reduction diagrams that
-force the degeneration constraints.
+their limit targets, the one placement of that data on other indices,
+the builders that read it (dilogarithm factor lists with monomial tails,
+canonical and torus maps), parameter systems and elimination,
+directional limits, and the stacked reduction diagrams that force the
+degeneration constraints.
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ from operator import getitem
 from typing import NamedTuple
 
 from . import catalog as C
-from .cluster import Perm, UnknownName
+from .cluster import UnknownName
 from .compose import hom_from_table
-from .nilgroup import (NilGroupElement, NilLieElement, ORDER_C3, TriangularOrder,
-                       adjoint)
+from .nilgroup import NilGroupElement, ORDER_C3, TriangularOrder, adjoint
 from .params import LinSystem, ParamForm
 from .qtorus import QuantumTorus
 from .quivers import builtin
-from .qweyl import (IOTA, AffineCanonMap, CanonSpec, SPEC_A2, SPEC_B2, SPEC_C2,
-                    SPEC_C3, WeylMonomial, build_subst_hom, iota_monomial,
-                    iota_params, iota_vec, relabel_axis, relabel_pf)
+from .qweyl import (AffineCanonMap, CanonSpec, SPEC_A2, SPEC_B2, SPEC_C2, SPEC_C3,
+                    WeylMonomial, build_subst_hom)
 from .scalars import ONE
 
 
@@ -176,8 +175,49 @@ def _read(path):
     return reduce(getitem, path[1:], getattr(C, path[0]))
 
 
-def _place(name, indices, spec):
-    """The operator's table entry, spec and indices, checked: distinct
+class Placement(NamedTuple):
+    """Catalog data written on the indices 1..p, placed on ``indices``.
+
+    The one renaming of catalog data: the index suffix of every axis
+    (u2 -> u5) and of every parameter symbol (a2 -> a5, th2 -> th5), the
+    quadratic keys and the exchanged pair.  ``rules`` are then
+    substituted into the parameter forms.
+    """
+
+    indices: tuple
+    rules: dict = None
+
+    def index(self, i):
+        return self.indices[i - 1] if 1 <= i <= len(self.indices) else i
+
+    def symbol(self, sym):
+        stem = sym.rstrip("0123456789")
+        return stem + str(self.index(int(sym[len(stem):]))) if stem != sym else sym
+
+    def form(self, pexp) -> ParamForm:
+        pf = ParamForm({self.symbol(k): v for k, v in pexp.items()})
+        return pf.subs(self.rules) if self.rules else pf
+
+    def entry(self, pexp, cexp):
+        """A (pexp, cexp) row: its ParamForm and its axis exponents."""
+        return self.form(pexp), {self.symbol(a): v for a, v in cexp.items()}
+
+    def monomial(self, spec, pexp, cexp) -> WeylMonomial:
+        pf, c = self.entry(pexp, cexp)
+        return WeylMonomial(spec, ONE, pf, spec.vec(c))
+
+    def pair(self, pair):
+        return tuple(map(self.index, pair))
+
+    def lie(self, kind, data):
+        """A ('quad', {(i, j): coeff}) or ('lin', {axis: pexp}) component."""
+        if kind == "quad":
+            return kind, {self.pair(k): v for k, v in data.items()}
+        return kind, {self.symbol(a): self.form(pf) for a, pf in data.items()}
+
+
+def _place(name, indices, spec, rules=None):
+    """The operator's table entry, spec and placement, checked: distinct
     slots of ``spec`` whose weights repeat those of the catalog data."""
     if name not in OPERATORS:
         raise UnknownName(name)
@@ -191,49 +231,40 @@ def _place(name, indices, spec):
     got = tuple(spec.gamma[t - 1] for t in indices)
     if got != op.spec.gamma:
         raise BadIndices(f"{name} needs weights {op.spec.gamma}, got {got}")
-    return op, spec, indices
+    return op, spec, Placement(indices, rules)
 
 
-def _order(op, spec, indices):
-    """The triangular order housing the tail: the table's blocks on the
-    operator's own spec, the reflection composite's order on C3."""
-    if spec == op.spec:
-        return TriangularOrder([{indices[p] for p in block} for block in op.order])
+def _order(op, spec, place):
+    """The triangular order housing the tail: the reflection composite's
+    order on C3, the table's blocks placed on the operator's indices on
+    any other spec."""
     if spec == SPEC_C3:
         return ORDER_C3
-    raise BadIndices(f"no triangular order for spec {spec.gamma}")
+    return TriangularOrder([{place.indices[p] for p in block} for block in op.order])
 
 
 def factors(name, indices=None, spec=None, rules=None):
     """The dilogarithm factors (base, expo, WeylMonomial) of an operator."""
-    op, spec, indices = _place(name, indices, spec)
-    subs = dict(enumerate(indices, 1))
-    out = []
-    for base, expo, pexp, cexp in _read(op.rows):
-        m = WeylMonomial(
-            spec, ONE, relabel_pf(pexp, subs),
-            spec.vec({relabel_axis(a, subs): v for a, v in cexp.items()}))
-        if rules:
-            m = m.subs_params(rules)
-        out.append((base, expo, m))
-    return out
+    op, spec, place = _place(name, indices, spec, rules)
+    return [(base, expo, place.monomial(spec, pexp, cexp))
+            for base, expo, pexp, cexp in _read(op.rows)]
 
 
 def tail(name, indices=None, spec=None, order=None, rules=None) -> NilGroupElement:
     """The monomial tail of an operator, in ``order`` when one is given."""
-    op, spec, indices = _place(name, indices, spec)
+    op, spec, place = _place(name, indices, spec, rules)
     pdata, rho = _read(op.tail)
     return NilGroupElement.from_factors(
-        spec, order or _order(op, spec, indices), pdata, rho_pair=rho,
-        subs_idx=dict(enumerate(indices, 1)), psubs=rules)
+        spec, order or _order(op, spec, place),
+        [[place.lie(*c) for c in components] for components in pdata],
+        rho_pair=place.pair(rho))
 
 
 def canonical_map(name, indices=None, spec=None, rules=None) -> AffineCanonMap:
     """The canonical map eta of an operator."""
-    op, spec, indices = _place(name, indices, spec)
-    return AffineCanonMap.from_table(spec, _read(op.eta),
-                                     subs_idx=dict(enumerate(indices, 1)),
-                                     psubs=rules)
+    op, spec, place = _place(name, indices, spec, rules)
+    return AffineCanonMap.from_table(
+        spec, {place.symbol(a): place.entry(*row) for a, row in _read(op.eta).items()})
 
 
 def torus_map(name, source, target):
@@ -246,15 +277,26 @@ def torus_map(name, source, target):
 def build(name, indices=None, spec=None, rules=None) -> OperatorExpr:
     """An operator by name: its factors and tail on ``indices`` of ``spec``
     (by default 1, 2, ... of the spec its catalog data are written on)."""
-    op, spec, indices = _place(name, indices, spec)
-    return OperatorExpr(spec, factors(name, indices, spec, rules),
-                        tail(name, indices, spec, rules=rules), op.tail_pos)
+    op, spec, place = _place(name, indices, spec)
+    return OperatorExpr(spec, factors(name, place.indices, spec, rules),
+                        tail(name, place.indices, spec, rules=rules), op.tail_pos)
+
+
+def _fg_slots(name):
+    """Where a limit target is compared with its operator: a target
+    written on B2 lands on the indices (4, 3, 2, 1) of C2, the others stay
+    where they are written."""
+    if name in OPERATORS and OPERATORS[name].spec == SPEC_B2:
+        return (4, 3, 2, 1), SPEC_C2
+    return None, None
 
 
 def build_FG(name: str) -> OperatorExpr:
-    """Limit targets by the names the limit reports print; R+ and R- are
-    the targets R-A2:+ and R-A2:- on B_FG(A2)."""
-    return build({"R+": "R-A2:+", "R-": "R-A2:-"}.get(name, name))
+    """Limit targets by the names the limit reports print, placed where
+    they are compared; R+ and R- are the targets R-A2:+ and R-A2:- on
+    B_FG(A2)."""
+    name = {"R+": "R-A2:+", "R-": "R-A2:-"}.get(name, name)
+    return build(name, *_fg_slots(name))
 
 
 def ray(name: str) -> dict:
@@ -264,20 +306,22 @@ def ray(name: str) -> dict:
 
 
 def take_limit(op: OperatorExpr, direction: dict) -> OperatorExpr:
-    """Keep rate-zero factors, drop negative ones, reject divergence."""
-    out = []
-    for base, expo, m in op.factors:
+    """Keep rate-zero factors, drop negative ones, reject divergence; the
+    tail stays after the kept factors that came before it."""
+    out, before = [], 0
+    for k, (base, expo, m) in enumerate(op.factors):
         r = m.pexp.rate(direction)
         if r > 0:
             raise DivergentFactor(f"factor rate {r}: {m}")
         if r == 0:
             out.append((base, expo, m))
+            before += k < op.tail_pos
     tail = op.tail
     if tail is not None:
         for axis, pf in tail.l.lin.items():
             if pf.rate(direction) != 0:
                 raise DivergentFactor(f"tail coefficient diverges at {axis}")
-    return OperatorExpr(op.spec, out, tail)
+    return OperatorExpr(op.spec, out, tail, before)
 
 
 # ---------------------------------------------------------------------------
@@ -335,29 +379,24 @@ def reduction_diagram(name: str):
     The returned LinSystem is what commutativity of the upper and middle
     squares forces; the lower square is then checked modulo it (together
     with the ambient sum constraints).  Raises on structural mismatch.
-    A limit target on the dual spec B2 is moved to C2 by the index
-    reversal.
+    The limit target and its substitution maps are placed where
+    ``build_FG`` places the target.
     """
     if name not in REDUCTIONS:
         raise UnknownName(name)
     r = REDUCTIONS[name]
-    eta_big, eta_small = canonical_map(r.operator), canonical_map(r.target)
-    spec, fg_spec = eta_big.spec, eta_small.spec
-    moved = fg_spec != spec
-    if moved:
-        eta_small = AffineCanonMap(
-            spec, iota_vec([iota_vec(row) for row in eta_small.lin]),
-            iota_vec([iota_params(s) for s in eta_small.shift]), check=False)
+    slots = _fg_slots(r.target)
+    _, spec, place = _place(r.target, *slots)
+    eta_big, eta_small = canonical_map(r.operator), canonical_map(r.target, *slots)
     squares = []
     for big, fg, phi, phi_fg, alpha in zip(
             (f"B({r.big})", f"B'({r.big})"), (f"B_FG({r.fg})", f"B'_FG({r.fg})"),
             r.phi, r.phi_fg, r.alpha):
         hbig = build_subst_hom(QuantumTorus(builtin(big)), spec, phi)
         fgt = QuantumTorus(builtin(fg))
-        hfg = build_subst_hom(fgt, fg_spec, phi_fg)
         hom = hom_from_table(builtin(fg), builtin(big), alpha)
         squares.append([(hbig.apply(hom.apply(fgt.gen(i))),
-                         iota_monomial(hfg.images[i], spec) if moved else hfg.images[i])
+                         place.monomial(spec, *phi_fg[i]))
                         for i in fgt.labels])
     upper, lower = squares
     if eta_big.lin != eta_small.lin:
@@ -372,19 +411,3 @@ def reduction_diagram(name: str):
             raise AssertionError("lower square not implied")
     return forced, constraints(r.expect)
 
-
-def iota_operator(op: OperatorExpr) -> OperatorExpr:
-    """Transport an operator over the dual small spec through the index
-    reversal u_i -> u_{5-i}, w_i -> w_{5-i}, th_i -> th_{5-i}."""
-    facs = [(b, e, iota_monomial(m, SPEC_C2)) for b, e, m in op.factors]
-    tail = op.tail
-    if tail is not None:
-        order = TriangularOrder([{IOTA[i] for i in level} for level in tail.order.levels])
-        quad = {(IOTA[i], IOTA[j]): v for (i, j), v in tail.q.quad.items()}
-        lin = {relabel_axis(a, IOTA): iota_params(pf) for a, pf in tail.l.lin.items()}
-        sigma = Perm({IOTA[k]: IOTA[v] for k, v in tail.sigma.map.items()})
-        tail = NilGroupElement(SPEC_C2, order, sigma,
-                               NilLieElement(SPEC_C2, order, quad),
-                               NilLieElement(SPEC_C2, order, {}, lin),
-                               iota_params(tail.c))
-    return OperatorExpr(SPEC_C2, facs, tail, op.tail_pos)

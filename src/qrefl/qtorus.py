@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import floor, lcm
 from operator import add, attrgetter, mul
 
-from .cluster import ExchangeSeed, FrozenVertex, mutate_matrix
+from .cluster import ExchangeSeed
 from .params import pivot
 from .scalars import ONE, ScalarQ
 
@@ -365,64 +365,6 @@ class TorusSeries(GradedSeries):
 
     def __repr__(self):
         return f"TorusSeries({len(self.terms)} terms, cutoff={self.cutoff})"
-
-
-def series_mul(a: TorusSeries, b: TorusSeries) -> TorusSeries:
-    out = a._like()
-    for beta, cb in b.terms.items():
-        out += a.mul_monomial(cb, beta)
-    return out
-
-
-def series_inverse(a: TorusSeries) -> TorusSeries:
-    """Inverse of monomial * (1 + higher-grade tail)."""
-    lead = min(a.terms, key=lambda t: (a.gdeg(t), t))
-    lead_coeff = a.terms[lead]
-    inv_lead = a._like()
-    inv_lead.add_term(tuple(-x for x in lead), lead_coeff.inverse())
-    # t := a lead^-1 - 1 must have positive grade
-    t = series_mul(a, inv_lead)
-    zero = (0,) * a.torus.n()
-    t.add_term(zero, -(t.terms.get(zero, ScalarQ.zero())))
-    if any(t.gdeg(alpha) <= 0 for alpha in t.terms):
-        raise NonpositiveGrading("series tail not of positive grade")
-    # 1/(1 + t) = sum_n (-t)^n; t has only positive grades, so (-t)^n
-    # truncates to nothing once n times its least grade passes the cutoff
-    t.terms = {alpha: -c for alpha, c in t.terms.items()}
-    out = TorusSeries.one(a.torus, a.grading, a.cutoff)
-    power = TorusSeries.one(a.torus, a.grading, a.cutoff)
-    while power.terms:
-        power = series_mul(power, t)
-        out += power
-    return series_mul(inv_lead, out)
-
-
-class CutoffTooSmall(Exception):
-    pass
-
-
-def quantum_mutate(seed, yvars: dict, k, grading, cutoff):
-    """One quantum mutation of Y-variables given as truncated series."""
-    if k in seed.frozen:
-        raise FrozenVertex(k)
-    new_seed = mutate_matrix(seed, k)
-    yk = yvars[k]
-    qk = seed.d[k]
-    out = {}
-    try:
-        yk_inv = series_inverse(yk)
-        for i in seed.labels:
-            bik = seed.entry(i, k)
-            cur = yk_inv if i == k else yvars[i]
-            for j in range(1, int(abs(bik)) + 1):
-                factor = TorusSeries.one(yk.torus, grading, cutoff)
-                for alpha, c in (yk_inv if bik > 0 else yk).terms.items():
-                    factor.add_term(alpha, c * ScalarQ.q_pow(qk * (2 * j - 1)))
-                cur = series_mul(cur, series_inverse(factor) if bik > 0 else factor)
-            out[i] = cur
-    except NonpositiveGrading as exc:
-        raise CutoffTooSmall(str(exc))
-    return new_seed, out
 
 
 def dilog_coefficients(base: int, expo: int, nmax: int):

@@ -249,17 +249,17 @@ class AffineCanonMap:
         return cls(spec, lin, [ParamForm() for _ in range(n)], check=False)
 
     @classmethod
-    def from_table(cls, spec, table: dict, subs_idx=None, psubs=None):
-        """Build from {axis: (pexp, cexp)} with optional index relabeling
-        and parameter substitution applied to the shifts."""
+    def from_table(cls, spec, table: dict):
+        """Build from {axis: (pexp, cexp)}; an axis the table leaves out
+        is fixed."""
         n = 2 * spec.p
         lin = [[0] * n for _ in range(n)]
         shift = [ParamForm() for _ in range(n)]
         for axis, (pexp, cexp) in table.items():
-            r = spec.index(relabel_axis(axis, subs_idx))
+            r = spec.index(axis)
             for ax2, v in cexp.items():
-                lin[r][spec.index(relabel_axis(ax2, subs_idx))] += int(v)
-            shift[r] = relabel_pf(pexp, subs_idx, psubs)
+                lin[r][spec.index(ax2)] += int(v)
+            shift[r] = pexp if isinstance(pexp, ParamForm) else ParamForm(pexp)
         for i in range(n):
             if all(v == 0 for v in lin[i]) and shift[i].is_zero():
                 lin[i][i] = 1
@@ -327,55 +327,10 @@ class AffineCanonMap:
         return None
 
 
-def relabel_axis(axis: str, subs_idx) -> str:
-    if not subs_idx:
-        return axis
-    i = int(axis[1:])
-    return axis[0] + str(subs_idx.get(i, i))
-
-
-def relabel_sym(sym: str, subs_idx) -> str:
-    if not subs_idx or not sym[-1].isdigit() or sym.startswith("th"):
-        return sym
-    i = int(sym[1:])
-    return sym[0] + str(subs_idx.get(i, i))
-
-
-def relabel_pf(pexp, subs_idx, psubs=None) -> ParamForm:
-    if isinstance(pexp, dict):
-        pexp = ParamForm(pexp)
-    out = ParamForm({relabel_sym(k, subs_idx): v for k, v in pexp.terms.items()},
-                    pexp.const)
-    if psubs:
-        out = out.subs(psubs)
-    return out
-
-
 def build_subst_hom(torus, spec, table) -> SubstHom:
     """SubstHom from a catalog table {label: (pexp, cexp)}."""
     return SubstHom(torus, spec, {label: WeylMonomial.from_dicts(spec, pexp, cexp)
                                   for label, (pexp, cexp) in table.items()})
-
-
-# the index reversal i -> 5 - i between the C2 and B2 specs
-IOTA = {1: 4, 2: 3, 3: 2, 4: 1}
-_IOTA_TH = {f"th{i}": ParamForm({f"th{j}": 1}) for i, j in IOTA.items()}
-
-
-def iota_vec(v):
-    """An 8-entry sequence over the axes (u1..u4, w1..w4) with the indices
-    reversed; the rows of a map are reversed the same way."""
-    return v[3::-1] + v[:3:-1]
-
-
-def iota_params(form):
-    """A parameter form (linear or quadratic) with th_i -> th_{5-i}."""
-    return form.subs(_IOTA_TH)
-
-
-def iota_monomial(m: WeylMonomial, spec: CanonSpec) -> WeylMonomial:
-    """The index reversal of a monomial, landing on ``spec``."""
-    return WeylMonomial(spec, m.coeff, iota_params(m.pexp), iota_vec(m.cexp))
 
 
 def diagram_commutes(h_src: SubstHom, h_tgt: SubstHom, tau, eta: AffineCanonMap,

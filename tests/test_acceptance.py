@@ -6,8 +6,8 @@ import time
 
 import qrefl.catalog as C
 import qrefl.verify as V
-from qrefl.nilgroup import adjoint, NilGroupElement, ORDER_C2_TOP, ORDER_C2_BOT
-from qrefl.operators import constraints
+from qrefl.nilgroup import adjoint, NilGroupElement
+from qrefl.operators import constraints, tail
 from qrefl.quivers import builtin
 from qrefl.qtorus import QuantumTorus
 from qrefl.qweyl import (AffineCanonMap, SPEC_A2, SPEC_B2, SPEC_C2,
@@ -77,15 +77,17 @@ def test_criterion_06_adjoint_realizations():
     from qrefl.nilgroup import TriangularOrder
     UP = TriangularOrder(({1}, {2, 3}))
     DOWN = TriangularOrder(({3}, {1, 2}))
+    # the C2 orders housing the 2-4 and the 1-3 movers
+    TOP, BOT = tail("K-rho24-+").order, tail("K-rho13-+").order
     cases = [
         (SPEC_A2, UP, C.P_R["+"], SPEC_A2, C.ETA_R["+"]),
         (SPEC_A2, DOWN, C.P_R["-"], SPEC_A2, C.ETA_R["-"]),
         (SPEC_A2, UP, C.P_RBAR["-"], SPEC_A2, C.ETA_RBAR["-"]),
         (SPEC_A2, DOWN, C.P_RBAR["+"], SPEC_A2, C.ETA_RBAR["+"]),
-        (SPEC_C2, ORDER_C2_TOP, C.P_K24, SPEC_C2, C.ETA_K24),
-        (SPEC_C2, ORDER_C2_BOT, C.P_K13, SPEC_C2, C.ETA_K13),
-        (SPEC_C2, ORDER_C2_TOP, C.P_FG_C2, SPEC_C2, C.PIK_C2),
-        (SPEC_B2, ORDER_C2_TOP, C.P_FG_B2, SPEC_B2, C.PIK_B2),
+        (SPEC_C2, TOP, C.P_K24, SPEC_C2, C.ETA_K24),
+        (SPEC_C2, BOT, C.P_K13, SPEC_C2, C.ETA_K13),
+        (SPEC_C2, TOP, C.P_FG_C2, SPEC_C2, C.PIK_C2),
+        (SPEC_B2, TOP, C.P_FG_B2, SPEC_B2, C.PIK_B2),
     ]
     ok = True
     for spec, order, (pdata, rho), espec, table in cases:

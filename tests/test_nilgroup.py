@@ -11,15 +11,18 @@ import pytest
 
 import qrefl.catalog as C
 from qrefl.cluster import Perm
-from qrefl.nilgroup import (NilGroupElement, NilLieElement, ORDER_C2_BOT,
-                            ORDER_C2_TOP, ORDER_C3, OrderViolation,
+from qrefl.nilgroup import (NilGroupElement, NilLieElement, OrderViolation,
                             TriangularOrder, adjoint, bch_mul, bracket,
                             group_equal)
+from qrefl.operators import tail
 from qrefl.params import ParamForm, ParamQuad
 from qrefl.qweyl import SPEC_A2, SPEC_C2, SPEC_C3, AffineCanonMap
 
 UP = TriangularOrder(({1}, {2, 3}))
 DOWN = TriangularOrder(({3}, {1, 2}))
+# the C2 orders housing the 2-4 and the 1-3 movers
+ORDER_C2_TOP = tail("K-rho24-+").order
+ORDER_C2_BOT = tail("K-rho13-+").order
 
 
 # -- independent oracle -----------------------------------------------------
@@ -181,15 +184,10 @@ def test_group_laws_and_inverse():
 
 
 def test_adjoint_is_homomorphism():
-    order = ORDER_C3
-    a = NilGroupElement.from_factors(
-        SPEC_C3, order, C.P_K24[0], rho_pair=C.P_K24[1],
-        subs_idx={1: 1, 2: 3, 3: 5, 4: 6})
-    b = NilGroupElement.from_factors(
-        SPEC_C3, order, C.P_R["+"][0], rho_pair=C.P_R["+"][1],
-        subs_idx={1: 1, 2: 2, 3: 4})
+    a = tail("K-rho24-+", (1, 3, 5, 6), SPEC_C3)
+    b = tail("R+", (1, 2, 4), SPEC_C3)
     assert adjoint(bch_mul(a, b)) == adjoint(a).compose(adjoint(b))
-    assert adjoint(NilGroupElement.identity(SPEC_C3, order)) == \
+    assert adjoint(NilGroupElement.identity(SPEC_C3, a.order)) == \
         AffineCanonMap.identity(SPEC_C3)
 
 
@@ -232,13 +230,8 @@ def test_order_violation_is_loud():
 
 def test_bch_termination_depth_on_big_spec():
     # iterated brackets of catalog quadratic parts vanish by depth 4
-    order = ORDER_C3
-    a = NilGroupElement.from_factors(SPEC_C3, order, C.P_K24[0],
-                                     rho_pair=C.P_K24[1],
-                                     subs_idx={1: 2, 2: 3, 3: 7, 4: 9})
-    b = NilGroupElement.from_factors(SPEC_C3, order, C.P_R["+"][0],
-                                     rho_pair=C.P_R["+"][1],
-                                     subs_idx={1: 1, 2: 2, 3: 4})
+    a = tail("K-rho24-+", (2, 3, 7, 9), SPEC_C3)
+    b = tail("R+", (1, 2, 4), SPEC_C3)
     q1, q2 = a.q, b.q
     depth = 0
     term = q1

@@ -2,8 +2,8 @@ import pytest
 
 import qrefl.catalog as C
 from qrefl.nilgroup import adjoint, group_equal
-from qrefl.operators import (BadIndices, DivergentFactor, UnknownName, build,
-                             build_FG, constraints, iota_operator, ray,
+from qrefl.operators import (BadIndices, DivergentFactor, OperatorExpr,
+                             UnknownName, build, build_FG, constraints, factors, ray,
                              reduction_diagram, rules_for, take_limit)
 from qrefl.params import LinSystem, ParamForm
 from qrefl.qtorus import QuantumTorus
@@ -65,7 +65,6 @@ def _middle_pair_commutes(op):
 
 
 def _swap_middle(op):
-    from qrefl.operators import OperatorExpr
     f = list(op.factors)
     f[1], f[2] = f[2], f[1]
     return OperatorExpr(op.spec, f, op.tail, op.tail_pos)
@@ -174,6 +173,37 @@ def test_build_FG_catalog():
     assert pc2.sigma.map == {2: 4, 4: 2}
 
 
+def test_b2_target_placed_on_reversed_c2_indices():
+    # a limit target written on B2 lands on the indices (4, 3, 2, 1) of C2
+    m = factors("K-B2:++-", (4, 3, 2, 1), SPEC_C2)[0][2]
+    assert m.spec == SPEC_C2
+    assert m.pexp == ParamForm({"th3": 1, "th1": -1})
+    assert m.cexp == SPEC_C2.vec({"u3": 1, "u1": -1, "w3": -1, "w2": 1, "w1": -1})
+    assert build_FG("K-B2:++-").factors[0][2] == m
+
+
+def test_placement_renames_th_with_its_axis():
+    # swapping the indices 1 and 3 swaps th1 and th3 along with u1 and u3;
+    # the first factor, on th2, th4, u2 and u4, stays
+    placed = factors("K-C2:++-", (3, 2, 1, 4))
+    assert placed[1][2].pexp == ParamForm({"th3": 1, "th1": -1})
+    assert placed[1][2].cexp == SPEC_C2.vec({"u3": 1, "u1": -1, "w3": -1,
+                                             "w2": 1, "w1": -1})
+    assert placed[0][2].pexp == ParamForm({"th2": 1, "th4": -1})
+
+
+def test_take_limit_keeps_the_tail_position():
+    # R-final's tail sits after its second factor; along e1 -> -oo the
+    # second and third factors drop, and the tail follows the first
+    op = build("R-final")
+    assert op.tail_pos == 2
+    assert take_limit(op, {}).tail_pos == 2
+    lim = take_limit(op, {"e1": -1})
+    assert lim.equal_factors(OperatorExpr(op.spec, [op.factors[0], op.factors[3]],
+                                          None))
+    assert lim.tail_pos == 1
+
+
 def test_take_limit_idempotent_and_zero_ray():
     rules = rules_for("k-c2", ("a1", "a3", "c1", "c2", "c3", "d1", "d2", "d3",
                                "d4", "e1", "e2", "e3", "e4"))
@@ -196,8 +226,8 @@ def test_all_fg_limits():
     cases = [
         ("K-rho24-+", kai24, "lim24", build_FG("K-C2:++-")),
         ("K-rho24--", kai24, "lim24", build_FG("K-C2:-++")),
-        ("K-rho13-+", kai13, "lim13", iota_operator(build_FG("K-B2:++-"))),
-        ("K-rho13--", kai13, "lim13", iota_operator(build_FG("K-B2:-++"))),
+        ("K-rho13-+", kai13, "lim13", build_FG("K-B2:++-")),
+        ("K-rho13--", kai13, "lim13", build_FG("K-B2:-++")),
     ]
     for name, rules, rname, want in cases:
         lim = take_limit(build(name, (1, 2, 3, 4), rules=rules), ray(rname))

@@ -9,7 +9,7 @@ from qrefl.qtorus import QuantumTorus
 from qrefl.quivers import builtin
 from qrefl.qweyl import (AffineCanonMap, NonUnimodular, SPEC_A2, SPEC_B2,
                          SPEC_C2, SPEC_C3, SpecMismatch, WeylMonomial,
-                         build_subst_hom, diagram_commutes, iota_monomial)
+                         build_subst_hom, diagram_commutes)
 from qrefl.scalars import ONE, ScalarQ
 
 
@@ -106,13 +106,6 @@ def test_affine_compose_and_identity():
         AffineCanonMap(SPEC_A2, [[2 if i == j else 0 for j in range(6)]
                                  for i in range(6)],
                        [ParamForm() for _ in range(6)])
-
-
-def test_iota_roundtrip():
-    m = WeylMonomial.from_dicts(SPEC_C2, {"th2": 1}, {"u1": 1, "w4": -1})
-    out = iota_monomial(m, SPEC_B2)
-    assert out.cexp == SPEC_B2.vec({"u4": 1, "w1": -1})
-    assert out.pexp == ParamForm({"th3": 1})
 
 
 def test_diagram_commutes_identity():

@@ -271,6 +271,12 @@ def test_cli_smoke(tmp_path):
     quiver.write_text(run_cli("quiver", "show", "B(A2)").stdout)
     out = run_cli("verify", "--task", "TE-tau", "--signs=m")
     assert out.returncode == 0 and "sign -1" in out.stdout
+    # period --seq reads a sequence named in the quiver file
+    pentagon = tmp_path / "pentagon.quiver"
+    pentagon.write_text("n 2\nlabels 1 2\nd 1 1\nb 0 1 -1 0\n"
+                        "seq P 1 2 1 2 1 | (1 2)\n")
+    out = run_cli("period", "--quiver", str(pentagon), "--seq", "P", "--cutoff", "3")
+    assert out.returncode == 0 and json.loads(out.stdout)["status"] == "pass"
     # malformed quiver files: a short or long b row, a short or
     # non-integer d row, a matrix that is not skew-symmetrizable
     good = "n 2\nlabels 1 2\nd 1 1\nb 0 1 -1 0\n"
