@@ -94,7 +94,8 @@ class ExchangeSeed:
 
     def __init__(self, labels, b, d, check=True):
         self.labels = tuple(sorted(labels))
-        self.b = {i: {j: Fraction(v) for j, v in row.items() if v}
+        self.b = {i: {j: v if type(v) is Fraction else Fraction(v)
+                      for j, v in row.items() if v}
                   for i, row in b.items() if row}
         for i in self.labels:
             self.b.setdefault(i, {})
@@ -148,42 +149,38 @@ class ExchangeSeed:
         return ExchangeSeed(self.labels, b, d, check=False)
 
     def __eq__(self, other):
+        # exact: the constructor stores no zero entries and one row per label
         if not isinstance(other, ExchangeSeed):
             return NotImplemented
-        if self.labels != other.labels or self.d != other.d:
-            return False
-        for i in self.labels:
-            for j in set(self.b[i]) | set(other.b[i]):
-                if self.entry(i, j) != other.entry(i, j):
-                    return False
-        return True
+        return self.labels == other.labels and self.d == other.d and self.b == other.b
 
     def __repr__(self):
         return f"ExchangeSeed(n={self.n()}, frozen={sorted(self.frozen)})"
 
 
 def mutate_matrix(seed: ExchangeSeed, k) -> ExchangeSeed:
-    """Matrix mutation at an unfrozen vertex; the symmetrizer is unchanged."""
+    """Matrix mutation at an unfrozen vertex; the symmetrizer is unchanged.
+
+    b'_ij = -b_ij when i or j is k; otherwise b'_ij = b_ij + |b_ik| b_kj
+    when b_ik and b_kj have the same sign, and b'_ij = b_ij when they do
+    not.  Only the rows in the support of column k change."""
     if k not in seed.d:
         raise BadIndex(k)
     if k in seed.frozen:
         raise FrozenVertex(k)
+    row_k = seed.b[k]
     b = {}
-    col_k = {i: seed.entry(i, k) for i in seed.labels}
-    row_k = set(seed.b[k])
-    for i in seed.labels:
-        cand = set(seed.b[i])
-        if col_k[i]:
-            cand |= row_k
-        for j in cand:
-            bij = seed.entry(i, j)
-            if i == k or j == k:
-                v = -bij
-            else:
-                bik, bkj = col_k[i], seed.entry(k, j)
-                v = bij + (abs(bik) * bkj + bik * abs(bkj)) / 2
-            if v:
-                b.setdefault(i, {})[j] = v
+    for i, row in seed.b.items():
+        bik = row.get(k)
+        if i == k:
+            row = {j: -v for j, v in row.items()}
+        elif bik:
+            row = dict(row)
+            row[k] = -bik
+            for j, bkj in row_k.items():
+                if (bkj > 0) == (bik > 0):
+                    row[j] = row.get(j, 0) + abs(bik) * bkj
+        b[i] = row
     return ExchangeSeed(seed.labels, b, seed.d, check=False)
 
 

@@ -60,10 +60,10 @@ class CompositeState:
         # the vertices with a positive [eps*b_ik] change
         images = dict(self.hom.images)
         images[k] = self.hom.apply(torus.gen(k, -1))
-        for i in self.seed.labels:
-            if i == k:
-                continue
-            m = eps * self.seed.entry(i, k)
+        b = self.seed.b
+        # Bhat is skew, so the support of column k is that of row k
+        for i in sorted(b[k]):
+            m = eps * b[i][k]
             if m > 0:
                 a = [0] * torus.n()
                 a[torus.index(i)] = 1

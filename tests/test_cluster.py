@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrefl.cluster import (BadIndex, ExchangeSeed, FrozenVertex,
                            MalformedQuiver, MutationSequence, Perm,
@@ -29,6 +32,70 @@ def test_mutation_involution_and_symmetrizer():
             assert out == seed
             assert mutate_matrix(seed, k).d == seed.d
             mutate_matrix(seed, k).validate()   # Bd stays skew-symmetric
+
+
+def _mutate_dense(seed, k):
+    """The dense mutation formula, entry by entry: the oracle for the
+    sparse mutate_matrix."""
+    b = {}
+    for i in seed.labels:
+        for j in seed.labels:
+            bij = seed.entry(i, j)
+            if i == k or j == k:
+                v = -bij
+            else:
+                bik, bkj = seed.entry(i, k), seed.entry(k, j)
+                v = bij + (abs(bik) * bkj + bik * abs(bkj)) / 2
+            if v:
+                b.setdefault(i, {})[j] = v
+    return ExchangeSeed(seed.labels, b, seed.d, check=False)
+
+
+@st.composite
+def _seeds(draw):
+    """A skew-symmetrizable seed: positive d with gcd 1, skew Bhat = B d,
+    half-integer entries only in the rows and columns of the vertices
+    drawn as frozen."""
+    n = draw(st.integers(1, 6))
+    start = draw(st.integers(0, 1))      # some quivers label from 0
+    labels = range(start, start + n)
+    d = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)
+             .filter(lambda d: gcd(*d) == 1))
+    frozen = draw(st.sets(st.sampled_from(labels), max_size=2))
+    d = dict(zip(labels, d))
+    b = {i: {} for i in labels}
+    for i, j in combinations(labels, 2):
+        # b_ij d_j = -b_ji d_i in (1/h)Z: b_ij = t d_i/g/h, b_ji = -t d_j/g/h
+        t, g = draw(st.integers(-2, 2)), gcd(d[i], d[j])
+        h = 2 if {i, j} & frozen else 1
+        b[i][j] = Fraction(t * d[i] // g, h)
+        b[j][i] = Fraction(-t * d[j] // g, h)
+    return ExchangeSeed(labels, b, d)
+
+
+def _check_against_dense(seed):
+    rows = {i: dict(row) for i, row in seed.b.items()}
+    for k in seed.mutable():
+        out, want = mutate_matrix(seed, k), _mutate_dense(seed, k)
+        assert all(out.entry(i, j) == want.entry(i, j)
+                   for i in seed.labels for j in seed.labels)
+        assert out == want
+        assert out.frozen == want.frozen and out.d == want.d
+        assert mutate_matrix(out, k) == seed
+        assert seed.b == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seeds())
+def test_mutation_matches_dense_formula(seed):
+    _check_against_dense(seed)
+
+
+def test_mutation_matches_dense_formula_on_builtin_seeds():
+    seeds = [builtin(n) for n in names() if isinstance(builtin(n), ExchangeSeed)]
+    assert len(seeds) == 14
+    for seed in seeds:
+        _check_against_dense(seed)
 
 
 def test_mutation_errors():
