@@ -50,7 +50,7 @@ class CompositeState:
     def mutate(self, k, eps):
         torus = self.torus
         new_seed = mutate_matrix(self.seed, k)
-        new_torus = QuantumTorus(new_seed)
+        new_torus = torus.mutated(new_seed, k)
         base = self.seed.d[k]
         arg = self.hom.apply(torus.gen(k))
         if eps < 0:

@@ -2,10 +2,11 @@
 
 Parameter symbols are short strings ('a1', 'd7', 'th2', ...).  A
 ParamForm is an affine-linear combination with exact rational
-coefficients; ParamQuad adds degree-two monomials (needed for the
-central part of the triangular operator group).  LinSystem does exact
-fraction-free Gaussian elimination on integer rows (``pivot``) for rank
-computation and for solving a system into a substitution map.
+coefficients, stored as ints where integral; ParamQuad adds degree-two
+monomials (needed for the central part of the triangular operator
+group).  LinSystem does exact fraction-free Gaussian elimination on
+integer rows (``pivot``) for rank computation and for solving a system
+into a substitution map.
 """
 
 from __future__ import annotations
@@ -14,27 +15,44 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def canonical(v):
+    """The one stored form of an exact rational: an int stays an int, any
+    other value becomes a Fraction, and an integral Fraction its numerator.
+    Python gives hash(Fraction(n)) == hash(n) and Fraction(n) == n, so
+    equality and hashing are those of the rational."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _form(terms, const):
+    """A ParamForm from nonzero values already in canonical form."""
+    out = ParamForm.__new__(ParamForm)
+    out.terms = terms
+    out.const = const
+    return out
+
+
 class ParamForm:
-    """Affine-linear form c0 + sum coeff_s * s over parameter symbols."""
+    """Affine-linear form c0 + sum coeff_s * s over parameter symbols; each
+    coefficient and the constant are stored in ``canonical`` form."""
 
     __slots__ = ("terms", "const")
 
     def __init__(self, terms=None, const=0):
         t = {}
         for k, v in (terms or {}).items():
-            v = Fraction(v)
+            v = canonical(v)
             if v:
                 t[k] = v
         self.terms = t
-        self.const = Fraction(const)
-
-    @classmethod
-    def zero(cls):
-        return cls()
+        self.const = canonical(const)
 
     @classmethod
     def sym(cls, name, coeff=1):
-        return cls({name: Fraction(coeff)})
+        return cls({name: coeff})
 
     def is_zero(self):
         return not self.terms and self.const == 0
@@ -42,33 +60,34 @@ class ParamForm:
     def __add__(self, other):
         t = dict(self.terms)
         for k, v in other.terms.items():
-            w = t.get(k, Fraction(0)) + v
+            w = t.get(k, 0) + v
             if w:
-                t[k] = w
-            elif k in t:
+                t[k] = canonical(w)
+            else:
                 del t[k]
-        return ParamForm(t, self.const + other.const)
+        return _form(t, canonical(self.const + other.const))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ParamForm({k: -v for k, v in self.terms.items()}, -self.const)
+        return _form({k: -v for k, v in self.terms.items()}, -self.const)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = canonical(c)
         if c == 0:
             return ParamForm()
-        return ParamForm({k: v * c for k, v in self.terms.items()}, self.const * c)
+        return _form({k: canonical(v * c) for k, v in self.terms.items()},
+                     canonical(self.const * c))
 
     def subs(self, rules: dict) -> "ParamForm":
         """Substitute symbols by ParamForms (symbols absent from rules stay)."""
-        out = ParamForm({}, self.const)
+        out = _form({}, self.const)
         for k, v in self.terms.items():
             if k in rules:
                 out = out + rules[k].scale(v)
             else:
-                out = out + ParamForm({k: v})
+                out = out + _form({k: v}, 0)
         return out
 
     def rate(self, direction: dict) -> Fraction:
@@ -76,8 +95,8 @@ class ParamForm:
         return sum((v * Fraction(direction.get(k, 0)) for k, v in self.terms.items()),
                    Fraction(0))
 
-    def coeff(self, name) -> Fraction:
-        return self.terms.get(name, Fraction(0))
+    def coeff(self, name):
+        return self.terms.get(name, 0)
 
     def key(self):
         return (tuple(sorted(self.terms.items())), self.const)
@@ -122,10 +141,6 @@ class ParamQuad:
                 l[k] = v
         self.lin = l
         self.const = Fraction(const)
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def from_linear(cls, f: ParamForm):

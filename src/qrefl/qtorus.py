@@ -59,17 +59,30 @@ class QuantumTorus:
 
     def __init__(self, seed: ExchangeSeed):
         self.labels = seed.labels
-        self._index = index = {l: i for i, l in enumerate(self.labels)}
-        d = seed.d
-        self._rows = []
-        for i in self.labels:
-            row = []
-            for j, v in seed.b[i].items():
-                x, r = divmod(2 * v.numerator * d[j], v.denominator)
-                if r:
-                    raise ValueError("Bhat has entries outside (1/2)Z")
-                row.append((index[j], x))
-            self._rows.append(row)
+        self._index = {l: i for i, l in enumerate(self.labels)}
+        self._rows = [self._row(seed, i) for i in self.labels]
+
+    def _row(self, seed, i):
+        """Row i of 2*Bhat as sparse (index, integer) pairs."""
+        index, d = self._index, seed.d
+        row = []
+        for j, v in seed.b[i].items():
+            x, r = divmod(2 * v.numerator * d[j], v.denominator)
+            if r:
+                raise ValueError("Bhat has entries outside (1/2)Z")
+            row.append((index[j], x))
+        return row
+
+    def mutated(self, seed: ExchangeSeed, k) -> "QuantumTorus":
+        """The torus of ``seed``, the mutation at k of this torus's seed:
+        the other rows of 2*Bhat are kept, and only row k and the rows in
+        the support of column k (that of row k, Bhat being skew) are read
+        from ``seed``."""
+        out = copy(self)
+        out._rows = rows = list(self._rows)
+        for i in (k, *seed.b[k]):
+            rows[self._index[i]] = self._row(seed, i)
+        return out
 
     def skew(self):
         """Sparse integer rows of 2*Bhat, the s-exponent form of the product."""
@@ -331,7 +344,7 @@ class TorusSeries(GradedSeries):
     def mul_monomial(self, coeff: ScalarQ, beta: tuple) -> "TorusSeries":
         out = self._like()
         for alpha, s, c in self._moves(beta):
-            out.add_term(alpha, c * coeff * ScalarQ.s_pow(s))
+            out.add_term(alpha, (c * coeff).shift(s))
         return out
 
     _exponent = staticmethod(attrgetter("alpha"))

@@ -154,9 +154,8 @@ class WeylSeries(GradedSeries):
     def mul_monomial(self, m: WeylMonomial) -> "WeylSeries":
         out = self._like()
         for cexp, s, bucket in self._moves(m.cexp):
-            q = ScalarQ.s_pow(s) * m.coeff
             for pexp, coeff in bucket.values():
-                out.add_term(cexp, pexp + m.pexp, coeff * q)
+                out.add_term(cexp, pexp + m.pexp, (coeff * m.coeff).shift(s))
         return out
 
     _exponent = staticmethod(attrgetter("cexp"))
@@ -288,15 +287,6 @@ class AffineCanonMap:
     def apply(self, m: WeylMonomial) -> WeylMonomial:
         cexp, pf = self.apply_vec(m.cexp)
         return WeylMonomial(m.spec, m.coeff, m.pexp + pf, cexp)
-
-    def apply_series(self, series: "WeylSeries") -> "WeylSeries":
-        out = WeylSeries(series.spec, series.grading, series.cutoff)
-        for cexp, bucket in series.terms.items():
-            for pexp, coeff in bucket.values():
-                m = self.apply(WeylMonomial(series.spec, coeff, pexp, cexp))
-                if out.keeps(m.cexp):
-                    out.add_term(m.cexp, m.pexp, m.coeff)
-        return out
 
     def compose(self, inner: "AffineCanonMap") -> "AffineCanonMap":
         """self o inner: apply inner first."""

@@ -193,6 +193,13 @@ class ScalarQ:
         out._reduce()
         return out
 
+    def shift(self, k: int) -> "ScalarQ":
+        """s^k * self.  A unit factor changes no divisibility by any
+        (1 - s^m), so a reduced form stays reduced."""
+        if not self.num:
+            return ScalarQ({})
+        return ScalarQ({e + k: c for e, c in self.num.items()}, self.den, self.iden)
+
     def __sub__(self, other: "ScalarQ") -> "ScalarQ":
         return self + (-other)
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qrefl.catalog as C
+import qrefl.compositions as FX
 from qrefl.cluster import (ExchangeSeed, FrozenVertex, MutationSequence, Perm,
                            mutate_matrix)
-from qrefl.compose import hom_from_table, run_composite
+from qrefl.compose import (CompositeState, composite_sequence, composite_signs,
+                           hom_from_table, run_composite)
 from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
                           TorusSeries, expand_product, staged_certificate,
                           stiemke_grading)
@@ -135,6 +137,20 @@ def test_tauK_catalog_and_eps_independence():
         homs.append(s.hom)
         assert s.hom == hom_from_table(s.seed, BC2, C.TAU_K24)
     assert all(h == homs[0] for h in homs)
+
+
+def test_torus_kept_across_mutations_matches_a_fresh_one():
+    # after every step of both reflection walks, the torus carried over
+    # from the previous step has the rows of a torus read afresh
+    for rows in (FX.REFLECTION_LHS, FX.REFLECTION_RHS):
+        ms = composite_sequence(rows)
+        signs = composite_signs(rows, [1] * sum(kind != "K" for kind, *_ in rows))
+        state = CompositeState(builtin("B(C3)"))
+        first = state.torus
+        for k, eps in zip(ms.steps, signs):
+            state.mutate(k, eps)
+            assert state.torus.skew() == QuantumTorus(state.seed).skew()
+        assert first.skew() == QuantumTorus(builtin("B(C3)")).skew()
 
 
 def test_dilog_factor_lists_match_catalog():

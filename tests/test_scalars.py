@@ -1,9 +1,11 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrefl.scalars import ScalarQ, _divide_cyc, _fold_mod, _num_mul
+from qrefl.scalars import ONE, ScalarQ, _divide_cyc, _fold_mod, _num_mul
 
 
 def test_q_powers():
@@ -72,3 +74,23 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
+
+
+# numerators for qpoch_inv, among them some that a Pochhammer factor divides
+NUMERATORS = st.one_of(
+    st.dictionaries(st.integers(-8, 8), st.integers(-3, 3).filter(bool), min_size=1,
+                    max_size=3),
+    st.sampled_from(({0: 1, 4: -1}, {2: 1, 10: -1}, {0: 1, 8: -1}, {0: 2, 12: -2})))
+FACTORS = st.one_of(
+    st.builds(ScalarQ.s_pow, st.integers(-6, 6), st.integers(-3, 3)),
+    st.builds(ScalarQ.from_fraction, st.fractions(-4, 4, max_denominator=6)),
+    st.builds(ScalarQ.qpoch_inv, st.sampled_from((1, 2)), st.integers(0, 3), NUMERATORS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(FACTORS, max_size=4), st.integers(-9, 9))
+def test_shift_is_the_reduced_product_with_s_pow(factors, k):
+    c = reduce(mul, factors, ONE)
+    want = c * ScalarQ.s_pow(k)
+    got = c.shift(k)
+    assert (got.num, got.den, got.iden) == (want.num, want.den, want.iden)
