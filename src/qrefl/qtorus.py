@@ -289,11 +289,23 @@ class GradedSeries:
     def keeps(self, alpha) -> bool:
         return self.gdeg(alpha) <= self._top
 
-    def _like(self):
-        """An empty series over the same ring, grading and cutoff."""
+    def _like(self, terms=None):
+        """A series over the same ring, grading and cutoff, empty or with
+        the given ``terms``."""
         out = copy(self)
-        out.terms = {}
+        out.terms = terms or {}
         return out
+
+    def _copy(self):
+        """A copy whose terms can be added to without touching this one."""
+        return self._like(dict(self.terms))
+
+    def _within(self, top):
+        """The terms of degree <= top, in this series' order; the values
+        are shared, so the result is only read."""
+        g = self._g
+        return self._like({a: v for a, v in self.terms.items()
+                           if sum(map(mul, g, a)) <= top})
 
     def _moves(self, beta):
         """(alpha + beta, s-exponent of X^alpha X^beta, terms[alpha]) for
@@ -306,16 +318,27 @@ class GradedSeries:
                 yield tuple(map(add, alpha, beta)), sum(map(mul, alpha, col)), c
 
     def expand(self, factors):
-        """self times prod Psi_{q^base}(arg)^expo over ``factors``
-        (base, expo, arg), left to right, each truncated to the cutoff."""
-        acc = self
+        """self, truncated to the cutoff, times prod Psi_{q^base}(arg)^expo
+        over ``factors`` (base, expo, arg), left to right, each truncated
+        to the cutoff.
+
+        Psi has constant coefficient 1, so the n = 0 power of a factor is
+        a copy of the running product.  A term X^alpha survives beside
+        arg^n exactly when gdeg(alpha) <= top - n*d, so the terms that
+        meet each higher power are filtered from those that met the
+        previous one, keeping the running product's order: coefficients
+        are summed, and new exponents inserted, as in the product of the
+        whole running series with every power in turn."""
+        acc = self._within(self._top)
         for base, expo, arg in factors:
             d = self.gdeg(self._exponent(arg))
             if d <= 0:
                 raise NonpositiveGrading(f"factor argument {arg} of grade <= 0")
-            new = self._like()
-            for n, c in enumerate(dilog_coefficients(base, expo, self._top // d)):
-                new += acc._mul_power(arg.pow(n), c)
+            coeffs = dilog_coefficients(base, expo, self._top // d)
+            new, live = acc._copy(), acc
+            for n in range(1, len(coeffs)):
+                live = live._within(self._top - n * d)
+                new += live._mul_power(arg.pow(n), coeffs[n])
             acc = new
         return acc
 

@@ -137,6 +137,10 @@ class WeylSeries(GradedSeries):
         zero = (0,) * (2 * spec.p)
         return cls(spec, grading, cutoff, {zero: {ParamForm().key(): (ParamForm(), ONE)}})
 
+    def _copy(self):
+        # add_term changes buckets in place
+        return self._like({cexp: dict(b) for cexp, b in self.terms.items()})
+
     def add_term(self, cexp, pexp: ParamForm, coeff: ScalarQ):
         bucket = self.terms.setdefault(cexp, {})
         key = pexp.key()
@@ -189,8 +193,12 @@ class WeylSeries(GradedSeries):
                     return cexp, p2 if p1 is None else p1, c1, c2
         return None
 
-    def constant_coeff(self):
-        return dict(self.terms.get((0,) * (2 * self.spec.p), {}))
+    def constant_is_one(self) -> bool:
+        """True when the constant term is exactly 1: the zero exponent
+        holds the zero parameter form alone, with coefficient 1."""
+        bucket = self.terms.get((0,) * (2 * self.spec.p), {})
+        key = ParamForm().key()
+        return list(bucket) == [key] and bucket[key][1] == ONE
 
     def __len__(self):
         return sum(len(b) for b in self.terms.values())

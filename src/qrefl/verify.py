@@ -346,8 +346,7 @@ def check_re_full_weyl(cutoff=3) -> Report:
     sL = expand_weyl_product(facsL, SPEC_C3, g, cutoff)
     sR = expand_weyl_product(facsR, SPEC_C3, g, cutoff)
     ok = sL.equal_on(sR)
-    const_ok = all(len(c) == 1 and next(iter(c.values()))[1] == ONE
-                   for c in (sL.constant_coeff(), sR.constant_coeff()))
+    const_ok = sL.constant_is_one() and sR.constant_is_one()
     counters = {"factors_per_side": len(facsL), "terms_lhs": len(sL),
                 "terms_rhs": len(sR), "cutoff": cutoff}
     details = {"constant_terms_one": const_ok, "grading": g}

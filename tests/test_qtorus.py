@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,10 +11,12 @@ from qrefl.cluster import (ExchangeSeed, FrozenVertex, MutationSequence, Perm,
                            mutate_matrix)
 from qrefl.compose import (CompositeState, composite_sequence, composite_signs,
                            hom_from_table, run_composite)
+from qrefl.params import ParamForm
 from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
-                          TorusSeries, expand_product, staged_certificate,
-                          stiemke_grading)
+                          TorusSeries, dilog_coefficients, expand_product,
+                          staged_certificate, stiemke_grading)
 from qrefl.quivers import builtin
+from qrefl.qweyl import SPEC_C2, SPEC_C3, WeylMonomial, WeylSeries
 from qrefl.scalars import ONE, ScalarQ
 
 
@@ -390,3 +393,124 @@ def test_torus_products_match_bhat_sums(name, data):
     # the ordered product of generator powers is s^twist Y^a
     ordered = torus.monomial(0, [(k, a[i]) for i, k in lab])
     assert ordered == torus.element(ScalarQ.q_pow(twist), a)
+
+
+# -- reference for the per-factor loop of GradedSeries.expand ---------------
+
+
+def reference_expand(series, factors):
+    """The term-by-term loop: every power of a factor, from n = 0,
+    multiplies the whole running product."""
+    acc = series
+    for base, expo, arg in factors:
+        d = series.gdeg(series._exponent(arg))
+        new = series._like()
+        for n, c in enumerate(dilog_coefficients(base, expo, series._top // d)):
+            new += acc._mul_power(arg.pow(n), c)
+        acc = new
+    return acc
+
+
+def _form(c):
+    return c.num, c.den, c.iden
+
+
+def layout(series):
+    """The terms in their key order, every coefficient as (num, den,
+    iden), every parameter exponent with its value."""
+    if isinstance(series, TorusSeries):
+        return [(a, _form(c)) for a, c in series.terms.items()]
+    return [(cexp, [(k, p, _form(c)) for k, (p, c) in b.items()])
+            for cexp, b in series.terms.items()]
+
+
+def assert_expand_matches_reference(start, factors):
+    before = layout(start)
+    kept_all = []
+
+    def counting(mul_monomial):
+        def wrapped(self, *args):
+            out = mul_monomial(self, *args)
+            kept_all.append(len(out.terms) == len(self.terms))
+            return out
+        return wrapped
+
+    cls = type(start)
+    with patch.object(cls, "mul_monomial", counting(cls.mul_monomial)):
+        got = start.expand(factors)
+    assert layout(got) == layout(reference_expand(start, factors))
+    assert layout(start) == before
+    # every term handed to a power n >= 1 survives beside it
+    assert all(kept_all)
+
+
+def _sparse_vec(n):
+    entries = st.lists(st.tuples(st.integers(0, n - 1), st.integers(-1, 2)),
+                       min_size=1, max_size=3)
+    return entries.map(lambda es: tuple(sum(v for i, v in es if i == j)
+                                        for j in range(n)))
+
+
+def _series_case(data, n, start):
+    """A positive grading, a cutoff, and up to four dilogarithm factors
+    whose arguments repeat from a pool of at most three monomials; the
+    start series gets a few extra terms, some beyond the cutoff."""
+    grading = data.draw(st.lists(st.sampled_from((Fraction(1, 2), 1, 2)),
+                                 min_size=n, max_size=n))
+    series = start(grading, data.draw(st.sampled_from((2, 3, 4))))
+    positive = _sparse_vec(n).filter(lambda v: series.gdeg(v) > 0)
+    pool = data.draw(st.lists(st.tuples(positive, st.integers(-2, 2)),
+                              min_size=1, max_size=3))
+    factors = data.draw(st.lists(st.tuples(st.sampled_from((1, 2)),
+                                           st.sampled_from((1, -1)),
+                                           st.sampled_from(pool)),
+                                 min_size=1, max_size=4))
+    extra = data.draw(st.lists(st.tuples(_sparse_vec(n), st.integers(-2, 2)),
+                               max_size=3))
+    return series, factors, extra
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_TORI)), st.data())
+def test_torus_expand_matches_term_by_term_loop(name, data):
+    torus = _TORI[name]
+    series, factors, extra = _series_case(
+        data, torus.n(), lambda g, cut: TorusSeries.one(torus, g, cut))
+    for alpha, k in extra:
+        series.add_term(alpha, ScalarQ.s_pow(k))
+    factors = [(b, e, torus.element(ScalarQ.s_pow(k), v))
+               for b, e, (v, k) in factors]
+    assert_expand_matches_reference(series, factors)
+
+
+_PEXPS = (ParamForm(), ParamForm({"a1": 1}), ParamForm({"a1": -1, "a2": 1}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((SPEC_C2, SPEC_C3)), st.data())
+def test_weyl_expand_matches_term_by_term_loop(spec, data):
+    # monomials that share an exponent and differ in their parameter
+    # exponent fill one bucket with several entries
+    series, factors, extra = _series_case(
+        data, 2 * spec.p, lambda g, cut: WeylSeries.one(spec, g, cut))
+    pexp = st.sampled_from(_PEXPS)
+    for cexp, k in extra:
+        series.add_term(cexp, data.draw(pexp), ScalarQ.s_pow(k))
+    factors = [(b, e, WeylMonomial(spec, ScalarQ.s_pow(k), data.draw(pexp), v))
+               for b, e, (v, k) in factors]
+    assert_expand_matches_reference(series, factors)
+
+
+def test_re_full_sides_expand_as_term_by_term_loop():
+    import qrefl.verify as V
+    sides = V._torus_sides()
+    args = [f[1].alpha for st_ in sides for f in st_.dilogs]
+    g = V._grading(args)
+    for st_ in sides:
+        one = TorusSeries.one(st_.dilogs[0][1].torus, g, 2)
+        assert_expand_matches_reference(
+            one, [(b, e, arg) for b, arg, e in st_.dilogs])
+    sides = V._weyl_sides()
+    g = V._grading([m.cexp for facs in sides for _, _, m in facs])
+    for facs in sides:
+        assert_expand_matches_reference(WeylSeries.one(SPEC_C3, g, 2), facs)

@@ -161,3 +161,21 @@ def test_weyl_products_match_omega_sums(spec, data):
     assert prod.coeff == ScalarQ.q_pow(Fraction(want, 2))
     assert prod.cexp == tuple(a + b for a, b in zip(x, y))
     assert spec.omega(x, y) == want
+
+
+def test_constant_is_one_reads_the_parameter_exponent():
+    from qrefl.qweyl import WeylSeries
+    g = (1,) * 8
+    assert WeylSeries.one(SPEC_C2, g, 2).constant_is_one()
+    zero = (0,) * 8
+    # a lone e^{a1} at the zero exponent is not the constant term 1
+    lone = WeylSeries(SPEC_C2, g, 2)
+    lone.add_term(zero, ParamForm({"a1": 1}), ONE)
+    assert not lone.constant_is_one()
+    both = WeylSeries.one(SPEC_C2, g, 2)
+    both.add_term(zero, ParamForm({"a1": 1}), ONE)
+    assert not both.constant_is_one()
+    two = WeylSeries(SPEC_C2, g, 2)
+    two.add_term(zero, ParamForm(), ScalarQ.s_pow(0, 2))
+    assert not two.constant_is_one()
+    assert not WeylSeries(SPEC_C2, g, 2).constant_is_one()
