@@ -175,10 +175,17 @@ def cmd_verify(args):
     return _print_report(rep, args.out)
 
 
+def _search_P(homogeneous):
+    if not homogeneous:
+        raise UsageError("search-signs --level p has only the homogeneous "
+                         "search; pass --homogeneous")
+    return V.search_good_signs_P()
+
+
 SEARCHES = {
     "tau": lambda homogeneous: V.search_good_signs_tau(homogeneous),
     "eta": lambda homogeneous: V.search_good_signs_eta(homogeneous),
-    "p": lambda homogeneous: V.search_good_signs_P(),
+    "p": _search_P,
 }
 
 
@@ -260,7 +267,9 @@ def main(argv=None):
 
     s = sub.add_parser("search-signs", help="classify decomposition signs")
     s.add_argument("--level", choices=list(SEARCHES), required=True)
-    s.add_argument("--homogeneous", action="store_true")
+    s.add_argument("--homogeneous", action="store_true",
+                   help="only the signs (d1, d2) repeated four times; "
+                        "--level p has only this search")
     s.set_defaults(fn=cmd_search_signs)
 
     w = sub.add_parser("wd", help="finite-fiber certificate for a system")

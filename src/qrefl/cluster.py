@@ -92,7 +92,7 @@ class ExchangeSeed:
 
     __slots__ = ("labels", "b", "d", "frozen")
 
-    def __init__(self, labels, b, d, check=True):
+    def __init__(self, labels, b, d, check=True, frozen=None):
         self.labels = tuple(sorted(labels))
         self.b = {i: {j: v if type(v) is Fraction else Fraction(v)
                       for j, v in row.items() if v}
@@ -100,10 +100,13 @@ class ExchangeSeed:
         for i in self.labels:
             self.b.setdefault(i, {})
         self.d = {i: int(d[i]) for i in self.labels}
-        # a vertex is frozen when its row or column holds a half-integer
-        self.frozen = frozenset(k for i, row in self.b.items()
-                                for j, v in row.items() if v.denominator != 1
-                                for k in (i, j))
+        # a vertex is frozen when its row or column holds a half-integer;
+        # a caller that knows the set already passes it as ``frozen``
+        if frozen is None:
+            frozen = frozenset(k for i, row in self.b.items()
+                               for j, v in row.items() if v.denominator != 1
+                               for k in (i, j))
+        self.frozen = frozen
         if check:
             self.validate()
 
@@ -146,7 +149,8 @@ class ExchangeSeed:
             for j, v in self.b[i].items():
                 b.setdefault(sigma(i), {})[sigma(j)] = v
         d = {sigma(i): self.d[i] for i in self.labels}
-        return ExchangeSeed(self.labels, b, d, check=False)
+        return ExchangeSeed(self.labels, b, d, check=False,
+                            frozen=frozenset(map(sigma, self.frozen)))
 
     def __eq__(self, other):
         # exact: the constructor stores no zero entries and one row per label
@@ -163,7 +167,9 @@ def mutate_matrix(seed: ExchangeSeed, k) -> ExchangeSeed:
 
     b'_ij = -b_ij when i or j is k; otherwise b'_ij = b_ij + |b_ik| b_kj
     when b_ik and b_kj have the same sign, and b'_ij = b_ij when they do
-    not.  Only the rows in the support of column k change."""
+    not.  Only the rows in the support of column k change.  Row and
+    column k hold integers, so every entry changes by an integer and the
+    frozen set (the half-integer pattern) is carried over."""
     if k not in seed.d:
         raise BadIndex(k)
     if k in seed.frozen:
@@ -181,7 +187,7 @@ def mutate_matrix(seed: ExchangeSeed, k) -> ExchangeSeed:
                 if (bkj > 0) == (bik > 0):
                     row[j] = row.get(j, 0) + abs(bik) * bkj
         b[i] = row
-    return ExchangeSeed(seed.labels, b, seed.d, check=False)
+    return ExchangeSeed(seed.labels, b, seed.d, check=False, frozen=seed.frozen)
 
 
 class TropicalSeed:

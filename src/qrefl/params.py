@@ -2,9 +2,9 @@
 
 Parameter symbols are short strings ('a1', 'd7', 'th2', ...).  A
 ParamForm is an affine-linear combination with exact rational
-coefficients, stored as ints where integral; ParamQuad adds degree-two
-monomials (needed for the central part of the triangular operator
-group).  LinSystem does exact fraction-free Gaussian elimination on
+coefficients, stored as ints where integral; ParamQuad, stored the same
+way, adds degree-two monomials (needed for the central part of the
+triangular operator group).  LinSystem does exact fraction-free Gaussian elimination on
 integer rows (``pivot``) for rank computation and for solving a system
 into a substitution map.
 """
@@ -58,14 +58,8 @@ class ParamForm:
         return not self.terms and self.const == 0
 
     def __add__(self, other):
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            w = t.get(k, 0) + v
-            if w:
-                t[k] = canonical(w)
-            else:
-                del t[k]
-        return _form(t, canonical(self.const + other.const))
+        return _form(_add_terms(self.terms, other.terms),
+                     canonical(self.const + other.const))
 
     def __sub__(self, other):
         return self + (-other)
@@ -123,28 +117,30 @@ class ParamForm:
 
 
 class ParamQuad:
-    """Degree <= 2 polynomial in the parameter symbols (exact rationals)."""
+    """Degree <= 2 polynomial in the parameter symbols (exact rationals);
+    each coefficient and the constant are stored in ``canonical`` form."""
 
     __slots__ = ("quad", "lin", "const")
 
     def __init__(self, quad=None, lin=None, const=0):
         q = {}
         for k, v in (quad or {}).items():
-            v = Fraction(v)
+            v = canonical(v)
             if v:
-                q[tuple(sorted(k))] = q.get(tuple(sorted(k)), Fraction(0)) + v
+                k = tuple(sorted(k))
+                q[k] = canonical(q.get(k, 0) + v)
         self.quad = {k: v for k, v in q.items() if v}
         l = {}
         for k, v in (lin or {}).items():
-            v = Fraction(v)
+            v = canonical(v)
             if v:
                 l[k] = v
         self.lin = l
-        self.const = Fraction(const)
+        self.const = canonical(const)
 
     @classmethod
     def from_linear(cls, f: ParamForm):
-        return cls({}, dict(f.terms), f.const)
+        return _quad({}, dict(f.terms), f.const)
 
     @classmethod
     def product(cls, f: ParamForm, g: ParamForm):
@@ -152,51 +148,39 @@ class ParamQuad:
         for k1, v1 in f.terms.items():
             for k2, v2 in g.terms.items():
                 key = tuple(sorted((k1, k2)))
-                quad[key] = quad.get(key, Fraction(0)) + v1 * v2
+                quad[key] = quad.get(key, 0) + v1 * v2
         lin = {}
         for k, v in f.terms.items():
             w = v * g.const
             if w:
-                lin[k] = lin.get(k, Fraction(0)) + w
+                lin[k] = lin.get(k, 0) + w
         for k, v in g.terms.items():
             w = v * f.const
             if w:
-                lin[k] = lin.get(k, Fraction(0)) + w
+                lin[k] = lin.get(k, 0) + w
         return cls(quad, lin, f.const * g.const)
 
     def is_zero(self):
         return not self.quad and not self.lin and self.const == 0
 
     def __add__(self, other):
-        q = dict(self.quad)
-        for k, v in other.quad.items():
-            w = q.get(k, Fraction(0)) + v
-            if w:
-                q[k] = w
-            elif k in q:
-                del q[k]
-        l = dict(self.lin)
-        for k, v in other.lin.items():
-            w = l.get(k, Fraction(0)) + v
-            if w:
-                l[k] = w
-            elif k in l:
-                del l[k]
-        return ParamQuad(q, l, self.const + other.const)
+        return _quad(_add_terms(self.quad, other.quad),
+                     _add_terms(self.lin, other.lin),
+                     canonical(self.const + other.const))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = canonical(c)
         if c == 0:
             return ParamQuad()
-        return ParamQuad({k: v * c for k, v in self.quad.items()},
-                         {k: v * c for k, v in self.lin.items()},
-                         self.const * c)
+        return _quad({k: canonical(v * c) for k, v in self.quad.items()},
+                     {k: canonical(v * c) for k, v in self.lin.items()},
+                     canonical(self.const * c))
 
     def subs(self, rules: dict) -> "ParamQuad":
-        out = ParamQuad({}, {}, self.const)
+        out = _quad({}, {}, self.const)
         for (s1, s2), v in self.quad.items():
             f1 = rules.get(s1, ParamForm.sym(s1))
             f2 = rules.get(s2, ParamForm.sym(s2))
@@ -211,7 +195,32 @@ class ParamQuad:
                 and self.const == other.const)
 
     def __repr__(self):
-        return f"ParamQuad(quad={self.quad}, lin={self.lin}, const={self.const})"
+        # values print as Fractions, integral ones included
+        quad = {k: Fraction(v) for k, v in self.quad.items()}
+        lin = {k: Fraction(v) for k, v in self.lin.items()}
+        return f"ParamQuad(quad={quad}, lin={lin}, const={self.const})"
+
+
+def _quad(quad, lin, const):
+    """A ParamQuad from nonzero values already in canonical form."""
+    out = ParamQuad.__new__(ParamQuad)
+    out.quad = quad
+    out.lin = lin
+    out.const = const
+    return out
+
+
+def _add_terms(a, b):
+    """The coefficient dict a + b of canonical values: a's keys in their
+    order, then b's new keys, with the sums that cancel dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k, 0) + v
+        if w:
+            out[k] = canonical(w)
+        elif k in out:
+            del out[k]
+    return out
 
 
 class Inconsistent(Exception):

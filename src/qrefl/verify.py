@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -17,7 +16,8 @@ from . import catalog as C
 from . import compositions as FX
 from .cluster import (ExchangeSeed, MutationSequence, Perm, TropicalSeed,
                       UnknownName, is_sigma_period, tropical_signs)
-from .compose import composite_sequence, composite_signs, run_composite
+from .compose import (composite_sequence, composite_signs, fold_prefixes,
+                      run_composite, run_composites)
 from .nilgroup import (ORDER_A3, ORDER_A3_PRIME, OrderViolation, adjoint,
                        bch_mul, group_equal)
 from .operators import (OPERATORS, build, build_FG, canonical_map, constraints,
@@ -85,24 +85,51 @@ _GOOD = (1, -1, 1, -1)      # the good R/Rbar signs of each reflection side
 _K = "K-rho24-+"            # the K of the reflection composite
 
 
-def _fold_side(side, deltas, factor, mul):
-    """Left fold of one reflection side with the level's product ``mul``.
+def _fold(keys, factor, mul, stop=()):
+    """{key: the left fold with ``mul`` of ``factor(item)`` over the items
+    of the key} for every key.  Each distinct item is built once, just
+    before it is first multiplied in, and keys that share a prefix share
+    its product (``fold_prefixes``).  A fold in which building or
+    multiplying raises one of the exception classes ``stop`` ends there,
+    with the exception as its value."""
+    built = {}
 
-    Row by row, ``factor(name, spaces)`` gives the value of the named
-    operator: the R/Rbar rows take their signs from ``deltas`` in order,
-    the K rows are ``_K``.  Each factor is built just before it is
-    multiplied in.
-    """
+    def step(acc, _, item):
+        if isinstance(acc, stop):
+            return acc
+        try:
+            if item not in built:
+                built[item] = factor(item)
+            return built[item] if acc is None else mul(acc, built[item])
+        except stop as exc:
+            return exc
+
+    return fold_prefixes(keys, None, step)
+
+
+def _side_rows(side, deltas):
+    """The (name, spaces) of every row of one reflection side: the R/Rbar
+    rows take their signs from ``deltas`` in order, the K rows are ``_K``."""
     signs = iter(deltas)
-    return reduce(mul, (factor(_K if kind == "K" else kind + sign_text((next(signs),)),
-                               spaces)
-                        for kind, spaces, _, _ in _REFLECTION[side]))
+    return tuple((_K if kind == "K" else kind + sign_text((next(signs),)), spaces)
+                 for kind, spaces, _, _ in _REFLECTION[side])
+
+
+def _fold_sides(pairs, factor, mul, stop=()):
+    """{(side, deltas): the fold of that reflection side with the level's
+    product ``mul``} for every pair, row by row from the value
+    ``factor(name, spaces)`` of the named operator (``stop`` as in
+    ``_fold``)."""
+    rows = {pair: _side_rows(*pair) for pair in pairs}
+    folded = _fold(rows.values(), lambda row: factor(*row), mul, stop)
+    return {pair: folded[r] for pair, r in rows.items()}
 
 
 def _te_sides(factor, mul):
     """Both sides of the tetrahedron identity from ``factor(spaces)``."""
-    return [reduce(mul, map(factor, order))
-            for order in (_TE_ORDER, _TE_ORDER[::-1])]
+    orders = (_TE_ORDER, _TE_ORDER[::-1])
+    folded = _fold(orders, factor, mul)
+    return [folded[order] for order in orders]
 
 
 def _te_rules():
@@ -112,17 +139,18 @@ def _te_rules():
                      "sum-zero").eliminate(tuple(f"e{i}" for i in range(1, 7)))
 
 
-def _homogeneous(check):
-    """The sign pairs (d1, d2) whose homogeneous assignment passes."""
-    return [d for d in product(_SIGNS, repeat=2) if check(d * 4).status]
-
-
-def _pair_search(side_value, same):
-    """All 2^8 assignments whose two sides ``same`` accepts, sorted."""
-    sides = {t: (side_value("L", t), side_value("R", t))
-             for t in product(_SIGNS, repeat=4)}
-    return sorted(tl + tr for tl, (left, _) in sides.items()
-                  for tr, (_, right) in sides.items() if same(left, right))
+def _search(homogeneous, sides, same):
+    """The good sign assignments of a level: the pairs (d1, d2) whose
+    homogeneous assignment passes, or all passing 2^8 assignments, sorted.
+    ``sides(pairs)`` gives {(side, deltas): value} for all the pairs at
+    once, and ``same(left, right)`` accepts two side values."""
+    tuples = [d * 2 for d in product(_SIGNS, repeat=2)] if homogeneous \
+        else list(product(_SIGNS, repeat=4))
+    values = sides([(side, t) for side in "LR" for t in tuples])
+    if homogeneous:
+        return [t[:2] for t in tuples if same(values["L", t], values["R", t])]
+    return sorted(tl + tr for tl in tuples for tr in tuples
+                  if same(values["L", tl], values["R", tr]))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +160,16 @@ def _pair_search(side_value, same):
 def _tau_side(side, deltas):
     return run_composite(builtin("B(C3)"), _RE_SEQ[side],
                          composite_signs(_REFLECTION[side], deltas))
+
+
+def _tau_sides(pairs):
+    """{(side, deltas): the walk of that side} for every pair; each side's
+    sign lists are walked together by ``run_composites``."""
+    signs = {pair: composite_signs(_REFLECTION[pair[0]], pair[1]) for pair in pairs}
+    walks = {side: run_composites(builtin("B(C3)"), _RE_SEQ[side],
+                                  [s for (sd, _), s in signs.items() if sd == side])
+             for side in "LR"}
+    return {pair: walks[pair[0]][s] for pair, s in signs.items()}
 
 
 def _same_tau(stL, stR):
@@ -152,9 +190,7 @@ def check_re_tau(delta8=(1, -1, 1, -1, 1, -1, 1, -1)) -> Report:
 
 def search_good_signs_tau(homogeneous=True):
     """Classify sign assignments at the monomial level."""
-    if homogeneous:
-        return _homogeneous(check_re_tau)
-    return _pair_search(_tau_side, _same_tau)
+    return _search(homogeneous, _tau_sides, _same_tau)
 
 
 def check_te_tau(delta=1) -> Report:
@@ -186,20 +222,22 @@ def check_re_seed() -> Report:
 # canonical-transformation level
 
 
-def _eta_side(side, deltas, cache={}):
-    key = (side, deltas)
-    if key not in cache:
-        cache[key] = _fold_side(
-            side, deltas, lambda name, spaces: canonical_map(name, spaces, SPEC_C3),
-            AffineCanonMap.compose)
-    return cache[key]
+def _eta_side(pairs, cache={}):
+    """{(side, deltas): the canonical map of that side} for every pair;
+    the pairs not yet in ``cache`` are folded together and kept there."""
+    missing = [pair for pair in pairs if pair not in cache]
+    if missing:
+        cache.update(_fold_sides(
+            missing, lambda name, spaces: canonical_map(name, spaces, SPEC_C3),
+            AffineCanonMap.compose))
+    return {pair: cache[pair] for pair in pairs}
 
 
 def check_re_eta(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
     if rules is None:
         rules = rules_for("eta-3dre")
-    etaL = _eta_side("L", tuple(delta8[:4])).subs_params(rules)
-    etaR = _eta_side("R", tuple(delta8[4:])).subs_params(rules)
+    etaL, etaR = (eta.subs_params(rules) for eta in _eta_side(
+        [("L", tuple(delta8[:4])), ("R", tuple(delta8[4:]))]).values())
     ok = etaL == etaR
     details = {}
     if not ok:
@@ -210,10 +248,10 @@ def check_re_eta(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
 
 def search_good_signs_eta(homogeneous=True):
     rules = rules_for("eta-3dre")
-    if homogeneous:
-        return _homogeneous(lambda t: check_re_eta(t, rules))
-    return _pair_search(lambda side, t: _eta_side(side, t).subs_params(rules),
-                        operator.eq)
+    return _search(homogeneous,
+                   lambda pairs: {pair: eta.subs_params(rules)
+                                  for pair, eta in _eta_side(pairs).items()},
+                   operator.eq)
 
 
 def check_te_eta(delta=1) -> Report:
@@ -232,28 +270,36 @@ def check_te_eta(delta=1) -> Report:
 # ---------------------------------------------------------------------------
 # operator (triangular group) level
 
-def _p_side(side, deltas, rules):
-    return _fold_side(side, deltas,
-                      lambda name, spaces: tail(name, spaces, SPEC_C3, rules=rules),
-                      bch_mul)
+def _p_sides(pairs, rules):
+    """{(side, deltas): the tail product of that side} for every pair, or
+    the OrderViolation that the first factor or product to leave the
+    group raised on the way."""
+    return _fold_sides(pairs,
+                       lambda name, spaces: tail(name, spaces, SPEC_C3, rules=rules),
+                       bch_mul, OrderViolation)
+
+
+def _same_P(lhs, rhs):
+    return not isinstance(lhs, OrderViolation) and \
+        not isinstance(rhs, OrderViolation) and lhs == rhs
 
 
 def check_re_P(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
     rules = rules or rules_for("3dre")
-    try:
-        lhs = _p_side("L", tuple(delta8[:4]), rules)
-        rhs = _p_side("R", tuple(delta8[4:]), rules)
-    except OrderViolation as exc:
-        return Report(f"operator-level reflection identity, signs {delta8}",
-                      False, {"outside_group": str(exc)})
-    ok, wit = group_equal(lhs, rhs)
-    return Report(f"operator-level reflection identity, signs {delta8}", ok,
-                  {"witness": wit} if wit else {})
+    label = f"operator-level reflection identity, signs {delta8}"
+    sides = []
+    for pair in (("L", tuple(delta8[:4])), ("R", tuple(delta8[4:]))):
+        g = _p_sides([pair], rules)[pair]
+        if isinstance(g, OrderViolation):
+            return Report(label, False, {"outside_group": str(g)})
+        sides.append(g)
+    ok, wit = group_equal(*sides)
+    return Report(label, ok, {"witness": wit} if wit else {})
 
 
 def search_good_signs_P():
     rules = rules_for("3dre")
-    return _homogeneous(lambda t: check_re_P(t, rules))
+    return _search(True, lambda pairs: _p_sides(pairs, rules), _same_P)
 
 
 # variant -> the operator and the order on A3 that houses its four tails
@@ -332,9 +378,9 @@ def _weyl_sides():
             return facs + [(b, e, ad.apply(m)) for b, e, m in raw], ad.compose(t)
 
         rules = rules_for("3dre")
+        sides = _fold_sides([("L", _GOOD), ("R", _GOOD)], factor, mul)
         _WEYL_CACHE["sides"] = tuple(
-            [(b, e, m.subs_params(rules))
-             for b, e, m in _fold_side(side, _GOOD, factor, mul)[0]]
+            [(b, e, m.subs_params(rules)) for b, e, m in sides[side, _GOOD][0]]
             for side in "LR")
     return _WEYL_CACHE["sides"]
 

@@ -257,3 +257,20 @@ def test_malformed_quiver_files(old, new):
     assert seed.entry(1, 2) == 1 and seed.entry(2, 1) == -1
     with pytest.raises(MalformedQuiver):
         seed_from_text(text.replace(old, new))
+
+
+def test_frozen_set_carried_through_mutation_matches_a_rescan():
+    # after every step (and the final relabel) of both reflection sides on
+    # B(C3) and both tetrahedron sides on B(A3), the carried frozen set is
+    # the one a fresh scan of the matrix finds
+    walks = [("B(C3)", FX.REFLECTION_LHS), ("B(C3)", FX.REFLECTION_RHS),
+             ("B(A3)", FX.TETRAHEDRON_LHS), ("B(A3)", FX.TETRAHEDRON_RHS)]
+    for name, rows in walks:
+        seed = builtin(name)
+        ms = composite_sequence(rows)
+        assert seed.frozen
+        for k in ms.steps:
+            seed = mutate_matrix(seed, k)
+            assert seed.frozen == ExchangeSeed(seed.labels, seed.b, seed.d).frozen
+        seed = seed.permuted(ms.sigma)
+        assert seed.frozen == ExchangeSeed(seed.labels, seed.b, seed.d).frozen

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qrefl.params import Inconsistent, LinSystem, ParamForm
+from qrefl.params import Inconsistent, LinSystem, ParamForm, ParamQuad
 
 SYMS = ("a", "b", "c", "d")
 HALF = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
@@ -94,3 +94,114 @@ def test_paramform_values_are_canonical(a, b, c, substituted):
         assert form.key() == rebuilt.key() and hash(form) == hash(rebuilt)
     assert (fa + fb) - fb == fa
     assert hash((fa + fb) - fb) == hash(fa) and hash(fa.scale(4).scale(Fraction(1, 4))) == hash(fa)
+
+
+class FractionQuad:
+    """A degree-two form kept as dicts of Fractions, built as ParamQuad
+    was before it stored integral values as ints: the reference for the
+    values, their key order and the repr."""
+
+    def __init__(self, quad=None, lin=None, const=0):
+        q = {}
+        for k, v in (quad or {}).items():
+            v = Fraction(v)
+            if v:
+                q[tuple(sorted(k))] = q.get(tuple(sorted(k)), Fraction(0)) + v
+        self.quad = {k: v for k, v in q.items() if v}
+        self.lin = {k: Fraction(v) for k, v in (lin or {}).items() if v}
+        self.const = Fraction(const)
+
+    @classmethod
+    def product(cls, f, g):
+        quad = {}
+        for k1, v1 in f.terms.items():
+            for k2, v2 in g.terms.items():
+                key = tuple(sorted((k1, k2)))
+                quad[key] = quad.get(key, Fraction(0)) + v1 * v2
+        lin = {}
+        for a, b in ((f, g), (g, f)):
+            for k, v in a.terms.items():
+                if v * b.const:
+                    lin[k] = lin.get(k, Fraction(0)) + v * b.const
+        return cls(quad, lin, f.const * g.const)
+
+    def __add__(self, other):
+        parts = []
+        for mine, theirs in ((self.quad, other.quad), (self.lin, other.lin)):
+            out = dict(mine)
+            for k, v in theirs.items():
+                w = out.get(k, Fraction(0)) + v
+                if w:
+                    out[k] = w
+                elif k in out:
+                    del out[k]
+            parts.append(out)
+        return FractionQuad(*parts, self.const + other.const)
+
+    def scale(self, c):
+        c = Fraction(c)
+        if c == 0:
+            return FractionQuad()
+        return FractionQuad({k: v * c for k, v in self.quad.items()},
+                            {k: v * c for k, v in self.lin.items()}, self.const * c)
+
+    def subs(self, rules):
+        out = FractionQuad({}, {}, self.const)
+        for (s1, s2), v in self.quad.items():
+            out = out + FractionQuad.product(rules.get(s1, ParamForm.sym(s1)),
+                                             rules.get(s2, ParamForm.sym(s2))).scale(v)
+        lin = ParamForm(self.lin).subs(rules)
+        return out + FractionQuad({}, dict(lin.terms), lin.const)
+
+    def __repr__(self):
+        return f"ParamQuad(quad={self.quad}, lin={self.lin}, const={self.const})"
+
+
+PAIRS = [(a, b) for a in SYMS for b in SYMS]
+QUAD = st.tuples(st.dictionaries(st.sampled_from(PAIRS), QUARTER, max_size=5),
+                 st.dictionaries(st.sampled_from(SYMS), QUARTER, max_size=3), QUARTER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(QUAD, QUAD, QFORM, QFORM, QUARTER,
+       st.lists(st.sampled_from(SYMS), max_size=2, unique=True))
+def test_paramquad_values_are_canonical(a, b, f, g, c, substituted):
+    # after construction, +, -, scale, product and subs every value is an
+    # int exactly when integral, the values and their key order are those
+    # of the Fraction reference, and the repr prints the same bytes
+    fa, fb = ParamForm(*_plain(*f)), ParamForm(*_plain(*g))
+    rules = {s: fb.scale(c) for s in substituted}
+    qa, qb = ParamQuad(*a), ParamQuad(*b)
+    ra, rb = FractionQuad(*a), FractionQuad(*b)
+    cases = [
+        (qa, ra),
+        (qa + qb, ra + rb),
+        (qa - qb, ra + rb.scale(-1)),
+        (qa.scale(c), ra.scale(c)),
+        (ParamQuad.product(fa, fb), FractionQuad.product(fa, fb)),
+        (qa.subs(rules), ra.subs(rules)),
+        (ParamQuad.from_linear(fa), FractionQuad({}, fa.terms, fa.const)),
+    ]
+    for got, want in cases:
+        for v in (*got.quad.values(), *got.lin.values(), got.const):
+            assert type(v) is (int if v.denominator == 1 else Fraction)
+        assert list(got.quad.items()) == list(want.quad.items())
+        assert list(got.lin.items()) == list(want.lin.items())
+        assert got.const == want.const
+        assert repr(got) == repr(want)
+    assert (qa + qb) - qb == qa
+
+
+def test_paramquad_integral_entries_as_ints():
+    two = ParamQuad({("b", "a"): 2, ("a", "c"): Fraction(1, 2)}, {"c": Fraction(4, 2)},
+                    3)
+    same = ParamQuad({("a", "b"): Fraction(2), ("a", "c"): Fraction(1, 2)}, {"c": 2},
+                     Fraction(3))
+    assert two == same
+    assert type(two.quad["a", "b"]) is int and type(same.quad["a", "b"]) is int
+    assert type(same.lin["c"]) is int and type(same.const) is int
+    assert repr(two) == repr(same) == (
+        "ParamQuad(quad={('a', 'b'): Fraction(2, 1), ('a', 'c'): Fraction(1, 2)}, "
+        "lin={'c': Fraction(2, 1)}, const=3)")
+    half = ParamQuad({}, {}, Fraction(1, 2))
+    assert repr(half) == "ParamQuad(quad={}, lin={}, const=1/2)"

@@ -254,8 +254,11 @@ def test_cli_smoke(tmp_path):
     assert out.returncode == 0 and out.stdout.startswith("n 11")
     out = run_cli("verify", "--task", "RE-seed")
     assert out.returncode == 0 and json.loads(out.stdout)["status"] == "pass"
-    out = run_cli("search-signs", "--level", "p")
+    out = run_cli("search-signs", "--level", "p", "--homogeneous")
     assert out.returncode == 0 and "+-" in out.stdout
+    # the operator level has only the homogeneous search
+    out = run_cli("search-signs", "--level", "p")
+    assert out.returncode == 2 and "UsageError" in out.stderr
     out = run_cli("wd", "--system", "pnK")
     assert out.returncode == 0
     out = run_cli("limit", "--operator", "R-plus")
