@@ -140,8 +140,9 @@ class ExchangeSeed:
     def rank_bhat(self) -> int:
         """Rank of Bhat, from the integer rows of 2*Bhat (B lies in (1/2)Z)."""
         lab = self.labels
-        return len(_row_reduce([[int(2 * self.bhat(i, j)) for j in lab] for i in lab],
-                               len(lab)))
+        rows = [{c: int(2 * self.bhat(i, j)) for c, j in enumerate(lab) if j in self.b[i]}
+                for i in lab]
+        return len(_row_reduce(rows, len(lab)))
 
     def permuted(self, sigma: Perm) -> "ExchangeSeed":
         b = {}

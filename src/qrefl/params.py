@@ -5,7 +5,7 @@ ParamForm is an affine-linear combination with exact rational
 coefficients, stored as ints where integral; ParamQuad, stored the same
 way, adds degree-two monomials (needed for the central part of the
 triangular operator group).  LinSystem does exact fraction-free Gaussian elimination on
-integer rows (``pivot``) for rank computation and for solving a system
+sparse integer rows (``pivot``) for rank computation and for solving a system
 into a substitution map.
 """
 
@@ -241,14 +241,15 @@ class LinSystem:
         return sorted(out)
 
     def _rows(self, order):
-        """Each constraint as an integer row: coefficients, then constant."""
+        """Each constraint as a sparse integer row {column: nonzero}: the
+        coefficients in ``order``, then the constant in column len(order)."""
         idx = {s: i for i, s in enumerate(order)}
         rows = []
         for c in self.constraints:
             den = lcm(c.const.denominator, *(v.denominator for v in c.terms.values()))
-            row = [0] * len(order) + [int(c.const * den)]
-            for k, v in c.terms.items():
-                row[idx[k]] = int(v * den)
+            row = {idx[k]: int(v * den) for k, v in c.terms.items()}
+            if c.const:
+                row[len(order)] = int(c.const * den)
             rows.append(row)
         return rows
 
@@ -284,39 +285,50 @@ class LinSystem:
         rows = self._rows(order)
         n = len(order)
         pivots = _row_reduce(rows, n)
-        if any(row[n] and not any(row[:n]) for row in rows):
+        if any(len(row) == 1 and n in row for row in rows):
             raise Inconsistent(self.name or "linear system")
         rules = {}
         for row, col in zip(rows, pivots):
             p = row[col]
             rules[order[col]] = ParamForm(
-                {order[j]: Fraction(-row[j], p) for j in range(n) if j != col and row[j]},
-                Fraction(-row[n], p))
+                {order[j]: Fraction(-v, p) for j, v in sorted(row.items())
+                 if j != col and j < n},
+                Fraction(-row.get(n, 0), p))
         return rules
 
 
 def pivot(rows, r, c):
-    """Fraction-free Gauss-Jordan step (Bareiss 1968): with p = rows[r][c],
-    every other integer row i becomes p*row_i - row_i[c]*row_r over its
-    gcd.  For p > 0 each row stays a positive multiple of its rational
-    counterpart, so every sign and every ratio within a row is kept."""
+    """Fraction-free Gauss-Jordan step (Bareiss 1968) on sparse integer
+    rows {column: nonzero}: with p = rows[r][c], every other row i with an
+    entry in column c becomes p*row_i - row_i[c]*row_r, divided by its gcd
+    taken with the sign of p.  So each row stays a positive multiple of its
+    rational counterpart row_i - (row_i[c]/p)*row_r, whatever the sign of
+    p: every sign and every ratio within a row is kept."""
     pr = rows[r]
     p = pr[c]
     for i, row in enumerate(rows):
-        f = row[c]
+        f = row.get(c)
         if f and i != r:
-            new = [p * a - f * b for a, b in zip(row, pr)]
-            g = gcd(*new) or 1
-            rows[i] = [x // g for x in new]
+            new = {k: p * v for k, v in row.items()} if p != 1 else dict(row)
+            for k, v in pr.items():
+                w = new.get(k, 0) - f * v
+                if w:
+                    new[k] = w
+                else:
+                    del new[k]
+            g = gcd(*new.values()) or 1
+            if p < 0:
+                g = -g
+            rows[i] = {k: v // g for k, v in new.items()} if g != 1 else new
 
 
 def _row_reduce(rows, ncols):
-    """In-place integer reduced echelon form over the first ncols columns;
-    returns the pivot columns (row k holds the k-th pivot)."""
+    """In-place integer reduced echelon form of sparse rows over columns
+    0..ncols-1; returns the pivot columns (row k holds the k-th pivot)."""
     pivots = []
     for col in range(ncols):
         k = len(pivots)
-        piv = next((r for r in range(k, len(rows)) if rows[r][col]), None)
+        piv = next((r for r in range(k, len(rows)) if col in rows[r]), None)
         if piv is not None:
             rows[k], rows[piv] = rows[piv], rows[k]
             pivot(rows, k, col)

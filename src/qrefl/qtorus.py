@@ -452,38 +452,70 @@ def _solve_lp_geq(rows, nvars):
 
     Phase-1 simplex: write x = xp - xm and rows.x - slack = 1 with xp,
     xm, slack >= 0, then drive artificial variables to zero (Bland-style
-    tie break, so it terminates).  The tableau is integer, its last row
-    is the objective, and ``pivot`` updates all rows on a positive entry;
-    the ratio test cross-multiplies.
+    tie break, so it terminates).  Variables are numbered xp j, xm n+j,
+    slack 2n+i, artificial 2n+m+i; the entering variable is the lowest
+    numbered one with a positive reduced cost, the ratio test
+    cross-multiplies and ties go to the lowest numbered basic variable.
+
+    The tableau is sparse and integer, its last row the objective, and it
+    stores only the xp columns (j), the slack columns (n+i) and the right
+    hand side (n+m).  Row operations keep every xm column equal to minus
+    its xp column, so xm j enters by a pivot on the stored column j with a
+    negative entry; the artificial columns never enter and are never read.
+    ``pivot`` keeps each stored row a positive multiple of the full
+    tableau's row, which leaves every sign and every ratio above unchanged.
     """
-    m = len(rows)
-    ncols = 2 * nvars + m           # xp, xm, slack
-    total = ncols + m               # + artificials
-    tab = [list(row) + [-x for x in row] + [-int(j == i) for j in range(m)]
-           + [int(j == i) for j in range(m)] + [1] for i, row in enumerate(rows)]
-    tab.append([sum(col) for col in zip(*tab)][:ncols] + [0] * m + [m])
-    basis = [ncols + i for i in range(m)]
+    m, n = len(rows), nvars
+    rhs = n + m
+    tab = []
+    for i, row in enumerate(rows):
+        t = {j: a for j, a in enumerate(row) if a}
+        t[n + i] = -1
+        t[rhs] = 1
+        tab.append(t)
+    obj = {j: a for j, a in enumerate(map(sum, zip(*rows))) if a}
+    obj.update({n + i: -1 for i in range(m)})
+    obj[rhs] = m
+    tab.append(obj)
+    basis = [2 * n + m + i for i in range(m)]
     while True:
-        piv_col = next((j for j in range(ncols) if tab[m][j] > 0), None)
-        if piv_col is None:
+        enter = None
+        for j, a in tab[m].items():
+            if j < n:
+                v = j if a > 0 else n + j
+            elif j != rhs and a > 0:
+                v = n + j
+            else:
+                continue
+            if enter is None or v < enter:
+                enter = v
+        if enter is None:
             break
+        col = enter if enter < n else enter - n
+        sign = -1 if n <= enter < 2 * n else 1
         piv_row, best = None, None
         for i in range(m):
-            a, b = tab[i][piv_col], tab[i][total]
-            if a > 0 and (best is None or b * best[1] < best[0] * a or
-                          (b * best[1] == best[0] * a and basis[i] < basis[piv_row])):
+            a = sign * tab[i].get(col, 0)
+            if a <= 0:
+                continue
+            b = tab[i].get(rhs, 0)
+            if (best is None or b * best[1] < best[0] * a or
+                    (b * best[1] == best[0] * a and basis[i] < basis[piv_row])):
                 piv_row, best = i, (b, a)
         if piv_row is None:
             return None
-        pivot(tab, piv_row, piv_col)
-        basis[piv_row] = piv_col
-    if tab[m][total] != 0:
+        pivot(tab, piv_row, col)
+        basis[piv_row] = enter
+    if tab[m].get(rhs, 0) != 0:
         return None
-    x = [Fraction(0)] * ncols
-    for i, bcol in enumerate(basis):
-        if bcol < ncols:
-            x[bcol] = Fraction(tab[i][total], tab[i][bcol])
-    return [x[j] - x[nvars + j] for j in range(nvars)]
+    # a basic xp j or xm j gives x_j = rhs/a with a the stored entry of
+    # column j, which is positive for xp and negative for xm
+    x = [Fraction(0)] * n
+    for i, v in enumerate(basis):
+        if v < 2 * n:
+            j = v if v < n else v - n
+            x[j] = Fraction(tab[i].get(rhs, 0), tab[i][j])
+    return x
 
 
 def staged_certificate(args):

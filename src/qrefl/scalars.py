@@ -223,19 +223,20 @@ class ScalarQ:
             self.den = ()
             self.iden = 1
             return
-        if self.den:
-            den = dict(self.den)
-            changed = True
-            while changed:
-                changed = False
-                for m in list(den):
-                    while den.get(m, 0) > 0 and _fold_mod(self.num, m):
-                        self.num = _divide_cyc(self.num, m)
-                        den[m] -= 1
-                        if den[m] == 0:
-                            del den[m]
-                        changed = True
-            self.den = tuple(sorted(den.items()))
+        # (1 - s^m) divides num only if num(1) = 0, and a quotient by
+        # (1 - s^m') is divisible by (1 - s^m) only if num was: one pass
+        # over the factors, which stops once the value at 1 is nonzero
+        if self.den and not sum(self.num.values()):
+            num, den, at_one = self.num, [], 0
+            for m, mult in self.den:
+                while mult and not at_one and _fold_mod(num, m):
+                    num = _divide_cyc(num, m)
+                    mult -= 1
+                    at_one = sum(num.values())
+                if mult:
+                    den.append((m, mult))
+            self.num = num
+            self.den = tuple(den)
         if self.iden != 1:
             g = self.iden
             for c in self.num.values():

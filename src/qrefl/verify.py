@@ -222,22 +222,32 @@ def check_re_seed() -> Report:
 # canonical-transformation level
 
 
-def _eta_side(pairs, cache={}):
-    """{(side, deltas): the canonical map of that side} for every pair;
-    the pairs not yet in ``cache`` are folded together and kept there."""
+def _eta_side(pairs, cache={}, substituted=False):
+    """{(side, deltas): the canonical map of that side} for every pair, with
+    the "eta-3dre" rules substituted when ``substituted``.  The pairs not
+    yet in ``cache`` are folded together and kept there under the pair,
+    each substituted map under ("eta-3dre", pair)."""
     missing = [pair for pair in pairs if pair not in cache]
     if missing:
         cache.update(_fold_sides(
             missing, lambda name, spaces: canonical_map(name, spaces, SPEC_C3),
             AffineCanonMap.compose))
-    return {pair: cache[pair] for pair in pairs}
+    if not substituted:
+        return {pair: cache[pair] for pair in pairs}
+    missing = [pair for pair in pairs if ("eta-3dre", pair) not in cache]
+    if missing:
+        rules = rules_for("eta-3dre")
+        cache.update({("eta-3dre", pair): cache[pair].subs_params(rules)
+                      for pair in missing})
+    return {pair: cache["eta-3dre", pair] for pair in pairs}
 
 
 def check_re_eta(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
+    pairs = [("L", tuple(delta8[:4])), ("R", tuple(delta8[4:]))]
     if rules is None:
-        rules = rules_for("eta-3dre")
-    etaL, etaR = (eta.subs_params(rules) for eta in _eta_side(
-        [("L", tuple(delta8[:4])), ("R", tuple(delta8[4:]))]).values())
+        etaL, etaR = _eta_side(pairs, substituted=True).values()
+    else:
+        etaL, etaR = (eta.subs_params(rules) for eta in _eta_side(pairs).values())
     ok = etaL == etaR
     details = {}
     if not ok:
@@ -247,10 +257,7 @@ def check_re_eta(delta8=(1, -1, 1, -1, 1, -1, 1, -1), rules=None) -> Report:
 
 
 def search_good_signs_eta(homogeneous=True):
-    rules = rules_for("eta-3dre")
-    return _search(homogeneous,
-                   lambda pairs: {pair: eta.subs_params(rules)
-                                  for pair, eta in _eta_side(pairs).items()},
+    return _search(homogeneous, lambda pairs: _eta_side(pairs, substituted=True),
                    operator.eq)
 
 

@@ -112,6 +112,25 @@ def test_eta_folds_match_one_fold_per_tuple():
     assert all(V._eta_side([pair], cache)[pair] is got[pair] for pair in pairs)
 
 
+def test_eta_substituted_maps_are_kept_with_the_folds():
+    pairs = [(side, t) for side in "LR" for t in TUPLES[:3]]
+    cache = {}
+    got = V._eta_side(pairs, cache, substituted=True)
+    rules = rules_for("eta-3dre")
+    for pair in pairs:
+        assert got[pair] == cache[pair].subs_params(rules)
+        assert cache["eta-3dre", pair] is got[pair]
+    # a later call substitutes nothing, and the unsubstituted maps stay
+    saved = AffineCanonMap.subs_params
+    AffineCanonMap.subs_params = None
+    try:
+        assert V._eta_side(pairs, cache, substituted=True) == got
+    finally:
+        AffineCanonMap.subs_params = saved
+    assert V._eta_side(pairs, cache) == {pair: cache[pair] for pair in pairs}
+    assert all(got[pair] != cache[pair] for pair in pairs)
+
+
 def test_p_folds_match_one_fold_per_tuple():
     # the same products, and an OrderViolation with the same message on
     # exactly the tuples whose one-tuple fold raises

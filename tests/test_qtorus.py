@@ -11,10 +11,10 @@ from qrefl.cluster import (ExchangeSeed, FrozenVertex, MutationSequence, Perm,
                            mutate_matrix)
 from qrefl.compose import (CompositeState, composite_sequence, composite_signs,
                            hom_from_table, run_composite)
-from qrefl.params import ParamForm
+from qrefl.params import ParamForm, pivot
 from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
-                          TorusSeries, dilog_coefficients, expand_product,
-                          staged_certificate, stiemke_grading)
+                          TorusSeries, _solve_lp_geq, dilog_coefficients,
+                          expand_product, staged_certificate, stiemke_grading)
 from qrefl.quivers import builtin
 from qrefl.qweyl import SPEC_C2, SPEC_C3, WeylMonomial, WeylSeries
 from qrefl.scalars import ONE, ScalarQ
@@ -365,6 +365,147 @@ def test_grading_oracles_agree(vectors):
     greedy = staged_certificate(vectors)
     if greedy is not None:
         assert feasible
+
+
+# -- the grading LP against the dense tableau it replaced ---------------------
+
+
+def _dense_pivot(rows, r, c):
+    """Fraction-free Gauss-Jordan step on dense integer rows, p > 0."""
+    pr = rows[r]
+    p = pr[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            new = [p * a - f * b for a, b in zip(row, pr)]
+            g = gcd(*new) or 1
+            rows[i] = [x // g for x in new]
+
+
+def reference_lp(rows, nvars):
+    """The dense phase-1 simplex behind ``_solve_lp_geq``: every column of
+    xp, xm, slack and artificial variables is stored, the entering column
+    is the first with a positive reduced cost, and ties in the ratio test
+    go to the lowest basic column."""
+    m = len(rows)
+    ncols = 2 * nvars + m
+    total = ncols + m
+    tab = [list(row) + [-x for x in row] + [-int(j == i) for j in range(m)]
+           + [int(j == i) for j in range(m)] + [1] for i, row in enumerate(rows)]
+    tab.append([sum(col) for col in zip(*tab)][:ncols] + [0] * m + [m])
+    basis = [ncols + i for i in range(m)]
+    while True:
+        piv_col = next((j for j in range(ncols) if tab[m][j] > 0), None)
+        if piv_col is None:
+            break
+        piv_row, best = None, None
+        for i in range(m):
+            a, b = tab[i][piv_col], tab[i][total]
+            if a > 0 and (best is None or b * best[1] < best[0] * a or
+                          (b * best[1] == best[0] * a and basis[i] < basis[piv_row])):
+                piv_row, best = i, (b, a)
+        if piv_row is None:
+            return None
+        _dense_pivot(tab, piv_row, piv_col)
+        basis[piv_row] = piv_col
+    if tab[m][total] != 0:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, bcol in enumerate(basis):
+        if bcol < ncols:
+            x[bcol] = Fraction(tab[i][total], tab[i][bcol])
+    return [x[j] - x[nvars + j] for j in range(nvars)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-4, 4).filter(bool),
+                                min_size=1, max_size=5), min_size=2, max_size=5),
+       st.data())
+def test_pivot_keeps_rows_positive_multiples_for_either_sign(rows, data):
+    r = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(st.sampled_from(sorted(rows[r])))
+    negative = data.draw(st.booleans())
+    if (rows[r][c] < 0) != negative:
+        rows[r] = {k: -v for k, v in rows[r].items()}
+    before = [dict(row) for row in rows]
+    pivot(rows, r, c)
+    p = before[r][c]
+    assert rows[r] == before[r]
+    for i, (old, new) in enumerate(zip(before, rows)):
+        if i == r or c not in old:
+            assert new == old
+            continue
+        want = {k: Fraction(old.get(k, 0)) - Fraction(old[c], p) * before[r].get(k, 0)
+                for k in set(old) | set(before[r])}
+        want = {k: v for k, v in want.items() if v}
+        assert c not in new and set(new) == set(want)
+        assert not new or gcd(*new.values()) == 1
+        ratios = {Fraction(new[k]) / want[k] for k in want}
+        assert len(ratios) <= 1 and all(x > 0 for x in ratios)
+
+
+@st.composite
+def lp_inputs(draw):
+    """(rows, nvars): random integer rows, or rows made feasible by a
+    drawn functional, or with repeated rows, or with a row and its negative
+    (infeasible), or with more variables than rows."""
+    kind = draw(st.sampled_from(("plain", "feasible", "duplicates", "infeasible",
+                                 "wide")))
+    n = draw(st.integers(4, 7) if kind == "wide" else st.integers(1, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(vec, min_size=1, max_size=3 if kind == "wide" else 8))
+    if kind == "feasible":
+        g = draw(vec)
+        rows = [r for r in rows if sum(a * b for a, b in zip(g, r)) >= 1] or [
+            tuple(a or 1 for a in g)]
+    elif kind == "duplicates":
+        rows = rows + draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
+    elif kind == "infeasible":
+        rows = rows + [tuple(-a for a in draw(st.sampled_from(rows)))]
+    return draw(st.permutations(rows)), n
+
+
+@settings(max_examples=300, deadline=None)
+@example(([(1, 0), (0, 1)], 2))
+@example(([(1, 0), (-1, 0)], 2))
+@example(([(1, -1, 0), (1, -1, 0), (0, 1, 1)], 3))
+@example(([(0, 0, 0)], 3))
+@example(([(2, -1, 0, 1, 3)], 5))
+# degenerate ties between a basic xm and a basic xp of a higher column
+@example(([(1, 1, -2, -1, -1), (-2, -2, 0, 1, 1), (2, -2, -1, 0, 2)], 5))
+@example(([(2, -3, -1, -2, 2), (-2, -3, 2, 3, 1), (-2, 0, -3, -3, -1)], 5))
+@given(lp_inputs())
+def test_sparse_lp_matches_the_dense_tableau(case):
+    rows, n = case
+    got = _solve_lp_geq(list(rows), n)
+    assert got == reference_lp(list(rows), n)
+    if got is not None:
+        assert all(sum(a * b for a, b in zip(got, r)) >= 1 for r in rows)
+
+
+def test_lp_inputs_of_the_verifier_match_the_dense_tableau(monkeypatch):
+    # every LP that RE-full (both representations), K-eps-indep and the
+    # eight finite-fiber systems solve
+    import qrefl.qtorus as Q
+    import qrefl.verify as V
+
+    seen = []
+    solve = Q._solve_lp_geq
+
+    def record(rows, nvars):
+        out = solve(rows, nvars)
+        seen.append((list(rows), nvars, out))
+        return out
+
+    monkeypatch.setattr(Q, "_solve_lp_geq", record)
+    assert V.check_re_full_torus(1).status and V.check_re_full_weyl(1).status
+    assert V.check_K_eps_indep("rho24", 1).status
+    assert all(V.check_wd(s).status for s in
+               ("pnK", "alnK", "pnL", "pnR", "alL", "alR", "FFY", "FFuw"))
+    assert len(seen) == 14
+    assert {(len(rows), n) for rows, n, _ in seen} >= {(50, 22), (50, 18), (38, 15)}
+    for rows, n, out in seen:
+        assert out is not None and out == reference_lp(rows, n)
 
 
 _TORI = {name: QuantumTorus(builtin(name)) for name in ("B(C2)", "B(C3)")}

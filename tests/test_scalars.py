@@ -1,10 +1,12 @@
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrefl.qtorus import dilog_coefficients
 from qrefl.scalars import ONE, ScalarQ, _divide_cyc, _fold_mod, _num_mul
 
 
@@ -94,3 +96,63 @@ def test_shift_is_the_reduced_product_with_s_pow(factors, k):
     want = c * ScalarQ.s_pow(k)
     got = c.shift(k)
     assert (got.num, got.den, got.iden) == (want.num, want.den, want.iden)
+
+
+def reference_reduce(self):
+    """The two-pass reduction that ``ScalarQ._reduce`` replaced: sweep the
+    denominator factors until no (1 - s^m) divides the numerator."""
+    if not self.num:
+        self.den = ()
+        self.iden = 1
+        return
+    if self.den:
+        den = dict(self.den)
+        changed = True
+        while changed:
+            changed = False
+            for m in list(den):
+                while den.get(m, 0) > 0 and _fold_mod(self.num, m):
+                    self.num = _divide_cyc(self.num, m)
+                    den[m] -= 1
+                    if den[m] == 0:
+                        del den[m]
+                    changed = True
+        self.den = tuple(sorted(den.items()))
+    if self.iden != 1:
+        g = self.iden
+        for c in self.num.values():
+            g = gcd(g, c)
+            if g == 1:
+                break
+        if g > 1:
+            self.num = {e: c // g for e, c in self.num.items()}
+            self.iden //= g
+
+
+# c_n of Psi_{q^base}(U)^expo, n <= 5, times s^k
+DILOG_COEFFS = st.builds(
+    lambda base, expo, n, k: dilog_coefficients(base, expo, 5)[n].shift(k),
+    st.sampled_from((1, 2)), st.sampled_from((1, -1)), st.integers(0, 5), st.integers(-6, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(DILOG_COEFFS, st.lists(st.tuples(st.booleans(), DILOG_COEFFS), max_size=6))
+def test_reduce_matches_the_two_pass_reduction(first, steps):
+    # every reduction made while summing and multiplying dilogarithm
+    # coefficients gives the reference's (num, den, iden)
+    one_pass = ScalarQ._reduce
+
+    def both(self):
+        ref = ScalarQ(dict(self.num), self.den, self.iden)
+        reference_reduce(ref)
+        one_pass(self)
+        assert (self.num, self.den, self.iden) == (ref.num, ref.den, ref.iden)
+
+    ScalarQ._reduce = both
+    try:
+        acc = first
+        for is_product, c in steps:
+            acc = acc * c if is_product else acc + c
+            acc = acc + (-c) * acc
+    finally:
+        ScalarQ._reduce = one_pass

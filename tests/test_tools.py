@@ -30,7 +30,8 @@ def test_bench_pairs_summary_on_canned_runs():
 
     def result(verdict, failed=0):
         return {"correct": True, "attempted": 10, "failed": failed,
-                "metrics": {"verdict_s": {"value": verdict, "unit": "s"}}}
+                "metrics": {"verdict_s": {"value": verdict, "unit": "s"}},
+                "last_round_ops_s": {"search": verdict / 2, "check": 0.1}}
 
     parent = [1.0, 1.2, 0.9, 1.1, 1.0, 1.3, 1.0, 1.1, 0.95, 1.05]
     change = [0.3, 0.35, 0.3, 1.1, 0.3, 0.4, 0.25, 0.3, 0.33, 0.31]
@@ -49,6 +50,17 @@ def test_bench_pairs_summary_on_canned_runs():
                             "change_lower_in_pairs": 9, "median_gap_s": 0.72,
                             "parent_quartile_spread_s": 0.1, "met": True}
     assert out["workloads"]["w"]["failed"] == {"parent": 0, "change": 0}
+    # per-operation medians of each side, in the order the operations ran
+    ops = out["workloads"]["w"]["last_round_ops_s"]
+    assert ops == {"parent": {"search": 0.5125, "check": 0.1},
+                   "change": {"search": 0.1525, "check": 0.1}}
+    assert list(ops["parent"]) == ["search", "check"]
+    # a run without the file's operation times, or without one of them,
+    # counts only for the operations it has
+    del runs["w"]["change"][0]["last_round_ops_s"]
+    runs["w"]["change"][1]["last_round_ops_s"] = {"search": 9.0}
+    ops = summarize(runs, ["verdict_s"])["workloads"]["w"]["last_round_ops_s"]
+    assert ops["change"] == {"search": 0.155, "check": 0.1}
     # eight wins of ten, or a gap inside the parent's quartiles, or more
     # failed operations than at the parent: no claim
     runs["w"]["change"][5] = result(1.4)

@@ -28,7 +28,9 @@ def test_eta_level_identity_and_negative():
 
 
 def test_eta_level_without_required_constraints_fails():
-    # dropping the whole constraint system must break the identity
+    # dropping the whole constraint system must break the identity, also
+    # once the maps substituted with the default rules are kept
+    assert V.check_re_eta((1, -1, 1, -1, 1, -1, 1, -1)).status
     rep = V.check_re_eta((1, -1, 1, -1, 1, -1, 1, -1), rules={})
     assert not rep.status
 

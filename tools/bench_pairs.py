@@ -9,10 +9,13 @@ file's ``run_seconds``), the parent first on odd seeds and the change
 first on even seeds.  The summary is rewritten to ``--out`` after every
 pair: per workload and end-to-end metric, each side's median and
 inclusive quartiles, its runs, and the number of pairs in which the
-change reads lower (ties count for neither side).  A claimed gain is met
-when the change reads lower in at least nine tenths of the pairs, the
-medians differ by more than the parent's quartile spread, and every run
-is correct with no more failed operations than at the parent.
+change reads lower (ties count for neither side); per workload and
+operation, each side's median wall time in the last round of a run, read
+from ``last_round_ops_s`` in the run's bench/out/result-*.json.  A
+claimed gain is met when the change reads lower in at least nine tenths
+of the pairs, the medians differ by more than the parent's quartile
+spread, and every run is correct with no more failed operations than at
+the parent.
 """
 
 import argparse
@@ -33,6 +36,16 @@ def spread(values):
     q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                    if len(values) > 1 else values * 3)
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def op_medians(results):
+    """{operation label: median seconds} over the ``last_round_ops_s`` of
+    the results that carry it, in the order the operations ran."""
+    per = {}
+    for r in results:
+        for label, v in r.get("last_round_ops_s", {}).items():
+            per.setdefault(label, []).append(v)
+    return {label: round(statistics.median(v), 4) for label, v in per.items()}
 
 
 def summarize(runs, metrics, claim=None):
@@ -56,6 +69,7 @@ def summarize(runs, metrics, claim=None):
                       "parent_runs": [round(v, 4) for v in p],
                       "change_runs": [round(v, 4) for v in c],
                       "change_lower_in_pairs": sum(b < a for a, b in zip(p, c))}
+        row["last_round_ops_s"] = {s: op_medians(sides[s]) for s in SIDES}
         out["workloads"][wl] = row
     if claim is not None and claim[0] in out["workloads"]:
         wl, m = claim
@@ -74,14 +88,19 @@ def summarize(runs, metrics, claim=None):
 
 
 def run_once(tree, workload, seed, seconds):
-    """The result object that ``tree``'s bench/run.py prints last."""
+    """The result object that ``tree``'s bench/run.py prints last, with the
+    ``last_round_ops_s`` of the result file it writes."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with "
                            f"{proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    stem = f"{workload}-seed{seed}-trace0"
+    with open(os.path.join(tree, "bench", "out", f"result-{stem}.json")) as fh:
+        result["last_round_ops_s"] = json.load(fh)["last_round_ops_s"]
+    return result
 
 
 def parse_args(argv):
