@@ -25,10 +25,13 @@ from .quivers import builtin
 def _load_quiver(value):
     """A builtin quiver, or the seed and named sequences of a quiver file."""
     try:
-        return builtin(value), {}
+        seed = builtin(value)
     except UnknownName:
         with open(value) as fh:
             return seed_from_text(fh.read())
+    if isinstance(seed, MutationSequence):
+        raise UsageError(f"{value} is a builtin mutation sequence, not a quiver")
+    return seed, {}
 
 
 def _print_report(rep, out):

@@ -1,7 +1,7 @@
 """Named operators: the one table of catalog data for R, Rbar, K and
 their limit targets, the one placement of that data on other indices,
 the builders that read it (dilogarithm factor lists with monomial tails,
-canonical and torus maps), parameter systems and elimination,
+canonical maps), parameter systems and elimination,
 directional limits, and the stacked reduction diagrams that force the
 degeneration constraints.
 """
@@ -129,7 +129,6 @@ class Operator(NamedTuple):
     rows: tuple                 # canonical-variable factor rows
     tail: tuple                 # tail factors with their exchanged pair
     eta: tuple = None           # canonical map
-    tau: tuple = None           # torus map
     tail_pos: int = None        # factors before the tail, if not all
 
 
@@ -144,17 +143,17 @@ _TOP, _BOT = ((0,), (1, 3), (2,)), ((3,), (0, 2), (1,))
 # name -> catalog data; a name is the operator's kind followed by its signs
 OPERATORS = {
     "R+": Operator(SPEC_A2, _UP, ("R_WEYL", "+"), ("P_R", "+"),
-                   ("ETA_R", "+"), ("TAU_R", "+")),
+                   ("ETA_R", "+")),
     "R-": Operator(SPEC_A2, _DOWN, ("R_WEYL", "-"), ("P_R", "-"),
-                   ("ETA_R", "-"), ("TAU_R", "-")),
+                   ("ETA_R", "-")),
     "Rbar+": Operator(SPEC_A2, _DOWN, ("RBAR_WEYL", "+"), ("P_RBAR", "+"),
-                      ("ETA_RBAR", "+"), ("TAU_RBAR", "+")),
+                      ("ETA_RBAR", "+")),
     "Rbar-": Operator(SPEC_A2, _UP, ("RBAR_WEYL", "-"), ("P_RBAR", "-"),
-                      ("ETA_RBAR", "-"), ("TAU_RBAR", "-")),
+                      ("ETA_RBAR", "-")),
     "R-final": Operator(SPEC_A2, _UP, ("R_FINAL_WEYL",), ("P_R_FINAL",),
                         tail_pos=2),
     **{"K-rho24" + sign_text(e): Operator(SPEC_C2, _TOP, ("K24_WEYL", e),
-                                          ("P_K24",), ("ETA_K24",), ("TAU_K24",))
+                                          ("P_K24",), ("ETA_K24",))
        for e in K_SIGNS},
     **{"K-rho13" + sign_text(e): Operator(SPEC_C2, _BOT, ("K13_WEYL", e),
                                           ("P_K13",), ("ETA_K13",))
@@ -265,13 +264,6 @@ def canonical_map(name, indices=None, spec=None, rules=None) -> AffineCanonMap:
     op, spec, place = _place(name, indices, spec, rules)
     return AffineCanonMap.from_table(
         spec, {place.symbol(a): place.entry(*row) for a, row in _read(op.eta).items()})
-
-
-def torus_map(name, source, target):
-    """The torus map tau of an operator between two tori."""
-    if name not in OPERATORS:
-        raise UnknownName(name)
-    return hom_from_table(source, target, _read(OPERATORS[name].tau))
 
 
 def build(name, indices=None, spec=None, rules=None) -> OperatorExpr:

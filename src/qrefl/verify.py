@@ -21,8 +21,7 @@ from .compose import (composite_sequence, composite_signs, fold_prefixes,
 from .nilgroup import (ORDER_A3, ORDER_A3_PRIME, OrderViolation, adjoint,
                        bch_mul, group_equal)
 from .operators import (OPERATORS, build, build_FG, canonical_map, constraints,
-                        factors, ray, rules_for, sign_text, tail, take_limit,
-                        torus_map)
+                        factors, ray, rules_for, sign_text, tail, take_limit)
 from .params import LinSystem, ParamForm
 from .qtorus import (Infeasible, QuantumTorus, TorusSeries, check_stage_plan,
                      expand_product, match_stage_plan, staged_certificate,
@@ -436,28 +435,28 @@ def _project(vectors, coords):
 WD_SYSTEMS = ("pnK", "alnK", "pnL", "pnR", "alL", "alR", "FFY", "FFuw")
 
 
+def _arg_vectors(st, coords):
+    """The exponents at ``coords`` of the factor arguments of a walk."""
+    torus = st.hom.target
+    return [{lab: arg.alpha[torus.index(lab)] for lab in coords}
+            for _, arg, _ in st.dilogs]
+
+
 def wd_vectors(system: str):
     """Exponent vectors of the named summation-index system."""
     if system not in WD_SYSTEMS:
         raise UnknownName(system)
     if system == "pnK":
-        torus = QuantumTorus(builtin("B(C2)"))
         coords = (2, 3, 4, 7, 8, 9)
-        vecs = []
-        for b, e, s, pw in C.K24_TORUS[(1, 1)]:
-            m = torus.monomial(s, pw)
-            vecs.append({lab: m.alpha[torus.index(lab)] for lab in coords})
-        return _project(vecs, coords)
+        st = run_composite(builtin("B(C2)"), builtin("K-seq"), C.eps_k24(1, 1))
+        return _project(_arg_vectors(st, coords), coords)
     if system == "alnK":
         coords = [f"u{i}" for i in range(1, 5)] + [f"w{i}" for i in range(1, 5)]
         return _project([cx for _, _, _, cx in C.K24_WEYL[(1, 1)]], coords)
     if system in ("pnL", "pnR", "FFY"):
         seed = builtin("B(C3)")
         coords = [l for l in seed.labels if l not in seed.frozen]
-        stL, stR = _torus_sides()
-        torus = stL.hom.target
-        left, right = ([{lab: f[1].alpha[torus.index(lab)] for lab in coords}
-                        for f in st.dilogs] for st in (stL, stR))
+        left, right = (_arg_vectors(st, coords) for st in _torus_sides())
     else:
         coords = [f"u{i}" for i in range(1, 10)] + [f"w{i}" for i in range(1, 10)]
         left, right = ([{a: m.cexp[SPEC_C3.index(a)] for a in coords}
@@ -611,25 +610,48 @@ def check_period(seed, ms, quantum_cutoff=None) -> Report:
 # ---------------------------------------------------------------------------
 # commuting squares and representation agreement
 
-# square -> operator, source and target quivers, their substitution maps,
-# and the constraint system
+class Square(NamedTuple):
+    """A commuting square eta o phi' = phi o tau: the operator's torus map
+    tau runs from the source torus to the target torus."""
+
+    operator: str           # whose canonical map is eta
+    sequence: str           # the builtin mutation sequence of the operator
+    signs: tuple            # its catalog sign at every step
+    source: str             # the quiver the walk ends on
+    target: str             # the quiver the walk starts from
+    phi_source: dict        # substitution map phi' of the source torus
+    phi_target: dict        # substitution map phi of the target torus
+    system: str             # the constraint system
+
+
 _DIAGRAMS = {
-    "Rcom1+": ("R+", "B'(A2)", "B(A2)", C.PHIP_A2, C.PHI_A2, "econ-a"),
-    "Rcom1-": ("R-", "B'(A2)", "B(A2)", C.PHIP_A2, C.PHI_A2, "econ-a"),
-    "Rcom2+": ("Rbar+", "B(A2)", "B'(A2)", C.PHIBARP_A2, C.PHIBAR_A2, "econ-a"),
-    "Rcom2-": ("Rbar-", "B(A2)", "B'(A2)", C.PHIBARP_A2, C.PHIBAR_A2, "econ-a"),
-    "Kcom": (_K, "B'(C2)", "B(C2)", C.PHIP_C2, C.PHI_C2, "econ+ccon"),
+    "Rcom1+": Square("R+", "R-seq", C.EPS_R["+"], "B'(A2)", "B(A2)",
+                     C.PHIP_A2, C.PHI_A2, "econ-a"),
+    "Rcom1-": Square("R-", "R-seq", C.EPS_R["-"], "B'(A2)", "B(A2)",
+                     C.PHIP_A2, C.PHI_A2, "econ-a"),
+    "Rcom2+": Square("Rbar+", "Rbar-seq", C.EPS_R["+"], "B(A2)", "B'(A2)",
+                     C.PHIBARP_A2, C.PHIBAR_A2, "econ-a"),
+    "Rcom2-": Square("Rbar-", "Rbar-seq", C.EPS_R["-"], "B(A2)", "B'(A2)",
+                     C.PHIBARP_A2, C.PHIBAR_A2, "econ-a"),
+    "Kcom": Square(_K, "K-seq", C.eps_k24(-1, 1), "B'(C2)", "B(C2)",
+                   C.PHIP_C2, C.PHI_C2, "econ+ccon"),
 }
 
 
+def _square_walk(name):
+    """The walk of a square's signed mutation sequence from its target
+    quiver; its ``hom`` is the torus map tau from the source torus."""
+    sq = _DIAGRAMS[name]
+    return run_composite(builtin(sq.target), builtin(sq.sequence), sq.signs)
+
+
 def _diagram_parts(name):
-    op, src_name, tgt_name, src_table, tgt_table, _ = _DIAGRAMS[name]
-    eta = canonical_map(op)
-    src_torus = QuantumTorus(builtin(src_name))
-    tgt_torus = QuantumTorus(builtin(tgt_name))
-    return (build_subst_hom(src_torus, eta.spec, src_table),
-            build_subst_hom(tgt_torus, eta.spec, tgt_table),
-            torus_map(op, src_torus, tgt_torus), eta)
+    sq = _DIAGRAMS[name]
+    eta = canonical_map(sq.operator)
+    tau = _square_walk(name).hom
+    return (build_subst_hom(QuantumTorus(builtin(sq.source)), eta.spec,
+                            sq.phi_source),
+            build_subst_hom(tau.target, eta.spec, sq.phi_target), tau, eta)
 
 
 def check_diagram(name, drop=None) -> Report:
@@ -637,7 +659,7 @@ def check_diagram(name, drop=None) -> Report:
     dropped (the negative test must then fail)."""
     if name not in _DIAGRAMS:
         raise UnknownName(name)
-    base = constraints(_DIAGRAMS[name][5])
+    base = constraints(_DIAGRAMS[name].system)
     if drop is not None:
         base = base.drop(drop)
     prefer = tuple(f"e{i}" for i in range(1, 5)) + ("c3", "c1")

@@ -13,6 +13,8 @@ from qrefl.qtorus import QuantumTorus
 from qrefl.qweyl import (AffineCanonMap, SPEC_A2, SPEC_B2, SPEC_C2,
                          build_subst_hom)
 
+from printed_tables import BHAT_C2_PRINTED, K24_TORUS
+
 
 def _report(n, label, cond, t0, budget):
     dt = time.perf_counter() - t0
@@ -26,7 +28,7 @@ def test_criterion_01_quiver_fixtures():
     t0 = time.perf_counter()
     seed = builtin("B(C2)")
     lab = seed.labels
-    entrywise = all(seed.bhat(i, j) == C.BHAT_C2_PRINTED[i - 1][j - 1]
+    entrywise = all(seed.bhat(i, j) == BHAT_C2_PRINTED[i - 1][j - 1]
                     for i in lab for j in lab)
     rank_ok = seed.rank_bhat() == 8
     seq_ok = builtin("K-seq").apply_matrix(seed) == builtin("B'(C2)")
@@ -171,7 +173,7 @@ def test_criterion_12_parameter_bookkeeping():
     from qrefl.scalars import ONE
     for eps in ((1, 1), (-1, 1)):
         for (b1, e1, sexp, powers), (b2, e2, pexp, cexp) in zip(
-                C.K24_TORUS[eps], C.K24_WEYL[eps]):
+                K24_TORUS[eps], C.K24_WEYL[eps]):
             img = phi.apply(torus.monomial(sexp, powers)).subs_params(rules)
             want = WeylMonomial(SPEC_C2, ONE, ParamForm(pexp),
                                 SPEC_C2.vec(cexp)).subs_params(rules)

@@ -12,8 +12,10 @@ from qrefl.cluster import (BadIndex, ExchangeSeed, FrozenVertex,
                            tropical_signs)
 from qrefl.compose import composite_sequence
 from qrefl.quivers import builtin, names
-import qrefl.catalog as C
 import qrefl.compositions as FX
+
+from printed_tables import BHAT_C2_PRINTED
+from reflection_reference import TROPICAL_SIGNS_LHS
 
 
 def test_catalog_names_complete():
@@ -138,7 +140,7 @@ def test_bhat_fixture_and_rank():
     lab = seed.labels
     for i in lab:
         for j in lab:
-            assert seed.bhat(i, j) == C.BHAT_C2_PRINTED[i - 1][j - 1]
+            assert seed.bhat(i, j) == BHAT_C2_PRINTED[i - 1][j - 1]
     assert seed.rank_bhat() == 8
     assert tuple(seed.d[i] for i in lab) == (2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1)
     assert seed.bhat(1, 2) == 2 and seed.bhat(1, 6) == 1 and seed.bhat(1, 7) == -2
@@ -178,7 +180,7 @@ def test_k_sequence_tropical_signs_in_big_composite():
     signs = tuple(tuple(next(flat) for _ in steps)
                   for _, _, steps, _ in FX.REFLECTION_LHS)
     assert signs[1] == (1, 1, 1, 1, 1, 1, -1, -1, 1, 1)
-    assert signs == C.TROPICAL_SIGNS_LHS
+    assert signs == TROPICAL_SIGNS_LHS
 
 
 def test_sigma_period_basics():

@@ -12,6 +12,9 @@ from qrefl.qweyl import (SPEC_C2, SPEC_C3, AffineCanonMap, WeylMonomial,
 from qrefl.quivers import builtin
 from qrefl.scalars import ONE
 
+from printed_tables import (K13_TORUS, K24_TORUS, REDUCTION_B2_SOLUTION,
+                            REDUCTION_C2_SOLUTION)
+
 
 def test_constraint_ranks_and_free_count():
     full = constraints("3dre")
@@ -31,14 +34,14 @@ def test_eliminations_match_reference_solutions():
     kc2 = constraints("k-c2")
     rules = kc2.eliminate(("a1", "a3", "c1", "c2", "c3", "d1", "d2", "d3",
                            "d4", "e1", "e2", "e3", "e4"))
-    for sym, want in C.REDUCTION_C2_SOLUTION.items():
+    for sym, want in REDUCTION_C2_SOLUTION.items():
         assert rules[sym] == ParamForm(want), sym
     assert rules["d4"] == ParamForm({"th4": -1})
     assert rules["e1"] == ParamForm({"b1": -1, "th1": 1})
     kb2 = constraints("k-b2")
     rules13 = kb2.eliminate(("a3", "c1", "c2", "c3", "c4", "b1", "b2", "b3",
                              "b4", "e1", "e2", "e3", "e4"))
-    for sym, want in C.REDUCTION_B2_SOLUTION.items():
+    for sym, want in REDUCTION_B2_SOLUTION.items():
         assert rules13[sym] == ParamForm(want), sym
     # single-equation solve
     one = constraints("econ-a")
@@ -136,7 +139,7 @@ def test_appendix_forms_equal_substituted_ten_factor_lists():
     rules = constraints("econ").extend(constraints("ccon")).eliminate(
         ("e1", "e2", "e3", "e4"))
     for eps in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        sol = C.K24_TORUS[eps]
+        sol = K24_TORUS[eps]
         weyl = C.K24_WEYL[eps]
         for (b1, e1, sexp, powers), (b2, e2, pexp, cexp) in zip(sol, weyl):
             assert (b1, e1) == (b2, e2)
@@ -144,7 +147,7 @@ def test_appendix_forms_equal_substituted_ten_factor_lists():
             want = WeylMonomial(SPEC_C2, ONE, ParamForm(pexp),
                                 SPEC_C2.vec(cexp)).subs_params(rules)
             assert img == want
-        solb = C.K13_TORUS[eps]
+        solb = K13_TORUS[eps]
         weylb = C.K13_WEYL[eps]
         for (b1, e1, sexp, powers), (b2, e2, pexp, cexp) in zip(solb, weylb):
             img = phi.apply(torus.monomial(sexp, powers)).subs_params(rules)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qrefl.catalog as C
 import qrefl.compositions as FX
+import qrefl.verify as V
 from qrefl.cluster import (ExchangeSeed, FrozenVertex, MutationSequence, Perm,
                            mutate_matrix)
 from qrefl.compose import (CompositeState, composite_sequence, composite_signs,
@@ -18,6 +19,8 @@ from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
 from qrefl.quivers import builtin
 from qrefl.qweyl import SPEC_C2, SPEC_C3, WeylMonomial, WeylSeries
 from qrefl.scalars import ONE, ScalarQ
+
+from printed_tables import C2_CENTER, K24_TORUS, TAU_K24, TAU_R, TAU_RBAR
 
 
 # -- series-level oracle ----------------------------------------------------
@@ -101,7 +104,7 @@ def test_torus_mul_examples():
 
 def test_center_elements_commute():
     torus = QuantumTorus(builtin("B(C2)"))
-    for powers in C.C2_CENTER:
+    for powers in C2_CENTER:
         z = torus.monomial(0, powers)
         for l in torus.labels:
             assert z.commutes_with(torus.gen(l))
@@ -121,10 +124,20 @@ def test_tau_step_images():
 
 
 def test_tau_catalog_and_inverse_property():
+    # the walk of every commuting square from its target quiver ends on
+    # the square's source quiver, and its monomial map is the printed one
+    printed = {"Rcom1+": TAU_R["+"], "Rcom1-": TAU_R["-"],
+               "Rcom2+": TAU_RBAR["+"], "Rcom2-": TAU_RBAR["-"],
+               "Kcom": TAU_K24}
+    assert set(printed) == set(V._DIAGRAMS)
+    for name, sq in V._DIAGRAMS.items():
+        st = V._square_walk(name)
+        assert st.seed == builtin(sq.source), name
+        assert st.hom == hom_from_table(builtin(sq.source), builtin(sq.target),
+                                        printed[name]), name
     BA2, BpA2 = builtin("B(A2)"), builtin("B'(A2)")
     for key in ("+", "-"):
         st1 = run_composite(BA2, R_SEQ, C.EPS_R[key])
-        assert st1.hom == hom_from_table(st1.seed, BA2, C.TAU_R[key])
         st2 = run_composite(BpA2, R_SEQ, C.EPS_R[key])
         # tau o taubar is the identity homomorphism
         comp = st1.hom.compose(st2.hom)
@@ -138,7 +151,7 @@ def test_tauK_catalog_and_eps_independence():
     for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         s = run_composite(BC2, K_SEQ, C.eps_k24(*pair))
         homs.append(s.hom)
-        assert s.hom == hom_from_table(s.seed, BC2, C.TAU_K24)
+        assert s.hom == hom_from_table(s.seed, BC2, TAU_K24)
     assert all(h == homs[0] for h in homs)
 
 
@@ -160,7 +173,7 @@ def test_dilog_factor_lists_match_catalog():
     BC2 = builtin("B(C2)")
     T = QuantumTorus(BC2)
     s = run_composite(BC2, K_SEQ, C.eps_k24(-1, 1))
-    want = [(b, T.monomial(sx, pw), e) for b, e, sx, pw in C.K24_TORUS[(-1, 1)]]
+    want = [(b, T.monomial(sx, pw), e) for b, e, sx, pw in K24_TORUS[(-1, 1)]]
     assert [(b, a, e) for b, a, e in s.dilogs] == want
     # first factor argument is the plain generator of the first step
     assert s.dilogs[0][1].alpha == tuple(
@@ -216,7 +229,7 @@ def test_dilog_factors_function():
     ms = builtin("K-seq")
     facs = run_composite(seed, ms, C.eps_k24(1, 1)).dilogs
     T = QuantumTorus(seed)
-    want = [(b, T.monomial(s, pw), e) for b, e, s, pw in C.K24_TORUS[(1, 1)]]
+    want = [(b, T.monomial(s, pw), e) for b, e, s, pw in K24_TORUS[(1, 1)]]
     assert [(b, a, e) for b, a, e in facs] == want
     # the first argument is always the generator of the first step
     assert facs[0][1].alpha == tuple(

@@ -25,7 +25,6 @@ def test_derive_compositions_reproduces_committed_module(tmp_path):
 
 
 def test_bench_pairs_summary_on_canned_runs():
-    sys.path.insert(0, str(ROOT / "tools"))
     from bench_pairs import summarize
 
     def result(verdict, failed=0):

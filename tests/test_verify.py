@@ -12,6 +12,9 @@ from qrefl.cluster import MutationSequence, Perm
 from qrefl.operators import UnknownName, constraints
 from qrefl.quivers import builtin
 
+from printed_tables import GOOD_HOMOGENEOUS, GOOD_HOMOGENEOUS_P
+from reflection_reference import REFLECTION_LHS_FACTORS, REFLECTION_RHS_FACTORS
+
 
 def test_monomial_level_identities():
     assert V.check_re_tau((1, -1, 1, -1, 1, -1, 1, -1)).status
@@ -43,13 +46,13 @@ def test_operator_level_identities():
 
 
 def test_sign_searches_reproduce_catalog():
-    assert set(V.search_good_signs_tau(homogeneous=True)) == C.GOOD_HOMOGENEOUS
-    assert set(V.search_good_signs_eta(homogeneous=True)) == C.GOOD_HOMOGENEOUS
-    assert set(V.search_good_signs_P()) == C.GOOD_HOMOGENEOUS_P
+    assert set(V.search_good_signs_tau(homogeneous=True)) == GOOD_HOMOGENEOUS
+    assert set(V.search_good_signs_eta(homogeneous=True)) == GOOD_HOMOGENEOUS
+    assert set(V.search_good_signs_P()) == GOOD_HOMOGENEOUS_P
     full = set(V.search_good_signs_eta(homogeneous=False))
     homog = {t for t in full if t[0] == t[2] == t[4] == t[6]
              and t[1] == t[3] == t[5] == t[7]}
-    assert {(t[0], t[1]) for t in homog} == C.GOOD_HOMOGENEOUS
+    assert {(t[0], t[1]) for t in homog} == GOOD_HOMOGENEOUS
     assert full - homog == C.ETA_EXTRA_SIGNS
 
 
@@ -330,6 +333,10 @@ def test_cli_smoke(tmp_path):
                 ("quiver", "mutate", "--file", str(quiver), "--seq", "6,x"),
                 ("quiver", "show"),
                 ("quiver", "mutate", "--seq", "6"),
+                # a builtin sequence name where a quiver is read
+                ("quiver", "show", "R-seq"),
+                ("quiver", "mutate", "--file", "R-seq"),
+                ("period", "--quiver", "R-seq", "--seq", "1"),
                 # negative cutoffs
                 ("verify", "--task", "K-eps-indep", "--cutoff", "-1"),
                 ("verify", "--task", "lemma", "--cutoff", "-2"),
@@ -356,8 +363,8 @@ def test_composite_dilogs_match_transcribed_products():
     from qrefl.qtorus import QuantumTorus
     stL, stR = V._torus_sides()
     T = QuantumTorus(builtin("B(C3)"))
-    for st, reference in ((stL, C.REFLECTION_LHS_FACTORS),
-                        (stR, C.REFLECTION_RHS_FACTORS)):
+    for st, reference in ((stL, REFLECTION_LHS_FACTORS),
+                        (stR, REFLECTION_RHS_FACTORS)):
         assert len(st.dilogs) == 46
         for (got_b, got_arg, got_e), (b, e, s, pw) in zip(st.dilogs, reference):
             assert (got_b, got_e) == (b, e)

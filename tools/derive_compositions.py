@@ -16,11 +16,12 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qrefl import catalog as C
 from qrefl.cluster import Perm, tropical_signs
 from qrefl.compose import CompositeState, composite_sequence, composite_signs
 from qrefl.qtorus import QuantumTorus
 from qrefl.quivers import builtin
+from reflection_reference import (REFLECTION_LHS_FACTORS, REFLECTION_RHS_FACTORS,
+                                  TROPICAL_SIGNS_LHS, TROPICAL_SIGNS_RHS)
 
 
 def solve_r_face(seed, a, b, c):
@@ -104,8 +105,8 @@ def main():
             assert got[1] == want[1], (name, idx, got[1], want[1])
         print(f"{name}: all {len(reference)} dilog factors match the reference product")
 
-    check_product(stL, C.REFLECTION_LHS_FACTORS, "LHS")
-    check_product(stR, C.REFLECTION_RHS_FACTORS, "RHS")
+    check_product(stL, REFLECTION_LHS_FACTORS, "LHS")
+    check_product(stR, REFLECTION_RHS_FACTORS, "RHS")
 
     assert stL.seed == stR.seed == BpC3, "sides do not land on the target seed"
     print("both sides end at the catalog target seed")
@@ -116,8 +117,8 @@ def main():
         flat = iter(tropical_signs(BC3, composite_sequence(rows)))
         return tuple(tuple(next(flat) for _ in row[2]) for row in rows)
 
-    assert signs_per_factor(rowsL) == C.TROPICAL_SIGNS_LHS
-    assert signs_per_factor(rowsR) == C.TROPICAL_SIGNS_RHS
+    assert signs_per_factor(rowsL) == TROPICAL_SIGNS_LHS
+    assert signs_per_factor(rowsR) == TROPICAL_SIGNS_RHS
     print("tropical sign sequences match the reference data")
 
     # tetrahedron side: A3
