@@ -170,7 +170,9 @@ def mutate_matrix(seed: ExchangeSeed, k) -> ExchangeSeed:
     when b_ik and b_kj have the same sign, and b'_ij = b_ij when they do
     not.  Only the rows in the support of column k change.  Row and
     column k hold integers, so every entry changes by an integer and the
-    frozen set (the half-integer pattern) is carried over."""
+    frozen set (the half-integer pattern) is carried over.  The other
+    rows, the labels and the symmetrizer are shared with ``seed``, and no
+    changed row becomes empty, so the rows keep their order."""
     if k not in seed.d:
         raise BadIndex(k)
     if k in seed.frozen:
@@ -186,9 +188,15 @@ def mutate_matrix(seed: ExchangeSeed, k) -> ExchangeSeed:
             row[k] = -bik
             for j, bkj in row_k.items():
                 if (bkj > 0) == (bik > 0):
-                    row[j] = row.get(j, 0) + abs(bik) * bkj
+                    v = row.get(j, 0) + abs(bik) * bkj
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
         b[i] = row
-    return ExchangeSeed(seed.labels, b, seed.d, check=False, frozen=seed.frozen)
+    out = ExchangeSeed.__new__(ExchangeSeed)
+    out.labels, out.b, out.d, out.frozen = seed.labels, b, seed.d, seed.frozen
+    return out
 
 
 class TropicalSeed:

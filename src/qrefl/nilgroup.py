@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .params import ParamForm, ParamQuad
+from .params import _ZERO, ParamForm, ParamQuad, canonical
 from .qweyl import AffineCanonMap, CanonSpec
 
 
@@ -42,8 +42,17 @@ ORDER_A3_PRIME = TriangularOrder(({6}, {4, 5}, {1, 2, 3}))
 ORDER_C3 = TriangularOrder(({1}, {2, 4}, {3, 5, 6, 7, 8, 9}))
 
 
+_ZERO_QUAD = ParamQuad()
+
+
+def _fractions(quad):
+    """A quadratic part with its values as Fractions, as reprs print it."""
+    return {k: Fraction(v) for k, v in quad.items()}
+
+
 class NilLieElement:
-    """Q + L + C as coefficients of 1/hbar."""
+    """Q + L + C as coefficients of 1/hbar; the quadratic coefficients are
+    stored in ``canonical`` form."""
 
     __slots__ = ("spec", "order", "quad", "lin", "central")
 
@@ -53,7 +62,7 @@ class NilLieElement:
         self.order = order
         q = {}
         for (i, j), v in (quad or {}).items():
-            v = Fraction(v)
+            v = canonical(v)
             if v:
                 if not order.allows(i, j):
                     raise OrderViolation(f"u{i} w{j} outside the order")
@@ -65,7 +74,7 @@ class NilLieElement:
             if not pf.is_zero():
                 l[axis] = pf
         self.lin = l
-        self.central = central or ParamQuad()
+        self.central = central or _ZERO_QUAD
 
     def is_zero(self):
         return not self.quad and not self.lin and self.central.is_zero()
@@ -73,15 +82,15 @@ class NilLieElement:
     def __add__(self, other):
         quad = dict(self.quad)
         for k, v in other.quad.items():
-            quad[k] = quad.get(k, Fraction(0)) + v
+            quad[k] = quad.get(k, 0) + v
         lin = dict(self.lin)
         for k, v in other.lin.items():
-            lin[k] = lin.get(k, ParamForm()) + v
+            lin[k] = lin.get(k, _ZERO) + v
         return NilLieElement(self.spec, self.order, quad, lin,
                              self.central + other.central)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = canonical(c)
         return NilLieElement(self.spec, self.order,
                              {k: v * c for k, v in self.quad.items()},
                              {k: v.scale(c) for k, v in self.lin.items()},
@@ -98,14 +107,14 @@ class NilLieElement:
                              self.central.subs(rules))
 
     def lin_at(self, axis) -> ParamForm:
-        return self.lin.get(axis, ParamForm())
+        return self.lin.get(axis, _ZERO)
 
     def __eq__(self, other):
         return (isinstance(other, NilLieElement) and self.quad == other.quad
                 and self.lin == other.lin and self.central == other.central)
 
     def __repr__(self):
-        return (f"NilLie(quad={self.quad}, "
+        return (f"NilLie(quad={_fractions(self.quad)}, "
                 f"lin={{{', '.join(f'{a}: {pf}' for a, pf in sorted(self.lin.items()))}}}, "
                 f"central={self.central})")
 
@@ -123,18 +132,18 @@ def bracket(x: NilLieElement, y: NilLieElement) -> NilLieElement:
                 if i != l:
                     if not x.order.allows(i, l):
                         raise OrderViolation(f"bracket leaves order at u{i} w{l}")
-                    quad[key] = quad.get(key, Fraction(0)) - g[j - 1] * v1 * v2
+                    quad[key] = quad.get(key, 0) - g[j - 1] * v1 * v2
             if i == l:
                 key = (k, j)
                 if k != j:
                     if not x.order.allows(k, j):
                         raise OrderViolation(f"bracket leaves order at u{k} w{j}")
-                    quad[key] = quad.get(key, Fraction(0)) + g[i - 1] * v1 * v2
+                    quad[key] = quad.get(key, 0) + g[i - 1] * v1 * v2
     lin = {}
 
     def add_lin(axis, pf):
         if not pf.is_zero():
-            lin[axis] = lin.get(axis, ParamForm()) + pf
+            lin[axis] = lin.get(axis, _ZERO) + pf
 
     for (i, j), v in x.quad.items():
         a = y.lin_at(f"u{j}")
@@ -146,7 +155,7 @@ def bracket(x: NilLieElement, y: NilLieElement) -> NilLieElement:
         add_lin(f"u{i}", a.scale(g[j - 1] * v))
         b = x.lin_at(f"w{i}")
         add_lin(f"w{j}", b.scale(-g[i - 1] * v))
-    central = ParamQuad()
+    central = _ZERO_QUAD
     for i in range(1, x.spec.p + 1):
         ax, bx = x.lin_at(f"u{i}"), x.lin_at(f"w{i}")
         ay, by = y.lin_at(f"u{i}"), y.lin_at(f"w{i}")
@@ -261,10 +270,10 @@ class NilGroupElement:
         if self.sigma != other.sigma:
             return ("sigma", self.sigma, other.sigma)
         if self.q != other.q:
-            return ("quad", self.q.quad, other.q.quad)
+            return ("quad", _fractions(self.q.quad), _fractions(other.q.quad))
         if self.l != other.l:
             diff = {a: (self.l.lin_at(a), other.l.lin_at(a))
-                    for a in set(self.l.lin) | set(other.l.lin)
+                    for a in sorted(set(self.l.lin) | set(other.l.lin))
                     if self.l.lin_at(a) != other.l.lin_at(a)}
             return ("linear", diff, None)
         if self.c != other.c:
@@ -272,7 +281,7 @@ class NilGroupElement:
         return None
 
     def __repr__(self):
-        return (f"NilGroup(sigma={self.sigma}, quad={self.q.quad}, "
+        return (f"NilGroup(sigma={self.sigma}, quad={_fractions(self.q.quad)}, "
                 f"lin={self.l.lin}, central={self.c})")
 
 
@@ -342,13 +351,12 @@ def adjoint(g: NilGroupElement) -> AffineCanonMap:
             raise OrderViolation("adjoint produced a central term")
         row = [0] * n
         for ax2, pf in y.lin.items():
-            if pf.terms:
+            if pf.num:
                 raise OrderViolation("adjoint linear part not rational")
-            coeff = pf.const
-            if coeff.denominator != 1:
+            if pf.den != 1:
                 raise OrderViolation("adjoint linear part not integral")
             k2, i2 = ax2[0], int(ax2[1:])
-            row[spec.index(f"{k2}{g.sigma(i2)}")] += int(coeff)
+            row[spec.index(f"{k2}{g.sigma(i2)}")] += pf.c
         rows.append(row)
         shifts.append(tr)
     return AffineCanonMap(spec, rows, shifts, check=False)

@@ -2,11 +2,13 @@
 
 Parameter symbols are short strings ('a1', 'd7', 'th2', ...).  A
 ParamForm is an affine-linear combination with exact rational
-coefficients, stored as ints where integral; ParamQuad, stored the same
-way, adds degree-two monomials (needed for the central part of the
-triangular operator group).  LinSystem does exact fraction-free Gaussian elimination on
-sparse integer rows (``pivot``) for rank computation and for solving a system
-into a substitution map.
+coefficients; ParamQuad adds degree-two monomials (needed for the central
+part of the triangular operator group).  Both are stored fraction-free:
+integer numerators over one positive denominator, in lowest terms, so
+their arithmetic is integer arithmetic plus at most one gcd per result.
+LinSystem does exact fraction-free Gaussian elimination on sparse integer
+rows (``pivot``) for rank computation and for solving a system into a
+substitution map.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import gcd, lcm
 
 
 def canonical(v):
-    """The one stored form of an exact rational: an int stays an int, any
+    """The one readable form of an exact rational: an int stays an int, any
     other value becomes a Fraction, and an integral Fraction its numerator.
     Python gives hash(Fraction(n)) == hash(n) and Fraction(n) == n, so
     equality and hashing are those of the rational."""
@@ -27,78 +29,160 @@ def canonical(v):
     return v.numerator if v.denominator == 1 else v
 
 
-def _form(terms, const):
-    """A ParamForm from nonzero values already in canonical form."""
-    out = ParamForm.__new__(ParamForm)
-    out.terms = terms
-    out.const = const
+def _value(n, den):
+    """The rational n/den in ``canonical`` form."""
+    return n if den == 1 else canonical(Fraction(n, den))
+
+
+def _merged(a, ma, b, mb):
+    """The int dict ma*a + mb*b: a's keys in their order, then b's new
+    keys, with the sums that cancel dropped."""
+    out = dict(a) if ma == 1 else {k: v * ma for k, v in a.items()}
+    for k, v in b.items():
+        w = out.get(k, 0) + v * mb
+        if w:
+            out[k] = w
+        else:
+            del out[k]
     return out
 
 
+def _form(num, c, den):
+    """A ParamForm from nonzero int numerators already in lowest terms."""
+    if den == 1:
+        out = object.__new__(ParamForm)
+    else:
+        out = object.__new__(_Fractional)
+        out.den = den
+    out.num = num
+    out.c = c
+    return out
+
+
+def _reduced(num, c, den):
+    """The ParamForm (c + num) / den, brought to lowest terms (den > 0)."""
+    if den == 1:
+        return _form(num, c, 1)
+    g = gcd(den, c, *num.values())
+    if g == 1:
+        return _form(num, c, den)
+    return _form({k: v // g for k, v in num.items()}, c // g, den // g)
+
+
 class ParamForm:
-    """Affine-linear form c0 + sum coeff_s * s over parameter symbols; each
-    coefficient and the constant are stored in ``canonical`` form."""
+    """Affine-linear form (c + sum num_s * s) / den over parameter symbols:
+    nonzero int numerators ``num``, an int ``c`` and ``den`` >= 1 with
+    gcd(num, c, den) = 1.  Each rational form has exactly one such layout,
+    so ``==``, ``hash`` and ``key`` compare it directly.  ``terms`` and
+    ``const`` read the values as ``canonical`` rationals.  A form is never
+    changed after it is built, so results may share a zero or an operand.
+    An integral form, the common case, stores no denominator (``den`` is
+    the class attribute 1); any other is a ``_Fractional``."""
 
-    __slots__ = ("terms", "const")
+    __slots__ = ("num", "c")
+    den = 1
 
-    def __init__(self, terms=None, const=0):
-        t = {}
+    def __new__(cls, terms=None, const=0):
+        if not terms and not const:
+            return _form({}, 0, 1)
+        const = canonical(const)
+        vals = {}
         for k, v in (terms or {}).items():
             v = canonical(v)
             if v:
-                t[k] = v
-        self.terms = t
-        self.const = canonical(const)
+                vals[k] = v
+        # values in lowest terms are in lowest terms over their least
+        # common denominator too
+        den = lcm(const.denominator, *(v.denominator for v in vals.values()))
+        return _form({k: v.numerator * (den // v.denominator) for k, v in vals.items()},
+                     const.numerator * (den // const.denominator), den)
 
     @classmethod
     def sym(cls, name, coeff=1):
         return cls({name: coeff})
 
+    @property
+    def terms(self):
+        d = self.den
+        return {k: _value(v, d) for k, v in self.num.items()}
+
+    @property
+    def const(self):
+        return _value(self.c, self.den)
+
     def is_zero(self):
-        return not self.terms and self.const == 0
+        return not self.num and not self.c
 
     def __add__(self, other):
-        return _form(_add_terms(self.terms, other.terms),
-                     canonical(self.const + other.const))
+        if not other.num and not other.c:
+            return self
+        if not self.num and not self.c:
+            return other
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        return _reduced(_merged(self.num, m1, other.num, m2),
+                        self.c * m1 + other.c * m2, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _form({k: -v for k, v in self.terms.items()}, -self.const)
+        return _form({k: -v for k, v in self.num.items()}, -self.c, self.den)
 
     def scale(self, c):
         c = canonical(c)
-        if c == 0:
-            return ParamForm()
-        return _form({k: canonical(v * c) for k, v in self.terms.items()},
-                     canonical(self.const * c))
+        p, q = c.numerator, c.denominator
+        if not p:
+            return _ZERO
+        if p == q:
+            return self
+        return _reduced({k: v * p for k, v in self.num.items()}, self.c * p,
+                        self.den * q)
 
     def subs(self, rules: dict) -> "ParamForm":
-        """Substitute symbols by ParamForms (symbols absent from rules stay)."""
-        out = _form({}, self.const)
-        for k, v in self.terms.items():
-            if k in rules:
-                out = out + rules[k].scale(v)
+        """Substitute symbols by ParamForms (symbols absent from rules stay).
+        Everything is summed in the order of the symbols, over the common
+        denominator of the rules used."""
+        used = [rules[k] for k in self.num if k in rules]
+        if not used:
+            return self
+        m = lcm(*(r.den for r in used))
+        num = {}
+        c = self.c * m
+        for k, v in self.num.items():
+            r = rules.get(k)
+            if r is None:
+                part, f = ((k, v),), m
             else:
-                out = out + _form({k: v}, 0)
-        return out
+                part, f = r.num.items(), v * (m // r.den)
+                c += r.c * f
+            for k2, v2 in part:
+                w = num.get(k2, 0) + v2 * f
+                if w:
+                    num[k2] = w
+                else:
+                    del num[k2]
+        return _reduced(num, c, self.den * m)
 
     def rate(self, direction: dict) -> Fraction:
         """Pairing with a rate vector symbol -> rational (absent = 0)."""
-        return sum((v * Fraction(direction.get(k, 0)) for k, v in self.terms.items()),
-                   Fraction(0))
+        return sum((v * Fraction(direction.get(k, 0)) for k, v in self.num.items()),
+                   Fraction(0)) / self.den
 
     def coeff(self, name):
-        return self.terms.get(name, 0)
+        return _value(self.num.get(name, 0), self.den)
 
     def key(self):
-        return (tuple(sorted(self.terms.items())), self.const)
+        """A hashable, order-free key; an integral form's key is its sorted
+        terms and its constant, a non-integral one adds the denominator."""
+        items = tuple(sorted(self.num.items()))
+        return (items, self.c) if self.den == 1 else (items, self.c, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, ParamForm):
             return NotImplemented
-        return self.terms == other.terms and self.const == other.const
+        return self.den == other.den and self.c == other.c and self.num == other.num
 
     def __hash__(self):
         return hash(self.key())
@@ -110,17 +194,37 @@ class ParamForm:
         for k, v in sorted(self.terms.items()):
             bits.append(f"{'+' if v > 0 else '-'}{abs(v)}*{k}" if abs(v) != 1
                         else f"{'+' if v > 0 else '-'}{k}")
-        if self.const:
-            bits.append(f"{'+' if self.const > 0 else '-'}{abs(self.const)}")
+        const = self.const
+        if const:
+            bits.append(f"{'+' if const > 0 else '-'}{abs(const)}")
         s = "".join(bits)
         return s[1:] if s.startswith("+") else s
 
 
-class ParamQuad:
-    """Degree <= 2 polynomial in the parameter symbols (exact rationals);
-    each coefficient and the constant are stored in ``canonical`` form."""
+class _Fractional(ParamForm):
+    """A ParamForm whose denominator is not 1; only these carry the slot."""
 
-    __slots__ = ("quad", "lin", "const")
+    __slots__ = ("den",)
+
+
+_ZERO = ParamForm()
+
+
+def _quad(form):
+    """A ParamQuad around a form in lowest terms."""
+    out = ParamQuad.__new__(ParamQuad)
+    out.form = form
+    return out
+
+
+class ParamQuad:
+    """Degree <= 2 polynomial in the parameter symbols.  It is stored as
+    one ParamForm whose keys are sorted symbol pairs (the quadratic part)
+    and symbols (the linear part), so it shares that layout and its
+    arithmetic; ``quad``, ``lin`` and ``const`` read the values of each
+    part as ``canonical`` rationals, in their order in the form."""
+
+    __slots__ = ("form",)
 
     def __init__(self, quad=None, lin=None, const=0):
         q = {}
@@ -128,99 +232,84 @@ class ParamQuad:
             v = canonical(v)
             if v:
                 k = tuple(sorted(k))
-                q[k] = canonical(q.get(k, 0) + v)
-        self.quad = {k: v for k, v in q.items() if v}
-        l = {}
-        for k, v in (lin or {}).items():
-            v = canonical(v)
-            if v:
-                l[k] = v
-        self.lin = l
-        self.const = canonical(const)
+                q[k] = q.get(k, 0) + v
+        self.form = ParamForm({**q, **(lin or {})}, const)
 
     @classmethod
     def from_linear(cls, f: ParamForm):
-        return _quad({}, dict(f.terms), f.const)
+        return _quad(f)
 
     @classmethod
     def product(cls, f: ParamForm, g: ParamForm):
-        quad = {}
-        for k1, v1 in f.terms.items():
-            for k2, v2 in g.terms.items():
-                key = tuple(sorted((k1, k2)))
-                quad[key] = quad.get(key, 0) + v1 * v2
-        lin = {}
-        for k, v in f.terms.items():
-            w = v * g.const
-            if w:
-                lin[k] = lin.get(k, 0) + w
-        for k, v in g.terms.items():
-            w = v * f.const
-            if w:
-                lin[k] = lin.get(k, 0) + w
-        return cls(quad, lin, f.const * g.const)
+        num = {}
+        for k1, v1 in f.num.items():
+            for k2, v2 in g.num.items():
+                key = (k1, k2) if k1 <= k2 else (k2, k1)
+                num[key] = num.get(key, 0) + v1 * v2
+        fc, gc = f.c, g.c
+        if gc:
+            for k, v in f.num.items():
+                num[k] = v * gc
+        if fc:
+            for k, v in g.num.items():
+                num[k] = num.get(k, 0) + v * fc
+        return _quad(_reduced({k: v for k, v in num.items() if v}, fc * gc,
+                              f.den * g.den))
+
+    def _part(self, kind, read=_value):
+        """The values of the part whose keys have type ``kind``, each
+        numerator read over the denominator by ``read``."""
+        f = self.form
+        return {k: read(v, f.den) for k, v in f.num.items() if type(k) is kind}
+
+    @property
+    def quad(self):
+        return self._part(tuple)
+
+    @property
+    def lin(self):
+        return self._part(str)
+
+    @property
+    def const(self):
+        return self.form.const
 
     def is_zero(self):
-        return not self.quad and not self.lin and self.const == 0
+        return self.form.is_zero()
 
     def __add__(self, other):
-        return _quad(_add_terms(self.quad, other.quad),
-                     _add_terms(self.lin, other.lin),
-                     canonical(self.const + other.const))
+        return _quad(self.form + other.form)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return _quad(self.form - other.form)
 
     def scale(self, c):
-        c = canonical(c)
-        if c == 0:
-            return ParamQuad()
-        return _quad({k: canonical(v * c) for k, v in self.quad.items()},
-                     {k: canonical(v * c) for k, v in self.lin.items()},
-                     canonical(self.const * c))
+        return _quad(self.form.scale(c))
 
     def subs(self, rules: dict) -> "ParamQuad":
-        out = _quad({}, {}, self.const)
-        for (s1, s2), v in self.quad.items():
-            f1 = rules.get(s1, ParamForm.sym(s1))
-            f2 = rules.get(s2, ParamForm.sym(s2))
-            out = out + ParamQuad.product(f1, f2).scale(v)
-        lin = ParamForm(self.lin).subs(rules)
-        return out + ParamQuad.from_linear(lin)
+        # summed over the numerators, then divided by den once
+        f = self.form
+        out = _quad(_form({}, f.c, 1))
+        lin = {}
+        for k, v in f.num.items():
+            if type(k) is str:
+                lin[k] = v
+            else:
+                f1 = rules.get(k[0], ParamForm.sym(k[0]))
+                f2 = rules.get(k[1], ParamForm.sym(k[1]))
+                out = out + ParamQuad.product(f1, f2).scale(v)
+        out = out + ParamQuad.from_linear(_form(lin, 0, 1).subs(rules))
+        return out.scale(Fraction(1, f.den))
 
     def __eq__(self, other):
         if not isinstance(other, ParamQuad):
             return NotImplemented
-        return (self.quad == other.quad and self.lin == other.lin
-                and self.const == other.const)
+        return self.form == other.form
 
     def __repr__(self):
         # values print as Fractions, integral ones included
-        quad = {k: Fraction(v) for k, v in self.quad.items()}
-        lin = {k: Fraction(v) for k, v in self.lin.items()}
-        return f"ParamQuad(quad={quad}, lin={lin}, const={self.const})"
-
-
-def _quad(quad, lin, const):
-    """A ParamQuad from nonzero values already in canonical form."""
-    out = ParamQuad.__new__(ParamQuad)
-    out.quad = quad
-    out.lin = lin
-    out.const = const
-    return out
-
-
-def _add_terms(a, b):
-    """The coefficient dict a + b of canonical values: a's keys in their
-    order, then b's new keys, with the sums that cancel dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + v
-        if w:
-            out[k] = canonical(w)
-        elif k in out:
-            del out[k]
-    return out
+        return (f"ParamQuad(quad={self._part(tuple, Fraction)}, "
+                f"lin={self._part(str, Fraction)}, const={self.const})")
 
 
 class Inconsistent(Exception):
@@ -237,7 +326,7 @@ class LinSystem:
     def symbols(self):
         out = set()
         for c in self.constraints:
-            out.update(c.terms)
+            out.update(c.num)
         return sorted(out)
 
     def _rows(self, order):
@@ -246,10 +335,10 @@ class LinSystem:
         idx = {s: i for i, s in enumerate(order)}
         rows = []
         for c in self.constraints:
-            den = lcm(c.const.denominator, *(v.denominator for v in c.terms.values()))
-            row = {idx[k]: int(v * den) for k, v in c.terms.items()}
-            if c.const:
-                row[len(order)] = int(c.const * den)
+            # a form in lowest terms: its numerators are the primitive row
+            row = {idx[k]: v for k, v in c.num.items()}
+            if c.c:
+                row[len(order)] = c.c
             rows.append(row)
         return rows
 
@@ -289,11 +378,12 @@ class LinSystem:
             raise Inconsistent(self.name or "linear system")
         rules = {}
         for row, col in zip(rows, pivots):
+            # order[col] = -(rest of the row) / p, over the denominator |p|
             p = row[col]
-            rules[order[col]] = ParamForm(
-                {order[j]: Fraction(-v, p) for j, v in sorted(row.items())
-                 if j != col and j < n},
-                Fraction(-row.get(n, 0), p))
+            s = -1 if p > 0 else 1
+            rules[order[col]] = _reduced(
+                {order[j]: s * v for j, v in sorted(row.items()) if j != col and j < n},
+                s * row.get(n, 0), abs(p))
         return rules
 
 

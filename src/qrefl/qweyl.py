@@ -141,9 +141,12 @@ class WeylSeries(GradedSeries):
         # add_term changes buckets in place
         return self._like({cexp: dict(b) for cexp, b in self.terms.items()})
 
-    def add_term(self, cexp, pexp: ParamForm, coeff: ScalarQ):
+    def add_term(self, cexp, pexp: ParamForm, coeff: ScalarQ, key=None):
+        """Add coeff * e^pexp * e^cexp; ``key`` is pexp.key() when the
+        caller has it already, so that a key is sorted once per form."""
         bucket = self.terms.setdefault(cexp, {})
-        key = pexp.key()
+        if key is None:
+            key = pexp.key()
         if key in bucket:
             new = bucket[key][1] + coeff
             if new.is_zero():
@@ -169,8 +172,8 @@ class WeylSeries(GradedSeries):
 
     def __iadd__(self, other: "WeylSeries") -> "WeylSeries":
         for cexp, bucket in other.terms.items():
-            for pexp, coeff in bucket.values():
-                self.add_term(cexp, pexp, coeff)
+            for key, (pexp, coeff) in bucket.items():
+                self.add_term(cexp, pexp, coeff, key)
         return self
 
     def equal_on(self, other: "WeylSeries", region=None) -> bool:

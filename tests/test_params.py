@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -94,6 +95,54 @@ def test_paramform_values_are_canonical(a, b, c, substituted):
         assert form.key() == rebuilt.key() and hash(form) == hash(rebuilt)
     assert (fa + fb) - fb == fa
     assert hash((fa + fb) - fb) == hash(fa) and hash(fa.scale(4).scale(Fraction(1, 4))) == hash(fa)
+
+
+def _stored_in_lowest_terms(form):
+    # nonzero int numerators and an int constant over den > 0, content 1
+    assert type(form.den) is int and form.den > 0 and type(form.c) is int
+    assert all(type(v) is int and v for v in form.num.values())
+    assert gcd(form.den, form.c, *form.num.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(QFORM, QFORM, st.integers(1, 12), st.integers(-6, 6).filter(bool),
+       st.lists(st.sampled_from(SYMS), min_size=1, max_size=2, unique=True))
+def test_equal_forms_share_one_stored_layout(a, b, k, m, substituted):
+    # equal rationals reached by different routes are stored alike, so
+    # ==, hash and key() agree; an integral form's key stays a pair
+    fa, fb = ParamForm(*_plain(*a)), ParamForm(*_plain(*b))
+    third, kth = Fraction(1, 3), Fraction(1, k)
+    half = fa.scale(Fraction(1, 2))
+    rules = {s: fb.scale(Fraction(m, 4 * k)) for s in substituted}
+    quarters = {s: fb.scale(Fraction(1, 4)) + fb.scale(Fraction(1, 4))
+                for s in substituted}
+    groups = [
+        [fa, fa.scale(3).scale(third), fa.scale(kth).scale(k),
+         fa.scale(Fraction(2 * m, 3)).scale(Fraction(3, 2 * m)), half + half,
+         (fa + fb) - fb, -(-fa), ParamForm(fa.terms, fa.const)],
+        # an integral form from two non-integral ones whose halves cancel
+        [fa.scale(4), (fa.scale(2) + fb.scale(Fraction(1, 2)))
+         + (fa.scale(2) - fb.scale(Fraction(1, 2)))],
+        # substitutions by rules with denominators
+        [fa.subs(rules), fa.scale(k).subs(rules).scale(kth),
+         ParamForm(*_plain_subs(_plain(*a), {s: (r.terms, r.const)
+                                             for s, r in rules.items()}))],
+        [fa.subs(quarters), fa.subs({s: fb.scale(Fraction(1, 2)) for s in substituted})],
+    ]
+    for group in groups:
+        for form in group:
+            _stored_in_lowest_terms(form)
+            assert form == group[0] and hash(form) == hash(group[0])
+            assert form.key() == group[0].key()
+            assert len(form.key()) == (2 if form.den == 1 else 3)
+    assert fa.scale(4).den == 1 and len(fa.scale(4).key()) == 2
+    # the degree-two forms follow the same layout
+    quads = [ParamQuad.product(fa, fb), ParamQuad.product(half, fb).scale(2),
+             ParamQuad.product(fa, fb.scale(third)).scale(3),
+             ParamQuad.product(fa, fb).scale(kth) + ParamQuad.product(fa, fb).scale(1 - kth)]
+    for q in quads:
+        assert q == quads[0]
+        _stored_in_lowest_terms(q.form)
 
 
 class FractionQuad:

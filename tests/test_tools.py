@@ -1,8 +1,11 @@
+import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,3 +71,53 @@ def test_bench_pairs_summary_on_canned_runs():
     assert not summarize(runs, ["verdict_s"], ("w", "verdict_s"))["claim"]["met"]
     runs["w"]["change"] = [result(v, failed=1) for v in change]
     assert not summarize(runs, ["verdict_s"], ("w", "verdict_s"))["claim"]["met"]
+
+
+FAKE_RUN = '''
+import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+stem = f"{args['--workload']}-seed{args['--seed']}-trace0"
+os.makedirs("bench/out", exist_ok=True)
+with open(f"bench/out/result-{stem}.json", "w") as fh:
+    json.dump({"last_round_ops_s": {"op": 0.1}}, fh)
+flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "flag": flag,
+                  "metrics": {m: {"value": 1.0} for m in
+                              ("setup_s", "verdict_s", "peak_rss_mb")}}))
+'''
+
+
+def _fake_tree(path):
+    (path / "bench").mkdir(parents=True)
+    (path / "src" / "qrefl").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(FAKE_RUN)
+    return path
+
+
+def test_bench_pairs_runs_without_bytecode(tmp_path, monkeypatch, capsys):
+    # every child runs with PYTHONDONTWRITEBYTECODE=1 whatever the caller's
+    # environment, the JSON head says so, and a tree holding bytecode is
+    # refused with one error before anything runs
+    import bench_pairs
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    parent, change = _fake_tree(tmp_path / "p"), _fake_tree(tmp_path / "c")
+    assert bench_pairs.run_once(str(parent), "w", 3, 1)["flag"] == "1"
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seeds", "1-1",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    summary = json.loads(out.read_text())
+    assert summary["environment"] == "PYTHONDONTWRITEBYTECODE=1, trees without bytecode"
+
+    cache = change / "src" / "qrefl" / "__pycache__"
+    cache.mkdir()
+    (cache / "params.cpython-311.pyc").write_bytes(b"")
+    out.unlink()
+    capsys.readouterr()
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "holds bytecode" in err and str(cache) in err
+    assert not out.exists()
+    with pytest.raises(bench_pairs.Bytecode):
+        bench_pairs.run_once(str(change), "w", 3, 1)

@@ -3,13 +3,16 @@ import json
 import subprocess
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
 import qrefl.catalog as C
 import qrefl.verify as V
 from qrefl.cluster import MutationSequence, Perm
-from qrefl.operators import UnknownName, constraints
+from qrefl.nilgroup import NilGroupElement, NilLieElement
+from qrefl.operators import UnknownName, constraints, tail
+from qrefl.params import ParamForm
 from qrefl.quivers import builtin
 
 from printed_tables import GOOD_HOMOGENEOUS, GOOD_HOMOGENEOUS_P
@@ -43,6 +46,46 @@ def test_operator_level_identities():
     for w in ("P+", "P-", "Pbar-", "Pbar+"):
         assert V.check_te_P(w).status
     assert V.check_te_eta(1).status and V.check_te_eta(-1).status
+
+
+# the witness of the twin below, recorded before the parameter forms
+# stored integer numerators over one denominator
+_TE_P_TWIN_WITNESS = (
+    "('linear', {'u5': (-a1+1/2*a3-a4-1/2*a6+1/2*b3-1/2*b6+c2-1/2*c3+1/2*c6-1/2*d3"
+    "+1/2*d6, -a1+1/2*a2+1/2*a3-a4-1/2*a6+1/2*b3-1/2*b6+c2-1/2*c3+1/2*c6-1/2*d3"
+    "+1/2*d6), 'u6': (-a2+1/2*a3-1/2*a6+1/2*b3-1/2*b6+1/2*c3-1/2*c6-1/2*d3+1/2*d6, "
+    "-3/2*a2+1/2*a3-1/2*a6+1/2*b3-1/2*b6+1/2*c3-1/2*c6-1/2*d3+1/2*d6)}, None)")
+
+
+def test_te_P_twin_with_a_half_linear_coefficient_fails(monkeypatch):
+    # the first P+ tail (spaces 1, 2, 4) with the a2 coefficient of its u1
+    # part moved from 1/2 to 1 stays in the group, and the two sides then
+    # differ in the linear parts u5 and u6 by multiples of a2/2
+    built = []
+
+    def perturbed(name, spaces, spec, order, rules):
+        g = tail(name, spaces, spec, order, rules)
+        if not built:
+            lin = dict(g.l.lin)
+            lin["u1"] = lin["u1"] + ParamForm.sym("a2", Fraction(1, 2))
+            g = NilGroupElement(g.spec, g.order, g.sigma, g.q,
+                                NilLieElement(g.spec, g.order, {}, lin), g.c)
+        built.append(spaces)
+        return g
+
+    monkeypatch.setattr(V, "tail", perturbed)
+    rep = V.check_te_P("P+")
+    assert built[0] == (1, 2, 4)
+    assert not rep.status
+    assert repr(rep.details["witness"]) == _TE_P_TWIN_WITNESS
+    assert json.loads(rep.to_json())["details"]["witness"] == [
+        "linear",
+        {"u5": ["-a1+1/2*a3-a4-1/2*a6+1/2*b3-1/2*b6+c2-1/2*c3+1/2*c6-1/2*d3+1/2*d6",
+                "-a1+1/2*a2+1/2*a3-a4-1/2*a6+1/2*b3-1/2*b6+c2-1/2*c3+1/2*c6"
+                "-1/2*d3+1/2*d6"],
+         "u6": ["-a2+1/2*a3-1/2*a6+1/2*b3-1/2*b6+1/2*c3-1/2*c6-1/2*d3+1/2*d6",
+                "-3/2*a2+1/2*a3-1/2*a6+1/2*b3-1/2*b6+1/2*c3-1/2*c6-1/2*d3+1/2*d6"]},
+        None]
 
 
 def test_sign_searches_reproduce_catalog():

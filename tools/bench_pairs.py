@@ -6,8 +6,10 @@
 For every seed and every workload of BENCHMARK.json, each tree runs its
 own ``bench/run.py --workload W --seed N --seconds S --trace 0`` (S is the
 file's ``run_seconds``), the parent first on odd seeds and the change
-first on even seeds.  The summary is rewritten to ``--out`` after every
-pair: per workload and end-to-end metric, each side's median and
+first on even seeds.  Each run gets PYTHONDONTWRITEBYTECODE=1, and a tree
+that holds bytecode under src/ or bench/ is refused: set-up time and peak
+RSS are measured without it.  The summary is rewritten to ``--out`` after
+every pair: per workload and end-to-end metric, each side's median and
 inclusive quartiles, its runs, and the number of pairs in which the
 change reads lower (ties count for neither side); per workload and
 operation, each side's median wall time in the last round of a run, read
@@ -87,12 +89,31 @@ def summarize(runs, metrics, claim=None):
     return out
 
 
+class Bytecode(Exception):
+    """A benchmarked tree holds compiled bytecode."""
+
+
+def refuse_bytecode(tree):
+    """Raise Bytecode naming the first __pycache__ directory or .pyc file
+    under ``tree``'s src/ or bench/."""
+    for sub in ("src", "bench"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(tree, sub)):
+            found = [os.path.join(dirpath, n) for n in dirnames + filenames
+                     if n == "__pycache__" or n.endswith(".pyc")]
+            if found:
+                raise Bytecode(f"{tree} holds bytecode ({found[0]}); remove it, "
+                               "set-up time and peak RSS are measured without it")
+
+
 def run_once(tree, workload, seed, seconds):
     """The result object that ``tree``'s bench/run.py prints last, with the
-    ``last_round_ops_s`` of the result file it writes."""
+    ``last_round_ops_s`` of the result file it writes.  The run writes no
+    bytecode, and a tree that holds some is refused."""
+    refuse_bytecode(tree)
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with "
                            f"{proc.returncode}:\n{proc.stderr}")
@@ -124,10 +145,17 @@ def main(argv=None):
     seeds = list(range(lo, hi + 1))
     claim = tuple(args.claim.split(":")) if args.claim else None
     trees = {"parent": args.parent, "change": args.change}
+    try:
+        for tree in trees.values():
+            refuse_bytecode(tree)
+    except Bytecode as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 2
     runs = {wl: {s: [] for s in SIDES} for wl in workloads}
     head = {"command": f"python3 bench/run.py --workload W --seed N "
                        f"--seconds {seconds} --trace 0",
             "machine": f"{os.cpu_count()} cores, Python {platform.python_version()}",
+            "environment": "PYTHONDONTWRITEBYTECODE=1, trees without bytecode",
             "seeds": seeds,
             "order": "parent first on odd seeds, change first on even seeds",
             "quartiles": "statistics.quantiles(n=4, method='inclusive') "
