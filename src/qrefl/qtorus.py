@@ -262,16 +262,35 @@ def perm_hom(torus_src: QuantumTorus, torus_tgt: QuantumTorus, sigma) -> TorusHo
 # graded truncated series
 
 
+class Degrees(dict):
+    """Integer degree of each exponent vector, computed on its first
+    lookup and stored: a term's degree never changes."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g):
+        super().__init__()
+        self._g = g
+
+    def __missing__(self, alpha):
+        d = self[alpha] = sum(map(mul, self._g, alpha))
+        return d
+
+
 class GradedSeries:
     """Finite sum of monomials X^alpha of grading degree <= cutoff.
 
     The grading and the cutoff are scaled to integers once, so the
     truncation test and the s-exponent alpha.S.beta of X^alpha X^beta (S
-    the integer skew form of the ring) need no Fraction arithmetic.
-    Subclasses keep the coefficient layout of ``terms``.
+    the integer skew form of the ring) need no Fraction arithmetic.  The
+    degrees are read from a ``Degrees`` table that the series shares with
+    the series made from it by ``_like``; ``expand`` works with a table of
+    its own, dropped when it returns.  A series holds no zero coefficient
+    (and a Weyl series no empty bucket).  Subclasses keep the coefficient
+    layout of ``terms``.
     """
 
-    __slots__ = ("grading", "cutoff", "terms", "_skew", "_g", "_top")
+    __slots__ = ("grading", "cutoff", "terms", "_skew", "_g", "_top", "_deg")
 
     def __init__(self, skew, grading, cutoff, terms=None):
         self.grading = tuple(grading)
@@ -281,40 +300,36 @@ class GradedSeries:
         scale = lcm(*(Fraction(g).denominator for g in self.grading))
         self._g = tuple(int(g * scale) for g in self.grading)
         self._top = floor(cutoff * scale)
+        self._deg = Degrees(self._g)
 
     def gdeg(self, alpha) -> int:
         """Degree of X^alpha in the integer grading (grading times scale)."""
-        return sum(map(mul, self._g, alpha))
+        return self._deg[alpha]
 
     def keeps(self, alpha) -> bool:
         return self.gdeg(alpha) <= self._top
 
     def _like(self, terms=None):
-        """A series over the same ring, grading and cutoff, empty or with
-        the given ``terms``."""
+        """A series over the same ring, grading, cutoff and degree table,
+        empty or with the given ``terms``."""
         out = copy(self)
         out.terms = terms or {}
         return out
 
-    def _copy(self):
-        """A copy whose terms can be added to without touching this one."""
-        return self._like(dict(self.terms))
-
     def _within(self, top):
         """The terms of degree <= top, in this series' order; the values
         are shared, so the result is only read."""
-        g = self._g
-        return self._like({a: v for a, v in self.terms.items()
-                           if sum(map(mul, g, a)) <= top})
+        deg = self._deg
+        return self._like({a: v for a, v in self.terms.items() if deg[a] <= top})
 
     def _moves(self, beta):
         """(alpha + beta, s-exponent of X^alpha X^beta, terms[alpha]) for
         every term whose product with X^beta survives the truncation."""
-        top = self._top - self.gdeg(beta)
+        deg = self._deg
+        top = self._top - deg[beta]
         col = skew_image(self._skew, beta)
-        g = self._g
         for alpha, c in self.terms.items():
-            if sum(map(mul, g, alpha)) <= top:
+            if deg[alpha] <= top:
                 yield tuple(map(add, alpha, beta)), sum(map(mul, alpha, col)), c
 
     def expand(self, factors):
@@ -323,24 +338,28 @@ class GradedSeries:
         to the cutoff.
 
         Psi has constant coefficient 1, so the n = 0 power of a factor is
-        a copy of the running product.  A term X^alpha survives beside
-        arg^n exactly when gdeg(alpha) <= top - n*d, so the terms that
-        meet each higher power are filtered from those that met the
-        previous one, keeping the running product's order: coefficients
-        are summed, and new exponents inserted, as in the product of the
-        whole running series with every power in turn."""
-        acc = self._within(self._top)
+        the running product itself, and the higher powers are added to it
+        in place.  A term X^alpha survives beside arg^n exactly when
+        gdeg(alpha) <= top - n*d, so the terms that meet each higher power
+        are filtered from those that met the previous one (the first
+        filter copies them before any power is added), keeping the running
+        product's order: coefficients are summed, and new exponents
+        inserted, as in the product of the whole running series with
+        every power in turn.  Every exponent's degree is computed once, in
+        a table that lives as long as the expansion."""
+        acc = copy(self)
+        acc._deg = Degrees(self._g)
+        acc = acc._within(self._top)
         for base, expo, arg in factors:
-            d = self.gdeg(self._exponent(arg))
+            d = acc.gdeg(self._exponent(arg))
             if d <= 0:
                 raise NonpositiveGrading(f"factor argument {arg} of grade <= 0")
             coeffs = dilog_coefficients(base, expo, self._top // d)
-            new, live = acc._copy(), acc
+            live = acc
             for n in range(1, len(coeffs)):
                 live = live._within(self._top - n * d)
-                new += live._mul_power(arg.pow(n), coeffs[n])
-            acc = new
-        return acc
+                acc += live._mul_power(arg.pow(n), coeffs[n])
+        return self._like(acc.terms)
 
 
 class TorusSeries(GradedSeries):
@@ -365,10 +384,13 @@ class TorusSeries(GradedSeries):
             self.terms[alpha] = new
 
     def mul_monomial(self, coeff: ScalarQ, beta: tuple) -> "TorusSeries":
-        out = self._like()
-        for alpha, s, c in self._moves(beta):
-            out.add_term(alpha, (c * coeff).shift(s))
-        return out
+        # alpha -> alpha + beta is injective and a product of nonzero
+        # scalars is nonzero, so no two products meet and none cancels:
+        # the terms are stored as they come, without merging
+        if coeff.is_zero():
+            return self._like()
+        return self._like({alpha: (c * coeff).shift(s)
+                           for alpha, s, c in self._moves(beta)})
 
     _exponent = staticmethod(attrgetter("alpha"))
 
@@ -376,8 +398,21 @@ class TorusSeries(GradedSeries):
         return self.mul_monomial(p.coeff * c, p.alpha)
 
     def __iadd__(self, other: "TorusSeries") -> "TorusSeries":
+        # add_term for every term of other, in one pass; a cancelled
+        # exponent leaves the degree table too, which would otherwise keep
+        # its tuple alive for the rest of an expansion
+        terms = self.terms
         for a, c in other.terms.items():
-            self.add_term(a, c)
+            cur = terms.get(a)
+            if cur is None:
+                terms[a] = c
+            else:
+                c = cur + c
+                if c.is_zero():
+                    del terms[a]
+                    self._deg.pop(a, None)
+                else:
+                    terms[a] = c
         return self
 
     def __eq__(self, other):
@@ -404,7 +439,12 @@ class TorusSeries(GradedSeries):
 
 
 def dilog_coefficients(base: int, expo: int, nmax: int):
-    """Coefficients c_n of Psi_{q^base}(U)^expo = sum c_n U^n, n <= nmax."""
+    """Coefficients c_n of Psi_{q^base}(U)^expo = sum c_n U^n, n <= nmax,
+    for expo = 1 or -1 and base >= 1."""
+    if expo not in (1, -1):
+        raise ValueError(f"dilogarithm exponent must be 1 or -1, got {expo}")
+    if base < 1:
+        raise ValueError(f"dilogarithm base q^{base} needs base >= 1")
     out = [ONE]
     for n in range(1, nmax + 1):
         if expo == 1:

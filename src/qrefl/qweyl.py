@@ -124,7 +124,10 @@ class WeylMonomial:
 
 
 class WeylSeries(GradedSeries):
-    """Graded truncated series: cexp -> {pexp-key: (pexp, ScalarQ)}."""
+    """Graded truncated series: cexp -> {pexp-key: (pexp, ScalarQ)}.
+
+    Series share buckets (``_like``, ``_within``, ``+=``), so a bucket is
+    never changed in place: ``add_term`` and ``+=`` store a changed copy."""
 
     __slots__ = ("spec",)
 
@@ -137,33 +140,44 @@ class WeylSeries(GradedSeries):
         zero = (0,) * (2 * spec.p)
         return cls(spec, grading, cutoff, {zero: {ParamForm().key(): (ParamForm(), ONE)}})
 
-    def _copy(self):
-        # add_term changes buckets in place
-        return self._like({cexp: dict(b) for cexp, b in self.terms.items()})
-
     def add_term(self, cexp, pexp: ParamForm, coeff: ScalarQ, key=None):
         """Add coeff * e^pexp * e^cexp; ``key`` is pexp.key() when the
         caller has it already, so that a key is sorted once per form."""
-        bucket = self.terms.setdefault(cexp, {})
         if key is None:
             key = pexp.key()
-        if key in bucket:
-            new = bucket[key][1] + coeff
+        bucket = self.terms.get(cexp)
+        if bucket is None:
+            self.terms[cexp] = {key: (pexp, coeff)}
+            return
+        bucket = dict(bucket)
+        cur = bucket.get(key)
+        if cur is None:
+            bucket[key] = (pexp, coeff)
+        else:
+            new = cur[1] + coeff
             if new.is_zero():
                 del bucket[key]
-                if not bucket:
-                    del self.terms[cexp]
             else:
                 bucket[key] = (pexp, new)
+        if bucket:
+            self.terms[cexp] = bucket
         else:
-            bucket[key] = (pexp, coeff)
+            del self.terms[cexp]
 
     def mul_monomial(self, m: WeylMonomial) -> "WeylSeries":
-        out = self._like()
+        # cexp -> cexp + m.cexp and pexp -> pexp + m.pexp are injective and
+        # a product of nonzero scalars is nonzero, so no two products meet
+        # and none cancels: the buckets are built without merging
+        if m.coeff.is_zero():
+            return self._like()
+        mp, mc = m.pexp, m.coeff
+        out = {}
         for cexp, s, bucket in self._moves(m.cexp):
+            new = out[cexp] = {}
             for pexp, coeff in bucket.values():
-                out.add_term(cexp, pexp + m.pexp, (coeff * m.coeff).shift(s))
-        return out
+                pexp = pexp + mp
+                new[pexp.key()] = (pexp, (coeff * mc).shift(s))
+        return self._like(out)
 
     _exponent = staticmethod(attrgetter("cexp"))
 
@@ -171,9 +185,38 @@ class WeylSeries(GradedSeries):
         return self.mul_monomial(WeylMonomial(self.spec, p.coeff * c, p.pexp, p.cexp))
 
     def __iadd__(self, other: "WeylSeries") -> "WeylSeries":
-        for cexp, bucket in other.terms.items():
-            for key, (pexp, coeff) in bucket.items():
-                self.add_term(cexp, pexp, coeff, key)
+        # add_term for every term of other, in one pass: a new exponent
+        # takes the incoming bucket, and a bucket merged into is a copy.
+        # add_term deletes an emptied bucket at once and inserts a later
+        # key of the same exponent into a fresh one, at the end of the
+        # terms; a bucket that empties and refills is moved there.  An
+        # exponent that cancels leaves the degree table too
+        terms = self.terms
+        for cexp, inc in other.terms.items():
+            bucket = terms.get(cexp)
+            if bucket is None:
+                terms[cexp] = inc
+                continue
+            bucket = dict(bucket)
+            emptied = False
+            for key, val in inc.items():
+                cur = bucket.get(key)
+                if cur is None:
+                    bucket[key] = val
+                else:
+                    c = cur[1] + val[1]
+                    if not c.is_zero():
+                        bucket[key] = (val[0], c)
+                    else:
+                        del bucket[key]
+                        emptied = emptied or not bucket
+            if not bucket:
+                del terms[cexp]
+                self._deg.pop(cexp, None)
+            else:
+                if emptied:
+                    del terms[cexp]
+                terms[cexp] = bucket
         return self
 
     def equal_on(self, other: "WeylSeries", region=None) -> bool:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 from unittest.mock import patch
 
 import pytest
@@ -15,7 +16,8 @@ from qrefl.compose import (CompositeState, composite_sequence, composite_signs,
 from qrefl.params import ParamForm, pivot
 from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
                           TorusSeries, _solve_lp_geq, dilog_coefficients,
-                          expand_product, staged_certificate, stiemke_grading)
+                          expand_product, skew_pair, staged_certificate,
+                          stiemke_grading)
 from qrefl.quivers import builtin
 from qrefl.qweyl import SPEC_C2, SPEC_C3, WeylMonomial, WeylSeries
 from qrefl.scalars import ONE, ScalarQ
@@ -668,3 +670,173 @@ def test_re_full_sides_expand_as_term_by_term_loop():
     g = V._grading([m.cexp for facs in sides for _, _, m in facs])
     for facs in sides:
         assert_expand_matches_reference(WeylSeries.one(SPEC_C3, g, 2), facs)
+
+
+# -- the one-pass merge and the direct product against add_term -------------
+
+# +-1 and +-s cancel against each other; a dilogarithm coefficient has a
+# denominator, so its sums go through the general ScalarQ addition
+_COEFFS = (ONE, -ONE, ScalarQ.s_pow(1), -ScalarQ.s_pow(1),
+           dilog_coefficients(1, 1, 2)[2])
+
+
+def added_term_by_term(a, b):
+    """a + b, merged by add_term one term of b at a time."""
+    out = a._like(dict(a.terms))
+    if isinstance(out, TorusSeries):
+        for alpha, c in b.terms.items():
+            out.add_term(alpha, c)
+    else:
+        for cexp, bucket in b.terms.items():
+            for key, (p, c) in bucket.items():
+                out.add_term(cexp, p, c, key)
+    return out
+
+
+def product_term_by_term(series, coeff, beta, pexp=None):
+    """series times coeff * X^beta (times e^pexp for a Weyl series), every
+    product put in by add_term; a product past the cutoff is left out."""
+    out = series._like()
+    top = series._top - sum(map(mul, series._g, beta))
+    for alpha, v in series.terms.items():
+        if sum(map(mul, series._g, alpha)) > top:
+            continue
+        gamma = tuple(map(add, alpha, beta))
+        s = skew_pair(series._skew, alpha, beta)
+        if pexp is None:
+            out.add_term(gamma, (v * coeff).shift(s))
+        else:
+            for p, c in v.values():
+                out.add_term(gamma, p + pexp, (c * coeff).shift(s))
+    return out
+
+
+def assert_merge_matches_add_term(a, b):
+    # twice: a bucket that b shares with the sum must not change under the
+    # second merge
+    want = added_term_by_term(added_term_by_term(a, b), b)
+    before = layout(b)
+    got = a._like(dict(a.terms))
+    got += b
+    got += b
+    assert layout(got) == layout(want)
+    assert layout(b) == before
+
+
+def _drawn_series(data, empty, n, pexps=None):
+    """A series filled by add_term from a pool of at most three exponents,
+    so that its terms meet and cancel often."""
+    pool = data.draw(st.lists(_sparse_vec(n), min_size=1, max_size=3))
+    series = empty()
+    for _ in range(data.draw(st.integers(0, 8))):
+        alpha, c = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(_COEFFS))
+        if pexps is None:
+            series.add_term(alpha, c)
+        else:
+            series.add_term(alpha, data.draw(st.sampled_from(pexps)), c)
+    return series
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_TORI)), st.data())
+def test_torus_merge_and_product_match_add_term(name, data):
+    torus = _TORI[name]
+    n = torus.n()
+    grading = data.draw(st.lists(st.sampled_from((Fraction(1, 2), 1)),
+                                 min_size=n, max_size=n))
+    empty = lambda: TorusSeries(torus, grading, data.draw(st.sampled_from((0, 1, 2))))
+    a, b = _drawn_series(data, empty, n), _drawn_series(data, empty, n)
+    assert_merge_matches_add_term(a, b)
+    coeff, beta = data.draw(st.sampled_from(_COEFFS)), data.draw(_sparse_vec(n))
+    assert (layout(a.mul_monomial(coeff, beta))
+            == layout(product_term_by_term(a, coeff, beta)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((SPEC_C2, SPEC_C3)), st.data())
+def test_weyl_merge_and_product_match_add_term(spec, data):
+    n = 2 * spec.p
+    grading = data.draw(st.lists(st.sampled_from((Fraction(1, 2), 1)),
+                                 min_size=n, max_size=n))
+    empty = lambda: WeylSeries(spec, grading, data.draw(st.sampled_from((0, 1, 2))))
+    a = _drawn_series(data, empty, n, _PEXPS)
+    b = _drawn_series(data, empty, n, _PEXPS)
+    assert_merge_matches_add_term(a, b)
+    m = WeylMonomial(spec, data.draw(st.sampled_from(_COEFFS)),
+                     data.draw(st.sampled_from(_PEXPS)), data.draw(_sparse_vec(n)))
+    assert (layout(a.mul_monomial(m))
+            == layout(product_term_by_term(a, m.coeff, m.cexp, m.pexp)))
+
+
+def test_torus_merge_deletes_a_cancelled_sum():
+    torus = _TORI["B(C2)"]
+    e = [torus.unit(l) for l in torus.labels[:3]]
+    a = TorusSeries(torus, (1,) * torus.n(), 2, {e[0]: ONE, e[1]: ScalarQ.s_pow(1)})
+    b = TorusSeries(torus, (1,) * torus.n(), 2, {e[1]: -ScalarQ.s_pow(1), e[2]: ONE})
+    assert_merge_matches_add_term(a, b)
+    a += b
+    assert list(a.terms) == [e[0], e[2]]
+
+
+def test_weyl_merge_keeps_add_term_order_for_an_emptied_bucket():
+    spec = SPEC_C2
+    x, y, z = (spec.vec({ax: 1}) for ax in ("u1", "w1", "u2"))
+    p0, p1, p2 = _PEXPS
+    s = ScalarQ.s_pow(1)
+
+    def series(*terms):
+        out = WeylSeries(spec, (1,) * 8, 3)
+        for cexp, p, c in terms:
+            out.add_term(cexp, p, c)
+        return out
+
+    a = series((x, p0, ONE), (y, p1, ONE))
+    # x's bucket cancels to empty while its incoming bucket still holds
+    # p1 and p2: add_term re-inserts x after y, with p1 then p2
+    refill = series((x, p0, -ONE), (x, p1, ONE), (x, p2, s))
+    assert_merge_matches_add_term(a, refill)
+    got = a._like(dict(a.terms))
+    got += refill
+    assert list(got.terms) == [y, x]
+    assert list(got.terms[x]) == [p1.key(), p2.key()]
+    # a bucket that cancels to empty and stays so is deleted
+    got += series((x, p1, -ONE), (x, p2, -s))
+    assert list(got.terms) == [y]
+    # a new exponent takes the incoming bucket, several keys in order
+    fresh = series((z, p2, ONE), (z, p0, s), (z, p1, -ONE))
+    assert_merge_matches_add_term(a, fresh)
+    got = a._like(dict(a.terms))
+    got += fresh
+    assert list(got.terms) == [x, y, z]
+    assert list(got.terms[z]) == [p2.key(), p0.key(), p1.key()]
+
+
+def test_products_drop_terms_past_the_cutoff():
+    torus = _TORI["B(C2)"]
+    e1, e2 = torus.unit(torus.labels[0]), torus.unit(torus.labels[1])
+    a = TorusSeries(torus, (1,) * torus.n(), 2,
+                    {e1: ONE, tuple(2 * x for x in e2): ScalarQ.s_pow(3)})
+    got = a.mul_monomial(ScalarQ.s_pow(1), e1)
+    assert layout(got) == layout(product_term_by_term(a, ScalarQ.s_pow(1), e1))
+    assert list(got.terms) == [tuple(2 * x for x in e1)]
+    assert not a.mul_monomial(ScalarQ.zero(), e1).terms
+
+
+def test_expand_keeps_no_degree_table_of_its_own():
+    # the degrees of an expansion are stored in a table that goes with it:
+    # the start series' table does not grow, and the result shares it
+    torus = _TORI["B(C2)"]
+    start = TorusSeries.one(torus, (1,) * torus.n(), 3)
+    before = dict(start._deg)
+    arg = torus.gen(torus.labels[0])
+    got = start.expand([(1, 1, arg), (1, -1, torus.gen(torus.labels[1]))])
+    assert len(got.terms) > 2
+    assert dict(start._deg) == before
+    assert got._deg is start._deg
+    assert all(got.gdeg(a) == sum(a) for a in got.terms)
+
+
+@pytest.mark.parametrize("base,expo", [(1, 2), (1, 0), (1, -2), (0, 1), (-1, -1)])
+def test_dilog_coefficients_reject_other_exponents_and_bases(base, expo):
+    with pytest.raises(ValueError):
+        dilog_coefficients(base, expo, 3)

@@ -121,3 +121,28 @@ def test_bench_pairs_runs_without_bytecode(tmp_path, monkeypatch, capsys):
     assert not out.exists()
     with pytest.raises(bench_pairs.Bytecode):
         bench_pairs.run_once(str(change), "w", 3, 1)
+
+
+def test_bench_pairs_refuses_trees_of_unequal_depth(tmp_path, capsys):
+    # peak RSS moves with a tree's directory depth: a parent and a change
+    # whose real paths differ in depth are refused with one error before
+    # anything runs, also when a symlink hides the difference
+    import bench_pairs
+
+    parent = _fake_tree(tmp_path / "p")
+    change = _fake_tree(tmp_path / "deeper" / "c")
+    out = tmp_path / "bench.json"
+    for chg in (change, tmp_path / "link"):
+        if chg.name == "link":
+            chg.symlink_to(change)
+        argv = ["--parent", str(parent), "--change", str(chg), "--seeds", "1-1",
+                "--out", str(out)]
+        capsys.readouterr()
+        assert bench_pairs.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "equal depth" in err
+        assert not out.exists()
+        assert not (change / "bench" / "out").exists()
+    with pytest.raises(bench_pairs.UnequalDepth):
+        bench_pairs.refuse_unequal_depth(str(parent), str(change))
+    bench_pairs.refuse_unequal_depth(str(parent), str(tmp_path / "q"))

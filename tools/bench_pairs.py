@@ -8,12 +8,14 @@ own ``bench/run.py --workload W --seed N --seconds S --trace 0`` (S is the
 file's ``run_seconds``), the parent first on odd seeds and the change
 first on even seeds.  Each run gets PYTHONDONTWRITEBYTECODE=1, and a tree
 that holds bytecode under src/ or bench/ is refused: set-up time and peak
-RSS are measured without it.  The summary is rewritten to ``--out`` after
-every pair: per workload and end-to-end metric, each side's median and
-inclusive quartiles, its runs, and the number of pairs in which the
-change reads lower (ties count for neither side); per workload and
-operation, each side's median wall time in the last round of a run, read
-from ``last_round_ops_s`` in the run's bench/out/result-*.json.  A
+RSS are measured without it.  Two trees whose real paths differ in depth
+are refused too, since peak RSS moves with a tree's directory depth.  The
+summary is rewritten to ``--out`` after every pair: per workload and
+end-to-end metric, each side's median and inclusive quartiles, its runs,
+and the number of pairs in which the change reads lower (ties count for
+neither side); per workload and operation, each side's median wall time
+in the last round of a run, read from ``last_round_ops_s`` in the run's
+bench/out/result-*.json.  A
 claimed gain is met when the change reads lower in at least nine tenths
 of the pairs, the medians differ by more than the parent's quartile
 spread, and every run is correct with no more failed operations than at
@@ -89,8 +91,27 @@ def summarize(runs, metrics, claim=None):
     return out
 
 
-class Bytecode(Exception):
+class Refused(Exception):
+    """The trees cannot be compared fairly; nothing is run."""
+
+
+class Bytecode(Refused):
     """A benchmarked tree holds compiled bytecode."""
+
+
+class UnequalDepth(Refused):
+    """The two trees lie at different directory depths."""
+
+
+def refuse_unequal_depth(parent, change):
+    """Raise UnequalDepth when the real paths of the two trees have a
+    different number of components."""
+    depth = {t: len(os.path.realpath(t).split(os.sep)) for t in (parent, change)}
+    if depth[parent] != depth[change]:
+        raise UnequalDepth(
+            f"{parent} lies {depth[parent]} and {change} {depth[change]} "
+            "directories deep; peak RSS moves with a tree's depth, so copy "
+            "both to paths of equal depth")
 
 
 def refuse_bytecode(tree):
@@ -146,9 +167,10 @@ def main(argv=None):
     claim = tuple(args.claim.split(":")) if args.claim else None
     trees = {"parent": args.parent, "change": args.change}
     try:
+        refuse_unequal_depth(args.parent, args.change)
         for tree in trees.values():
             refuse_bytecode(tree)
-    except Bytecode as exc:
+    except Refused as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
     runs = {wl: {s: [] for s in SIDES} for wl in workloads}
