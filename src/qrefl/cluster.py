@@ -3,7 +3,8 @@
 Vertices are integer labels exactly as they appear in the source
 diagrams (some quivers use 0, most are 1-based); everything downstream
 keeps these labels, so reports and fixtures never translate indices.
-Exchange matrices are sparse {i: {j: Fraction}} with entries in (1/2)Z.
+Exchange matrices are sparse {i: {j: entry}} with entries in (1/2)Z, an
+int when integral and a Fraction only when half-integral.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class ExchangeSeed:
 
     def __init__(self, labels, b, d, check=True, frozen=None):
         self.labels = tuple(sorted(labels))
-        self.b = {i: {j: v if type(v) is Fraction else Fraction(v)
+        self.b = {i: {j: int(v) if v == int(v) else Fraction(v)
                       for j, v in row.items() if v}
                   for i, row in b.items() if row}
         for i in self.labels:

@@ -63,26 +63,22 @@ def fold_prefixes(keys, start, step):
     return out
 
 
-def _extend(hom, seed, torus, new_torus, k, eps):
-    """One signed mutation step at k on the composed map ``hom`` from
-    ``torus``, the torus of ``seed``: the dilog factor the step emits and
-    the composed map from ``new_torus``, the torus after the step."""
-    arg = hom.apply(torus.gen(k))
-    if eps < 0:
-        arg = arg.inverse()
-    # only the images of k and of the vertices with a positive [eps*b_ik]
-    # change
+def _extend(hom, seed, new_torus, k, eps):
+    """One signed mutation step at k on the composed map ``hom`` from the
+    torus of ``seed``: the dilog factor the step emits and the composed
+    map from ``new_torus``, the torus after the step.  The step's monomial
+    part sends Y_k to Y_k^-1 and Y_i to Y_i Y_k^m for m = [eps*b_ik]_+ > 0,
+    so only those images change, by integer vector arithmetic."""
     images = dict(hom.images)
-    images[k] = hom.apply(torus.gen(k, -1))
+    vk = images[k]
+    images[k] = neg = tuple(-x for x in vk)
+    arg = hom.target.element(ONE, vk if eps > 0 else neg)
     b = seed.b
     # Bhat is skew, so the support of column k is that of row k
-    for i in sorted(b[k]):
+    for i in b[k]:
         m = eps * b[i][k]
         if m > 0:
-            a = [0] * torus.n()
-            a[torus.index(i)] = 1
-            a[torus.index(k)] = int(m)
-            images[i] = hom.apply(torus.element(ONE, tuple(a)))
+            images[i] = tuple(x + m * y for x, y in zip(images[i], vk))
     return (seed.d[k], arg, eps), TorusHom(new_torus, hom.target, images)
 
 
@@ -106,8 +102,7 @@ class CompositeState:
     def mutate(self, k, eps):
         new_seed = mutate_matrix(self.seed, k)
         new_torus = self.torus.mutated(new_seed, k)
-        factor, self.hom = _extend(self.hom, self.seed, self.torus, new_torus,
-                                   k, eps)
+        factor, self.hom = _extend(self.hom, self.seed, new_torus, k, eps)
         self.dilogs.append(factor)
         self.seed = new_seed
         self.torus = new_torus
@@ -149,7 +144,7 @@ def run_composites(seed: ExchangeSeed, ms: MutationSequence, sign_lists) -> dict
 
     def step(state, i, eps):
         hom, dilogs = state
-        factor, hom = _extend(hom, seeds[i], tori[i], tori[i + 1], ms.steps[i], eps)
+        factor, hom = _extend(hom, seeds[i], tori[i + 1], ms.steps[i], eps)
         return hom, dilogs + (factor,)
 
     folded = fold_prefixes(keys, (TorusHom.identity(tori[0]), ()), step)
@@ -162,11 +157,18 @@ def run_composites(seed: ExchangeSeed, ms: MutationSequence, sign_lists) -> dict
 
 
 def hom_from_table(seed_src, seed_tgt, table: dict) -> TorusHom:
-    """TorusHom from catalog monomial data {label: (s_exp, ((l, p), ...))}."""
-    src = seed_src if isinstance(seed_src, QuantumTorus) else QuantumTorus(seed_src)
-    tgt = seed_tgt if isinstance(seed_tgt, QuantumTorus) else QuantumTorus(seed_tgt)
-    images = {label: tgt.monomial(s_exp, powers)
-              for label, (s_exp, powers) in table.items()}
-    for l in src.labels:
-        images.setdefault(l, tgt.gen(l))
-    return TorusHom(src, tgt, images)
+    """TorusHom from catalog monomial data {label: (s_exp, ((l, p), ...))},
+    a label the table leaves out being fixed.  Raises ValueError unless
+    every image has coefficient 1 and the images q-commute like the
+    source generators: only then does the map send coefficients through."""
+    src, tgt = QuantumTorus(seed_src), QuantumTorus(seed_tgt)
+    images = {l: tgt.unit(l) for l in src.labels}
+    for label, (s_exp, powers) in table.items():
+        m = tgt.monomial(s_exp, powers)
+        if m.coeff != ONE:
+            raise ValueError(f"image of {label} has coefficient {m.coeff.as_pair_str()}")
+        images[label] = m.alpha
+    hom = TorusHom(src, tgt, images)
+    if not hom.respects_commutation():
+        raise ValueError("images do not q-commute like the source generators")
+    return hom

@@ -52,6 +52,27 @@ def skew_pair(rows, a, b) -> int:
     return sum(map(mul, a, skew_image(rows, b)))
 
 
+def combine(vecs, alpha, n) -> tuple:
+    """sum_i alpha_i vecs[i], each of length n: the integer matrix with
+    columns ``vecs`` applied to the exponent vector alpha."""
+    out = [0] * n
+    for a, v in zip(alpha, vecs):
+        if a:
+            for j, x in enumerate(v):
+                if x:
+                    out[j] += a * x
+    return tuple(out)
+
+
+def preserves_skew(src_rows, tgt_rows, vecs) -> bool:
+    """Whether e_i -> vecs[i] carries the skew form S with sparse rows
+    ``src_rows`` to S' with rows ``tgt_rows``: M^T S' M = S, that is
+    vecs[a].S'.vecs[b] = S_ab for every pair."""
+    cols = [skew_image(tgt_rows, v) for v in vecs]
+    return all(sum(map(mul, va, cols[b])) == dict(src_rows[a]).get(b, 0)
+               for a, va in enumerate(vecs) for b in range(len(vecs)))
+
+
 class QuantumTorus:
     """Ambient torus: ordered labels plus the integer skew form 2*Bhat."""
 
@@ -98,13 +119,6 @@ class QuantumTorus:
         """a . Bhat . b for integer exponent vectors."""
         return Fraction(skew_pair(self._rows, a, b), 2)
 
-    def ordering_twist(self, a) -> int:
-        """sum_{i<j} a_i a_j 2 bhat_ij: Y^a is s^-twist times the ordered
-        product of the generator powers Y_1^a_1 ... Y_n^a_n."""
-        rows = self._rows
-        return sum(ai * x * a[j] for i, ai in enumerate(a) if ai
-                   for j, x in rows[i] if j > i)
-
     def unit(self, label):
         return tuple(1 if l == label else 0 for l in self.labels)
 
@@ -119,16 +133,15 @@ class QuantumTorus:
         return TorusElement(self, ONE, (0,) * self.n())
 
     def monomial(self, s_exp: int, powers) -> "TorusElement":
-        """Ordered product q^(s_exp/2-ish) * prod Y_label^power.
-
-        ``powers`` is a sequence of (label, power); the product is taken
-        left to right and normalized symmetrically.  ``s_exp`` is the
-        exponent of s in the prefactor.
-        """
-        out = self.element(ScalarQ.s_pow(s_exp), (0,) * self.n())
+        """s^s_exp times the ordered product of the generator powers
+        ``powers``, a sequence of (label, power) taken left to right."""
+        alpha, t = [0] * self.n(), s_exp
         for label, p in powers:
-            out = out * self.gen(label, p)
-        return out
+            i = self._index[label]
+            # Y^alpha Y_i^p = s^(alpha.S.p e_i) Y^(alpha + p e_i)
+            t -= p * sum(x * alpha[j] for j, x in self._rows[i])
+            alpha[i] += p
+        return self.element(ScalarQ.s_pow(t), alpha)
 
 
 class TorusElement:
@@ -179,82 +192,63 @@ class TorusElement:
         return f"{self.coeff.as_pair_str()}*{terms or '1'}"
 
 
-class MonomialHom:
-    """Multiplicative map out of a quantum torus, given on generators.
+class TorusHom:
+    """Monomial homomorphism between quantum tori as an integer matrix M:
+    ``images`` maps each source label to the exponent vector over
+    ``target`` of its generator's image.  M preserves the skew forms (the
+    walk's maps by construction, table data by ``hom_from_table``), so the
+    ordering twists cancel and c*Y^alpha goes to c*Y^(M alpha)."""
 
-    ``source`` is the QuantumTorus of the domain and ``images`` maps its
-    labels to monomials of the target algebra; Y^alpha goes to
-    s^-twist(alpha) times the ordered product of the images' powers.
-    Subclasses name the target and its scalars (``constant``).
-    """
-
-    __slots__ = ("source", "images")
-
-    def apply(self, x: TorusElement):
-        if x.torus is not self.source and x.torus.labels != self.source.labels:
-            raise SeedMismatch("element not over the hom's source torus")
-        twist = ScalarQ.s_pow(-self.source.ordering_twist(x.alpha))
-        out = self.constant(x.coeff * twist)
-        for l, a in zip(self.source.labels, x.alpha):
-            if a:
-                out = out * self.images[l].pow(a)
-        return out
-
-    def respects_commutation(self, seed: ExchangeSeed) -> bool:
-        """Images must q-commute exactly like the generators of ``seed``."""
-        for a in seed.labels:
-            for b in seed.labels:
-                want = self.constant(ScalarQ.q_pow(2 * seed.bhat(a, b)))
-                if self.images[a] * self.images[b] != \
-                        want * self.images[b] * self.images[a]:
-                    return False
-        return True
-
-
-class TorusHom(MonomialHom):
-    """Monomial homomorphism between quantum tori: ``images`` maps source
-    labels to TorusElements of ``target``."""
-
-    __slots__ = ("target",)
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: QuantumTorus, target: QuantumTorus, images: dict):
         self.source = source
         self.target = target
         self.images = images
 
-    def constant(self, coeff: ScalarQ) -> TorusElement:
-        return self.target.element(coeff, (0,) * self.target.n())
+    def apply_vec(self, alpha) -> tuple:
+        return combine(map(self.images.__getitem__, self.source.labels), alpha,
+                       self.target.n())
+
+    def apply(self, x: TorusElement) -> TorusElement:
+        if x.torus is not self.source and x.torus.labels != self.source.labels:
+            raise SeedMismatch("element not over the hom's source torus")
+        return TorusElement(self.target, x.coeff, self.apply_vec(x.alpha))
+
+    def respects_commutation(self) -> bool:
+        """Images must q-commute exactly like the source generators."""
+        return preserves_skew(self.source.skew(), self.target.skew(),
+                              [self.images[l] for l in self.source.labels])
 
     @classmethod
     def identity(cls, torus: QuantumTorus):
-        return cls(torus, torus, {l: torus.gen(l) for l in torus.labels})
+        return cls(torus, torus, {l: torus.unit(l) for l in torus.labels})
 
     def compose(self, inner: "TorusHom") -> "TorusHom":
         """self o inner (inner applied first)."""
         if inner.target is not self.source and \
                 inner.target.labels != self.source.labels:
             raise SeedMismatch("homs not composable")
-        images = {l: self.apply(img) for l, img in inner.images.items()}
+        images = {l: self.apply_vec(v) for l, v in inner.images.items()}
         return TorusHom(inner.source, self.target, images)
 
     def __eq__(self, other):
         if not isinstance(other, TorusHom):
             return NotImplemented
-        if set(self.images) != set(other.images):
-            return False
-        return all(self.images[l] == other.images[l] for l in self.images)
+        return self.images == other.images
 
     def first_difference(self, other: "TorusHom"):
         for l in sorted(self.images):
             if self.images[l] != other.images[l]:
-                return l, self.images[l], other.images[l]
+                return (l, self.target.element(ONE, self.images[l]),
+                        other.target.element(ONE, other.images[l]))
         return None
 
 
 def perm_hom(torus_src: QuantumTorus, torus_tgt: QuantumTorus, sigma) -> TorusHom:
     """Relabeling homomorphism: Y'_i -> Y_{sigma^-1(i)}."""
     inv = sigma.inv()
-    images = {l: torus_tgt.gen(inv(l)) for l in torus_src.labels}
+    images = {l: torus_tgt.unit(inv(l)) for l in torus_src.labels}
     return TorusHom(torus_src, torus_tgt, images)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .params import ParamForm
-from .qtorus import GradedSeries, MonomialHom, skew_pair
+from .qtorus import (GradedSeries, SeedMismatch, combine, preserves_skew,
+                     skew_pair)
 from .scalars import ONE, ScalarQ
 
 
@@ -255,18 +256,35 @@ def expand_weyl_product(factors, spec, grading, cutoff) -> WeylSeries:
     return WeylSeries.one(spec, grading, cutoff).expand(factors)
 
 
-class SubstHom(MonomialHom):
-    """Multiplicative map from a quantum torus into a q-Weyl algebra."""
+class SubstHom:
+    """Multiplicative map from a quantum torus into a q-Weyl algebra whose
+    images e^pexp_l e^cexp_l of the generators Y_l have coefficient 1 and
+    carry the skew form to omega (else NonUnimodular), so that c*Y^alpha
+    goes to c*e^(sum alpha_l pexp_l)*e^(sum alpha_l cexp_l)."""
 
-    __slots__ = ("spec",)
+    __slots__ = ("source", "spec", "images")
 
     def __init__(self, source, spec: CanonSpec, images: dict):
         self.source = source          # QuantumTorus
         self.spec = spec
         self.images = images          # label -> WeylMonomial
+        if any(m.coeff != ONE for m in images.values()) or \
+                not self.respects_commutation():
+            raise NonUnimodular("images are not symmetric monomials that "
+                                "preserve the commutators")
 
-    def constant(self, coeff: ScalarQ) -> WeylMonomial:
-        return WeylMonomial(self.spec, coeff, ParamForm(), (0,) * (2 * self.spec.p))
+    def respects_commutation(self) -> bool:
+        """Images must q-commute exactly like the source generators."""
+        return preserves_skew(self.source.skew(), self.spec.skew(),
+                              [self.images[l].cexp for l in self.source.labels])
+
+    def apply(self, x) -> WeylMonomial:
+        if x.torus is not self.source and x.torus.labels != self.source.labels:
+            raise SeedMismatch("element not over the hom's source torus")
+        ims = [self.images[l] for l in self.source.labels]
+        pexp = sum((m.pexp.scale(a) for a, m in zip(x.alpha, ims) if a), ParamForm())
+        return WeylMonomial(self.spec, x.coeff, pexp,
+                            combine([m.cexp for m in ims], x.alpha, 2 * self.spec.p))
 
     def apply_series(self, series, grading, cutoff) -> "WeylSeries":
         """Image of a truncated torus series, term by term."""
@@ -320,23 +338,11 @@ class AffineCanonMap:
 
     def preserves_commutators(self) -> bool:
         """omega(lin[a], lin[b]) = omega(e_a, e_b) for every pair of rows."""
-        rows = self.spec.skew()
-        return all(skew_pair(rows, ea, eb) == dict(rows[a]).get(b, 0)
-                   for a, ea in enumerate(self.lin)
-                   for b, eb in enumerate(self.lin) if a < b)
+        return preserves_skew(self.spec.skew(), self.spec.skew(), self.lin)
 
     def apply_vec(self, cexp):
-        n = 2 * self.spec.p
-        out = [0] * n
-        pf = ParamForm()
-        for i, v in enumerate(cexp):
-            if v:
-                row = self.lin[i]
-                for j in range(n):
-                    if row[j]:
-                        out[j] += v * row[j]
-                pf = pf + self.shift[i].scale(v)
-        return tuple(out), pf
+        return (combine(self.lin, cexp, 2 * self.spec.p),
+                sum((s.scale(v) for v, s in zip(cexp, self.shift) if v), ParamForm()))
 
     def apply(self, m: WeylMonomial) -> WeylMonomial:
         cexp, pf = self.apply_vec(m.cexp)
@@ -344,14 +350,10 @@ class AffineCanonMap:
 
     def compose(self, inner: "AffineCanonMap") -> "AffineCanonMap":
         """self o inner: apply inner first."""
-        n = 2 * self.spec.p
-        lin = []
-        shift = []
-        for i in range(n):
-            cexp, pf = self.apply_vec(inner.lin[i])
-            lin.append(cexp)
-            shift.append(inner.shift[i] + pf)
-        return AffineCanonMap(self.spec, lin, shift, check=False)
+        rows = [self.apply_vec(row) for row in inner.lin]
+        return AffineCanonMap(self.spec, [v for v, _ in rows],
+                              [s + pf for s, (_, pf) in zip(inner.shift, rows)],
+                              check=False)
 
     def subs_params(self, rules) -> "AffineCanonMap":
         return AffineCanonMap(self.spec, self.lin,
@@ -386,7 +388,7 @@ def diagram_commutes(h_src: SubstHom, h_tgt: SubstHom, tau, eta: AffineCanonMap,
     """
     for label in sorted(h_src.source.labels):
         left = eta.apply(h_src.images[label])
-        right = h_tgt.apply(tau.images[label])
+        right = h_tgt.apply(tau.apply(tau.source.gen(label)))
         if rules:
             left = left.subs_params(rules)
             right = right.subs_params(rules)

@@ -276,3 +276,35 @@ def test_frozen_set_carried_through_mutation_matches_a_rescan():
             assert seed.frozen == ExchangeSeed(seed.labels, seed.b, seed.d).frozen
         seed = seed.permuted(ms.sigma)
         assert seed.frozen == ExchangeSeed(seed.labels, seed.b, seed.d).frozen
+
+
+def _int_or_half(seed):
+    return all(type(v) is int or (type(v) is Fraction and v.denominator == 2)
+               for row in seed.b.values() for v in row.values())
+
+
+BUILTIN_SEEDS = [n for n in names() if isinstance(builtin(n), ExchangeSeed)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BUILTIN_SEEDS), st.data())
+def test_exchange_entries_are_ints_or_half_integer_fractions(name, data):
+    # an integral entry is stored as an int and only a half-integer as a
+    # Fraction, in every builtin seed and every seed mutation reaches
+    seed = builtin(name)
+    assert _int_or_half(seed)
+    for k in data.draw(st.lists(st.sampled_from(seed.mutable()), max_size=12)):
+        seed = mutate_matrix(seed, k)
+        assert _int_or_half(seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_seeds())
+def test_seed_from_fraction_rows_equals_seed_from_int_rows(seed):
+    fractions = {i: {j: Fraction(v) for j, v in row.items()} for i, row in seed.b.items()}
+    ints = {i: {j: int(v) if v.denominator == 1 else v for j, v in row.items()}
+            for i, row in fractions.items()}
+    a, b = (ExchangeSeed(seed.labels, rows, seed.d) for rows in (fractions, ints))
+    assert a == b == seed and a.frozen == b.frozen
+    assert _int_or_half(a) and _int_or_half(b)
+    assert seed_to_text(a) == seed_to_text(b)

@@ -10,6 +10,9 @@ from qrefl.nilgroup import OrderViolation, bch_mul
 from qrefl.operators import canonical_map, rules_for, sign_text, tail
 from qrefl.quivers import builtin
 from qrefl.qweyl import SPEC_C3, AffineCanonMap
+from qrefl.scalars import ONE, ScalarQ
+
+from monomial_reference import coefficients, exponents, reference_apply
 
 TUPLES = list(product((1, -1), repeat=4))
 
@@ -96,6 +99,44 @@ def test_random_walks_match_run_composite(walk):
     assert set(walks) == set(lists)
     for signs in lists:
         assert_same_walk(walks[signs], run_composite(seed, ms, signs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_walks(), st.data())
+def test_walk_maps_send_coefficients_through(walk, data):
+    # every map a walk returns preserves the skew form, every argument it
+    # emits is a symmetric monomial, and applying the map equals the long
+    # way: the ordering twist times the ordered product of image powers
+    seed, ms, lists = walk
+    for state in run_composites(seed, ms, lists).values():
+        hom = state.hom
+        assert hom.respects_commutation()
+        assert all(arg.coeff == ONE for _, arg, _ in state.dilogs)
+        alpha = data.draw(exponents(hom.source.n()))
+        coeff = data.draw(coefficients())
+        images = {l: hom.target.element(ONE, v) for l, v in hom.images.items()}
+        want = reference_apply(hom.source, images,
+                               lambda c: hom.target.element(c, (0,) * hom.target.n()),
+                               coeff, alpha)
+        assert hom.apply(hom.source.element(coeff, alpha)) == want
+
+
+def test_reflection_walks_do_no_scalar_products(monkeypatch):
+    # the walks of both reflection sides for all 16 sign tuples move
+    # integer exponent vectors only
+    calls = []
+    mul = ScalarQ.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(ScalarQ, "__mul__", counted)
+    seed = builtin("B(C3)")
+    for side in "LR":
+        lists = [composite_signs(V._REFLECTION[side], t) for t in TUPLES]
+        assert len(run_composites(seed, V._RE_SEQ[side], lists)) == 16
+    assert len(calls) == 0
 
 
 def test_eta_folds_match_one_fold_per_tuple():

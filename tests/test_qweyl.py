@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrefl.catalog as C
+from qrefl.compose import hom_from_table
 from qrefl.params import ParamForm
 from qrefl.qtorus import QuantumTorus
 from qrefl.quivers import builtin
 from qrefl.qweyl import (AffineCanonMap, NonUnimodular, SPEC_A2, SPEC_B2,
-                         SPEC_C2, SPEC_C3, SpecMismatch, WeylMonomial,
+                         SPEC_C2, SPEC_C3, SpecMismatch, SubstHom, WeylMonomial,
                          build_subst_hom, diagram_commutes)
 from qrefl.scalars import ONE, ScalarQ
+
+from monomial_reference import coefficients, exponents, reference_apply
 
 
 def test_weyl_mul_examples():
@@ -44,20 +47,56 @@ def test_subst_hom_examples():
                                                 (0,) * 18)
 
 
+SUBST_CASES = [
+    ("B(A2)", SPEC_A2, C.PHI_A2), ("B'(A2)", SPEC_A2, C.PHIP_A2),
+    ("B'(A2)", SPEC_A2, C.PHIBAR_A2), ("B(A2)", SPEC_A2, C.PHIBARP_A2),
+    ("B(C2)", SPEC_C2, C.PHI_C2), ("B'(C2)", SPEC_C2, C.PHIP_C2),
+    ("B(C3)", SPEC_C3, C.PHI_C3),
+    ("B_FG(C2)", SPEC_C2, C.PHI_FG_C2), ("B'_FG(C2)", SPEC_C2, C.PHIP_FG_C2),
+    ("B_FG(B2)", SPEC_B2, C.PSI_FG_B2), ("B'_FG(B2)", SPEC_B2, C.PSIP_FG_B2),
+    ("B_FG(A2)", SPEC_A2, C.PHI_FG_A2), ("B'_FG(A2)", SPEC_A2, C.PHIP_FG_A2),
+]
+
+
 def test_subst_homs_respect_commutation():
-    cases = [
-        ("B(A2)", SPEC_A2, C.PHI_A2), ("B'(A2)", SPEC_A2, C.PHIP_A2),
-        ("B'(A2)", SPEC_A2, C.PHIBAR_A2), ("B(A2)", SPEC_A2, C.PHIBARP_A2),
-        ("B(C2)", SPEC_C2, C.PHI_C2), ("B'(C2)", SPEC_C2, C.PHIP_C2),
-        ("B(C3)", SPEC_C3, C.PHI_C3),
-        ("B_FG(C2)", SPEC_C2, C.PHI_FG_C2), ("B'_FG(C2)", SPEC_C2, C.PHIP_FG_C2),
-        ("B_FG(B2)", SPEC_B2, C.PSI_FG_B2), ("B'_FG(B2)", SPEC_B2, C.PSIP_FG_B2),
-        ("B_FG(A2)", SPEC_A2, C.PHI_FG_A2), ("B'_FG(A2)", SPEC_A2, C.PHIP_FG_A2),
-    ]
-    for name, spec, table in cases:
-        seed = builtin(name)
-        hom = build_subst_hom(QuantumTorus(seed), spec, table)
-        assert hom.respects_commutation(seed), name
+    for name, spec, table in SUBST_CASES:
+        hom = build_subst_hom(QuantumTorus(builtin(name)), spec, table)
+        assert hom.respects_commutation(), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_subst_homs_send_coefficients_through(data):
+    # on every catalog table, applying the map equals the long way: the
+    # ordering twist times the ordered product of the image powers
+    for name, spec, table in SUBST_CASES:
+        torus = QuantumTorus(builtin(name))
+        hom = build_subst_hom(torus, spec, table)
+        alpha, coeff = data.draw(exponents(torus.n())), data.draw(coefficients())
+        zero = (0,) * (2 * spec.p)
+        want = reference_apply(torus, hom.images,
+                               lambda c: WeylMonomial(spec, c, ParamForm(), zero),
+                               coeff, alpha)
+        assert hom.apply(torus.element(coeff, alpha)) == want, name
+
+
+def test_table_maps_refuse_images_that_do_not_pass_coefficients():
+    fg, big = builtin("B_FG(C2)"), builtin("B(C2)")
+    assert hom_from_table(fg, big, C.ALPHA_C2).respects_commutation()
+    s_exp, powers = C.ALPHA_C2[2]
+    with pytest.raises(ValueError, match="coefficient"):
+        hom_from_table(fg, big, {**C.ALPHA_C2, 2: (s_exp + 1, powers)})
+    with pytest.raises(ValueError, match="q-commute"):
+        hom_from_table(fg, big, {**C.ALPHA_C2, 1: (0, ((1, -1),))})
+    torus = QuantumTorus(big)
+    pexp, cexp = C.PHI_C2[2]
+    with pytest.raises(NonUnimodular):
+        build_subst_hom(torus, SPEC_C2, {**C.PHI_C2, 2: (pexp, {"u2": 3})})
+    images = build_subst_hom(torus, SPEC_C2, C.PHI_C2).images
+    m = images[2]
+    with pytest.raises(NonUnimodular):
+        SubstHom(torus, SPEC_C2, {**images, 2: WeylMonomial(
+            SPEC_C2, ScalarQ.q_pow(1), m.pexp, m.cexp)})
 
 
 def test_weyl_commutator_of_images():
@@ -111,7 +150,6 @@ def test_affine_compose_and_identity():
 def test_diagram_commutes_identity():
     big = QuantumTorus(builtin("B(A2)"))
     phi = build_subst_hom(big, SPEC_A2, C.PHI_A2)
-    from qrefl.compose import hom_from_table
     ident_tau = hom_from_table(builtin("B(A2)"), builtin("B(A2)"), {})
     ok, wit = diagram_commutes(phi, phi, ident_tau,
                                AffineCanonMap.identity(SPEC_A2))

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qrefl.qtorus import dilog_coefficients
 from qrefl.scalars import ONE, ScalarQ, _divide_cyc, _fold_mod, _num_mul
 
+from monomial_reference import coefficients
+
 
 def test_q_powers():
     assert ScalarQ.q_pow(2) == ScalarQ({4: 1})
@@ -61,16 +63,8 @@ def test_fraction_constants():
 small = st.integers(min_value=-3, max_value=3)
 
 
-@st.composite
-def scalars(draw):
-    num = {draw(st.integers(-6, 6)): draw(st.integers(-4, 4)) or 1
-           for _ in range(draw(st.integers(1, 3)))}
-    den = tuple((4 * m, 1) for m in draw(st.sets(st.integers(1, 3), max_size=2)))
-    return ScalarQ(num, den, draw(st.integers(1, 3)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(scalars(), scalars(), scalars())
+@given(coefficients(), coefficients(), coefficients())
 def test_ring_laws(a, b, c):
     assert a + b == b + a
     assert a * b == b * a

@@ -395,11 +395,14 @@ def test_cli_smoke(tmp_path):
 
 
 def test_composed_monomial_map_respects_target_commutation():
+    from qrefl.qtorus import QuantumTorus
     stL, stR = V._torus_sides()
     target = builtin("B'(C3)")
     assert stL.seed == target
-    assert stL.hom.respects_commutation(target)
-    assert stR.hom.respects_commutation(target)
+    want = [dict(row) for row in QuantumTorus(target).skew()]
+    for st in (stL, stR):
+        assert [dict(row) for row in st.hom.source.skew()] == want
+        assert st.hom.respects_commutation()
 
 
 def test_composite_dilogs_match_transcribed_products():
