@@ -27,8 +27,8 @@ from .qtorus import (Infeasible, QuantumTorus, TorusSeries, check_stage_plan,
                      expand_product, match_stage_plan, staged_certificate,
                      stiemke_grading)
 from .quivers import builtin
-from .qweyl import (AffineCanonMap, SPEC_A3, SPEC_C3, build_subst_hom,
-                    diagram_commutes, expand_weyl_product)
+from .qweyl import (AffineCanonMap, SPEC_A3, SPEC_C3, SubstHom,
+                    build_subst_hom, diagram_commutes, expand_weyl_product)
 from .scalars import ONE, ScalarQ
 
 
@@ -682,7 +682,8 @@ def check_rep_agreement(cutoff=2) -> Report:
     gw = _grading(wargs)
     weyl_series = expand_weyl_product(facsL, SPEC_C3, gw, cutoff)
     phi = build_subst_hom(stL.hom.target, SPEC_C3, C.PHI_C3)
-    phi.images = {l: m.subs_params(rules) for l, m in phi.images.items()}
+    phi = SubstHom(phi.source, phi.spec,
+                   {l: m.subs_params(rules) for l, m in phi.images.items()})
     gt = [sum(g * a for g, a in zip(gw, phi.images[l].cexp))
           for l in phi.source.labels]
     pushed = phi.apply_series(expand_product(stL.dilogs, gt, cutoff), gw, cutoff)

@@ -22,6 +22,7 @@ from qrefl.quivers import builtin
 from qrefl.qweyl import SPEC_C2, SPEC_C3, WeylMonomial, WeylSeries
 from qrefl.scalars import ONE, ScalarQ
 
+import scalar_reference as ref
 from monomial_reference import ordering_twist
 from printed_tables import C2_CENTER, K24_TORUS, TAU_K24, TAU_R, TAU_RBAR
 
@@ -639,6 +640,26 @@ def test_torus_expand_matches_term_by_term_loop(name, data):
     factors = [(b, e, torus.element(ScalarQ.s_pow(k), v))
                for b, e, (v, k) in factors]
     assert_expand_matches_reference(series, factors)
+
+
+def test_expand_of_three_equal_factors_matches_the_references():
+    # a case where a guard on loose l1 bounds raised: on B(C2), grading 1/2
+    # on all 11 vertices and cutoff 3, Y_1 times Psi_q(Y_1)^3; the
+    # coefficient of Y_1^(1+k) is the sum of c_i c_j c_l over i+j+l = k
+    torus = _TORI["B(C2)"]
+    y1 = torus.gen(1)
+    start = TorusSeries(torus, [Fraction(1, 2)] * torus.n(), 3, {y1.alpha: ONE})
+    assert_expand_matches_reference(start, [(1, 1, y1)] * 3)
+    got = start.expand([(1, 1, y1)] * 3)
+    c = [ref.ScalarQ.qpoch_inv(1, n, {2 * n: (-1) ** n}) for n in range(6)]
+    for k in range(6):
+        want = ref.ScalarQ.zero()
+        for i in range(k + 1):
+            for j in range(k + 1 - i):
+                want = want + c[i] * c[j] * c[k - i - j]
+        have = got.terms[y1.pow(k + 1).alpha]
+        assert ref.ScalarQ(have.num, have.den, have.iden) == want
+    assert len(got.terms) == 6
 
 
 _PEXPS = (ParamForm(), ParamForm({"a1": 1}), ParamForm({"a1": -1, "a2": 1}))

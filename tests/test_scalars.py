@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrefl.qtorus import dilog_coefficients
-from qrefl.scalars import ONE, ScalarQ, _divide_cyc, _fold_mod, _num_mul
+from qrefl.scalars import ONE, ScalarQ
 
+import scalar_reference as ref
 from monomial_reference import coefficients
+from scalar_reference import (_divide_cyc, _fold_mod, _num_mul, from_fraction,
+                              is_one)
 
 
 def test_q_powers():
@@ -38,7 +41,7 @@ def test_add_reduce_cancel():
 
 def test_inverse_monomial():
     m = ScalarQ.s_pow(3, -2)
-    assert (m * m.inverse()).is_one()
+    assert is_one(m * m.inverse())
     with pytest.raises(ValueError):
         (ScalarQ({0: 1, 2: 1})).inverse()
 
@@ -54,10 +57,10 @@ def test_scalars_are_unhashable():
 
 
 def test_fraction_constants():
-    half = ScalarQ.from_fraction(Fraction(1, 2))
+    half = from_fraction(Fraction(1, 2))
     assert half + half == ScalarQ.one()
-    third = ScalarQ.from_fraction(Fraction(2, 6))
-    assert third * ScalarQ.from_fraction(3) == ScalarQ.one()
+    third = from_fraction(Fraction(2, 6))
+    assert third * from_fraction(3) == ScalarQ.one()
 
 
 small = st.integers(min_value=-3, max_value=3)
@@ -79,7 +82,7 @@ NUMERATORS = st.one_of(
     st.sampled_from(({0: 1, 4: -1}, {2: 1, 10: -1}, {0: 1, 8: -1}, {0: 2, 12: -2})))
 FACTORS = st.one_of(
     st.builds(ScalarQ.s_pow, st.integers(-6, 6), st.integers(-3, 3)),
-    st.builds(ScalarQ.from_fraction, st.fractions(-4, 4, max_denominator=6)),
+    st.builds(from_fraction, st.fractions(-4, 4, max_denominator=6)),
     st.builds(ScalarQ.qpoch_inv, st.sampled_from((1, 2)), st.integers(0, 3), NUMERATORS))
 
 
@@ -137,10 +140,10 @@ def test_reduce_matches_the_two_pass_reduction(first, steps):
     one_pass = ScalarQ._reduce
 
     def both(self):
-        ref = ScalarQ(dict(self.num), self.den, self.iden)
-        reference_reduce(ref)
+        want = ref.ScalarQ(self.num, self.den, self.iden)
+        reference_reduce(want)
         one_pass(self)
-        assert (self.num, self.den, self.iden) == (ref.num, ref.den, ref.iden)
+        assert (self.num, self.den, self.iden) == (want.num, want.den, want.iden)
 
     ScalarQ._reduce = both
     try:
@@ -150,3 +153,128 @@ def test_reduce_matches_the_two_pass_reduction(first, steps):
             acc = acc + (-c) * acc
     finally:
         ScalarQ._reduce = one_pass
+
+
+# -- the packed numerators against the dict arithmetic ----------------------
+
+
+def _form(c):
+    return c.num, c.den, c.iden
+
+
+# (num, den, iden) with exponents of both signs, numerators that a
+# Pochhammer factor (1 - s^4), (1 - s^8) or (1 - s^12) divides, and iden > 1
+FORMS = st.tuples(
+    st.one_of(
+        st.dictionaries(st.integers(-9, 9), st.integers(-3, 3).filter(bool),
+                        max_size=4),
+        st.sampled_from(({0: 1, 4: -1}, {-2: 1, 10: -1}, {0: 1, 8: -1},
+                         {-6: 2, 6: -2}, {0: 1, 4: -1, 8: -1, 12: 1}))),
+    st.lists(st.sampled_from((4, 8, 12)), max_size=3).map(
+        lambda ms: tuple(sorted((m, ms.count(m)) for m in set(ms)))),
+    st.integers(1, 4))
+
+BINARY = {"+": lambda a, b, k: a + b, "-": lambda a, b, k: a - b,
+          "*": lambda a, b, k: a * b, "neg": lambda a, b, k: -a,
+          "shift": lambda a, b, k: a.shift(k)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FORMS, min_size=1, max_size=3),
+       st.lists(st.tuples(st.sampled_from(sorted(BINARY) + ["==", "inverse"]),
+                          st.integers(0, 30), st.integers(0, 30), st.integers(-9, 9)),
+                max_size=10))
+def test_packed_arithmetic_matches_the_dict_reference(forms, program):
+    # every result, and every operand it is built from, has the reference's
+    # (num, den, iden); results join the pool of operands
+    pool = [(ScalarQ(dict(n), d, i), ref.ScalarQ(dict(n), d, i)) for n, d, i in forms]
+    for op, i, j, k in program:
+        (a, ra), (b, rb) = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "==":
+            assert (a == b) == (ra == rb)
+            continue
+        if op == "inverse" and len(ra.num) != 1:
+            with pytest.raises(ValueError):
+                a.inverse()
+            continue
+        if op == "inverse":
+            got, want = a.inverse(), ra.inverse()
+        else:
+            got, want = BINARY[op](a, b, k), BINARY[op](ra, rb, k)
+        assert _form(got) == _form(want)
+        pool.append((got, want))
+    assert all(_form(a) == _form(ra) for a, ra in pool)
+
+
+def test_equal_values_in_different_forms_compare_equal():
+    # 1/(1-s^4) = (1+s^4)/(1-s^8), 2/2 = 1 and s^-3/(1-s^4) =
+    # (s^-3-s^5)/((1-s^4)(1-s^8)): across denominators, iden and valuations
+    a = ScalarQ({0: 1}, ((4, 1),))
+    b = ScalarQ({0: 1, 4: 1}, ((8, 1),))
+    assert a == b and b == a and not a == b.shift(1)
+    assert ScalarQ({0: 2}, (), 2) == ScalarQ({0: 1})
+    assert ScalarQ({-3: 2}, ((4, 1),), 2) == ScalarQ({-3: 1, 5: -1}, ((4, 1), (8, 1)))
+    assert ScalarQ({}, ((4, 1),)) == ScalarQ.zero() != ONE
+
+
+def test_num_reads_and_writes_the_dict_layout():
+    c = ScalarQ({-3: 2, 0: -1, 5: 7}, ((4, 1),), 3)
+    assert c.num == {-3: 2, 0: -1, 5: 7}
+    c.num = {2: -1, 9: 4, 4: 0}
+    assert _form(c) == ({2: -1, 9: 4}, ((4, 1),), 3)
+    assert c == ScalarQ({2: -1, 9: 4}, ((4, 1),), 3)
+    c.num = {}
+    assert c.is_zero() and c.num == {}
+
+
+LIMIT = 1 << 61
+
+
+@pytest.mark.parametrize("num", [{0: LIMIT}, {0: LIMIT // 2, 5: -(LIMIT // 2)},
+                                 {-7: -LIMIT - 1}])
+def test_constructor_refuses_a_numerator_at_the_limit(num):
+    with pytest.raises(OverflowError):
+        ScalarQ(num)
+    ScalarQ({k: v // 2 - 1 for k, v in num.items()})
+
+
+def test_products_and_sums_refuse_to_reach_the_limit():
+    # exact norms whose product or sum reaches 2^61: the operation raises
+    # and never wraps a digit into the next
+    a, b = ScalarQ({0: 1 << 30}), ScalarQ({1: 1 << 31})
+    with pytest.raises(OverflowError):
+        a * b
+    with pytest.raises(OverflowError):
+        ScalarQ.s_pow(3, LIMIT)
+    half = ScalarQ({0: 1 << 60}, ((4, 1),))
+    with pytest.raises(OverflowError):
+        half + ScalarQ({3: 1 << 60}, ((4, 1),))
+    # across denominators the numerators first gain the missing factors
+    other = ScalarQ({0: 1}, ((8, 1),))
+    with pytest.raises(OverflowError):
+        half + other
+    with pytest.raises(OverflowError):
+        half == other
+    # just below the limit everything is exact
+    below = ScalarQ({0: (1 << 60) - 1}, ((4, 1),))
+    got = below + ScalarQ({3: 1 - (1 << 60)}, ((4, 1),))
+    assert got.num == {0: (1 << 60) - 1, 3: 1 - (1 << 60)}
+    assert _form(ScalarQ({0: (1 << 30) - 1}) * ScalarQ({1: 1 << 31})) == \
+        ({1: ((1 << 30) - 1) << 31}, (), 1)
+
+
+def test_a_loose_bound_is_tightened_before_it_raises():
+    # bounds far above the exact norms, as long chains of sums leave them:
+    # the operations tighten them to the exact norms and stay exact
+    a, b = ScalarQ({-2: 3, 5: -1}, ((4, 1),)), ScalarQ({1: 5}, ((8, 1),))
+    ra, rb = ref.ScalarQ(a.num, a.den), ref.ScalarQ(b.num, b.den)
+    for x in (a, b):
+        x._l = LIMIT - 1
+    assert _form(a * b) == _form(ra * rb)
+    assert (a._l, b._l) == (4, 5)
+    for x in (a, b):
+        x._l = LIMIT - 1
+    assert _form(a + b) == _form(ra + rb)
+    assert _form(a + a) == _form(ra + ra)
+    a._l = LIMIT - 1
+    assert (a == b) is False and a == ScalarQ(a.num, a.den)

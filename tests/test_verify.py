@@ -4,6 +4,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,14 @@ from qrefl.quivers import builtin
 
 from printed_tables import GOOD_HOMOGENEOUS, GOOD_HOMOGENEOUS_P
 from reflection_reference import REFLECTION_LHS_FACTORS, REFLECTION_RHS_FACTORS
+
+# JSON reports of failing twins, whose witnesses print full-series
+# coefficients; recorded before the numerators of ScalarQ were packed
+TWINS = Path(__file__).parent / "golden" / "twins"
+
+
+def assert_twin_report(rep, name):
+    assert rep.to_json() == (TWINS / f"{name}.json").read_text()
 
 
 def test_monomial_level_identities():
@@ -163,6 +172,7 @@ def test_k_eps_independence_negative_twin(monkeypatch):
     assert mine != theirs
     # the report prints the witness
     assert json.loads(rep.to_json())["details"]["witness"]["signs"]
+    assert_twin_report(rep, "k_eps_indep_rho24_flipped")
 
 
 def test_rewriting_lemma():
@@ -216,6 +226,7 @@ def test_full_identity_small_cutoff():
     alpha, left, right = bad.details["witness"]
     assert left != right and _grade(g, alpha) <= 2
     assert json.loads(bad.to_json())["details"]["witness"]
+    assert_twin_report(bad, "re_full_torus_flipped")
 
     rep = V.check_re_full(cutoff=2, rep="weyl")
     assert rep.status and "witness" not in rep.details
@@ -227,6 +238,7 @@ def test_full_identity_small_cutoff():
     assert not bad.status
     cexp, pexp, left, right = bad.details["witness"]
     assert left != right and _grade(g, cexp) <= 2
+    assert_twin_report(bad, "re_full_weyl_flipped")
 
 
 def test_rep_agreement():
@@ -248,6 +260,22 @@ def test_rep_agreement():
     with _torus_flipped(idx):
         bad = V.check_rep_agreement(cutoff=2)
     assert not bad.status and bad.details["witness"]
+
+
+def test_rep_agreement_checks_the_substituted_images(monkeypatch):
+    # the images with the parameter rules substituted are the ones the
+    # series is pushed through, so they pass the SubstHom checks too
+    from qrefl.qweyl import NonUnimodular, WeylMonomial
+    from qrefl.scalars import ScalarQ
+    subs = WeylMonomial.subs_params
+
+    def with_coefficient_q(self, rules):
+        m = subs(self, rules)
+        return WeylMonomial(m.spec, ScalarQ.q_pow(1), m.pexp, m.cexp)
+
+    monkeypatch.setattr(WeylMonomial, "subs_params", with_coefficient_q)
+    with pytest.raises(NonUnimodular):
+        V.check_rep_agreement(cutoff=1)
 
 
 def test_diagrams_with_negatives():
