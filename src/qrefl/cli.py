@@ -4,8 +4,8 @@ Subcommands: quiver (show/mutate), operator (show/limit), verify,
 search-signs, wd, limit, period.  ``verify --task`` accepts the names of
 the TASKS table.  Exit code 0 on pass, 1 on fail, 2 on usage error
 (an unknown subcommand, flag, task or name, a flag the chosen task or
-action does not read, bad indices, signs or cutoffs, a malformed quiver
-file, or a limit that diverges).
+action does not read, bad indices, signs or cutoffs, a quiver file that
+cannot be read as UTF-8 text or is malformed, or a limit that diverges).
 """
 
 from __future__ import annotations
@@ -27,8 +27,14 @@ def _load_quiver(value):
     try:
         seed = builtin(value)
     except UnknownName:
-        with open(value) as fh:
-            return seed_from_text(fh.read())
+        try:
+            with open(value, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read quiver file {value}: {exc.strerror}")
+        except UnicodeDecodeError:
+            raise UsageError(f"quiver file {value} is not UTF-8 text")
+        return seed_from_text(text)
     if isinstance(seed, MutationSequence):
         raise UsageError(f"{value} is a builtin mutation sequence, not a quiver")
     return seed, {}

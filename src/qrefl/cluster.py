@@ -3,8 +3,8 @@
 Vertices are integer labels exactly as they appear in the source
 diagrams (some quivers use 0, most are 1-based); everything downstream
 keeps these labels, so reports and fixtures never translate indices.
-Exchange matrices are sparse {i: {j: entry}} with entries in (1/2)Z, an
-int when integral and a Fraction only when half-integral.
+An exchange seed stores its matrix as the integer skew form S = 2*B*D
+that its quantum torus reads, in sparse rows by label position.
 """
 
 from __future__ import annotations
@@ -89,48 +89,68 @@ class Perm:
 
 
 class ExchangeSeed:
-    """Skew-symmetrizable exchange matrix with symmetrizer and frozen set."""
+    """Skew-symmetrizable exchange matrix with symmetrizer and frozen set.
 
-    __slots__ = ("labels", "b", "d", "frozen")
+    The matrix is stored once, as the integer skew form S = 2*Bhat with
+    Bhat = B*D, the s-exponent form of the seed's quantum torus: ``rows``
+    holds one sparse row {j: S_ij} per label, both indexed by position in
+    the sorted ``labels`` (``index`` maps a label to its position).  An
+    entry b_ij = S_ij / (2 d_j) is computed on demand by ``entry``."""
 
-    def __init__(self, labels, b, d, check=True, frozen=None):
-        self.labels = tuple(sorted(labels))
-        self.b = {i: {j: int(v) if v == int(v) else Fraction(v)
-                      for j, v in row.items() if v}
-                  for i, row in b.items() if row}
-        for i in self.labels:
-            self.b.setdefault(i, {})
-        self.d = {i: int(d[i]) for i in self.labels}
-        # a vertex is frozen when its row or column holds a half-integer;
-        # a caller that knows the set already passes it as ``frozen``
-        if frozen is None:
-            frozen = frozenset(k for i, row in self.b.items()
-                               for j, v in row.items() if v.denominator != 1
-                               for k in (i, j))
-        self.frozen = frozen
-        if check:
-            self.validate()
+    __slots__ = ("labels", "index", "rows", "d", "frozen")
 
-    def entry(self, i, j) -> Fraction:
-        return self.b.get(i, {}).get(j, Fraction(0))
+    def __init__(self, labels, b, d):
+        """The seed of the matrix ``b`` {i: {j: b_ij}}, rational entries
+        in (1/2)Z, and the symmetrizer ``d`` {i: d_i}; see ``validate``."""
+        self.labels = labels = tuple(sorted(labels))
+        self.index = index = {l: p for p, l in enumerate(labels)}
+        self.d = d = {i: int(d[i]) for i in labels}
+        # S_ij = 2 b_ij d_j, exact for rational b, is integral once
+        # validate passes
+        self.rows = [{index[j]: 2 * v * d[j] for j, v in b.get(i, {}).items() if v}
+                     for i in labels]
+        self.validate()
+        self.rows = rows = [{c: int(x) for c, x in row.items()} for row in self.rows]
+        # a vertex is frozen when its row or column holds a half-integer
+        self.frozen = frozenset(k for p, row in enumerate(rows)
+                                for c, x in row.items() if x % (2 * d[labels[c]])
+                                for k in (labels[p], labels[c]))
+
+    @classmethod
+    def _of(cls, labels, index, rows, d, frozen) -> "ExchangeSeed":
+        """A seed from its stored parts, unchecked: the one path by which
+        ``permuted`` and ``mutate_matrix`` carry the frozen set over."""
+        out = cls.__new__(cls)
+        out.labels, out.index, out.rows = labels, index, rows
+        out.d, out.frozen = d, frozen
+        return out
 
     def bhat(self, i, j) -> Fraction:
-        return self.entry(i, j) * self.d[j]
+        return Fraction(self.rows[self.index[i]].get(self.index[j], 0), 2)
+
+    def entry(self, i, j) -> Fraction:
+        return self.bhat(i, j) / self.d[j]
+
+    def column(self, k) -> dict:
+        """{i: b_ik} over the support of column k, that of row k (S is
+        skew), for an unfrozen k: then b_ik = -S_ki / (2 d_k) is an int."""
+        dk2 = 2 * self.d[k]
+        return {self.labels[c]: -x // dk2 for c, x in self.rows[self.index[k]].items()}
 
     def validate(self):
-        g = 0
-        for i in self.labels:
-            if self.d[i] <= 0:
-                raise ValueError("symmetrizer entries must be positive")
-            g = gcd(g, self.d[i])
-        if g != 1:
+        """Raises ValueError unless D is positive with gcd 1 and S is
+        skew-symmetric with every b_ij = S_ij / (2 d_j) in (1/2)Z."""
+        d, lab, rows = self.d, self.labels, self.rows
+        if any(x <= 0 for x in d.values()):
+            raise ValueError("symmetrizer entries must be positive")
+        if gcd(*d.values()) != 1:
             raise ValueError("symmetrizer gcd must be 1")
-        for i in self.labels:
-            for j, v in self.b[i].items():
-                if (2 * v).denominator != 1:
-                    raise ValueError(f"entry b[{i}][{j}] outside (1/2)Z")
-                if self.bhat(i, j) != -self.bhat(j, i):
-                    raise ValueError(f"B*d not skew-symmetric at ({i},{j})")
+        for p, row in enumerate(rows):
+            for c, x in row.items():
+                if x % d[lab[c]]:
+                    raise ValueError(f"entry b[{lab[p]}][{lab[c]}] outside (1/2)Z")
+                if x != -rows[c].get(p, 0):
+                    raise ValueError(f"B*d not skew-symmetric at ({lab[p]},{lab[c]})")
 
     def n(self):
         return len(self.labels)
@@ -139,26 +159,24 @@ class ExchangeSeed:
         return [i for i in self.labels if i not in self.frozen]
 
     def rank_bhat(self) -> int:
-        """Rank of Bhat, from the integer rows of 2*Bhat (B lies in (1/2)Z)."""
-        lab = self.labels
-        rows = [{c: int(2 * self.bhat(i, j)) for c, j in enumerate(lab) if j in self.b[i]}
-                for i in lab]
-        return len(_row_reduce(rows, len(lab)))
+        """Rank of Bhat, that of the integer rows of S = 2*Bhat."""
+        return len(_row_reduce([dict(row) for row in self.rows], self.n()))
 
     def permuted(self, sigma: Perm) -> "ExchangeSeed":
-        b = {}
-        for i in self.labels:
-            for j, v in self.b[i].items():
-                b.setdefault(sigma(i), {})[sigma(j)] = v
-        d = {sigma(i): self.d[i] for i in self.labels}
-        return ExchangeSeed(self.labels, b, d, check=False,
-                            frozen=frozenset(map(sigma, self.frozen)))
+        lab, index, inv = self.labels, self.index, sigma.inv()
+        to = [index[sigma(i)] for i in lab]
+        rows = [None] * len(lab)
+        for p, row in enumerate(self.rows):
+            rows[to[p]] = {to[c]: x for c, x in row.items()}
+        return ExchangeSeed._of(lab, index, rows, {i: self.d[inv(i)] for i in lab},
+                                frozenset(map(sigma, self.frozen)))
 
     def __eq__(self, other):
-        # exact: the constructor stores no zero entries and one row per label
+        # exact: rows hold no zero entries
         if not isinstance(other, ExchangeSeed):
             return NotImplemented
-        return self.labels == other.labels and self.d == other.d and self.b == other.b
+        return (self.labels == other.labels and self.d == other.d
+                and self.rows == other.rows)
 
     def __repr__(self):
         return f"ExchangeSeed(n={self.n()}, frozen={sorted(self.frozen)})"
@@ -169,35 +187,34 @@ def mutate_matrix(seed: ExchangeSeed, k) -> ExchangeSeed:
 
     b'_ij = -b_ij when i or j is k; otherwise b'_ij = b_ij + |b_ik| b_kj
     when b_ik and b_kj have the same sign, and b'_ij = b_ij when they do
-    not.  Only the rows in the support of column k change.  Row and
-    column k hold integers, so every entry changes by an integer and the
-    frozen set (the half-integer pattern) is carried over.  The other
-    rows, the labels and the symmetrizer are shared with ``seed``, and no
-    changed row becomes empty, so the rows keep their order."""
+    not.  On S = 2*Bhat that reads S'_ij = S_ij + |S_ik| S_kj / (2 d_k),
+    an exact division as b_ik is an integer for unfrozen k.  Only row k
+    and the rows in the support of column k (that of row k, S being skew)
+    change; the other rows, the labels and the symmetrizer are shared with
+    ``seed``.  Row and column k hold integers, so every entry of B changes
+    by an integer and the frozen set (the half-integer pattern) is carried
+    over."""
     if k not in seed.d:
         raise BadIndex(k)
     if k in seed.frozen:
         raise FrozenVertex(k)
-    row_k = seed.b[k]
-    b = {}
-    for i, row in seed.b.items():
-        bik = row.get(k)
-        if i == k:
-            row = {j: -v for j, v in row.items()}
-        elif bik:
-            row = dict(row)
-            row[k] = -bik
-            for j, bkj in row_k.items():
-                if (bkj > 0) == (bik > 0):
-                    v = row.get(j, 0) + abs(bik) * bkj
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-        b[i] = row
-    out = ExchangeSeed.__new__(ExchangeSeed)
-    out.labels, out.b, out.d, out.frozen = seed.labels, b, seed.d, seed.frozen
-    return out
+    kp, dk2 = seed.index[k], 2 * seed.d[k]
+    rows = list(seed.rows)
+    row_k = rows[kp]
+    rows[kp] = {j: -v for j, v in row_k.items()}
+    for i in row_k:
+        rows[i] = row = dict(rows[i])
+        sik = row[kp]
+        row[kp] = -sik
+        m = abs(sik) // dk2
+        for j, skj in row_k.items():
+            if (skj > 0) == (sik > 0):
+                v = row.get(j, 0) + m * skj
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return ExchangeSeed._of(seed.labels, seed.index, rows, seed.d, seed.frozen)
 
 
 class TropicalSeed:
@@ -233,28 +250,21 @@ class TropicalSeed:
 
 
 def mutate_tropical(ts: TropicalSeed, k) -> TropicalSeed:
+    """Tropical mutation at an unfrozen vertex: y_k -> -y_k, and each y_i
+    with b_ik != 0 gains -b_ik min(0, -s y_k) slotwise, s the sign of
+    b_ik; only the support of column k is read."""
     seed = ts.seed
     if k not in seed.d:
         raise BadIndex(k)
     if k in seed.frozen:
         raise FrozenVertex(k)
     yk = ts.y[k]
-    y = {}
-    for i in seed.labels:
-        if i == k:
-            y[i] = tuple(-a for a in yk)
-            continue
-        bik = seed.entry(i, k)
-        if bik == 0:
-            y[i] = ts.y[i]
-            continue
+    y = dict(ts.y)
+    y[k] = tuple(-a for a in yk)
+    for i, bik in seed.column(k).items():
         s = 1 if bik > 0 else -1
         # (1 (+) y_k^{-s})^{-b_ik}: exponent is min(0, -s*alpha_k) per slot
-        m = [min(0, -s * a) for a in yk]
-        coef = -bik
-        if any((coef * x).denominator != 1 for x in map(Fraction, m)):
-            raise ValueError("non-integral tropical update")
-        y[i] = tuple(a + int(coef * x) for a, x in zip(ts.y[i], m))
+        y[i] = tuple(a - bik * min(0, -s * x) for a, x in zip(y[i], yk))
     return TropicalSeed(mutate_matrix(seed, k), y)
 
 

@@ -63,54 +63,51 @@ def fold_prefixes(keys, start, step):
     return out
 
 
-def _extend(hom, seed, new_torus, k, eps):
-    """One signed mutation step at k on the composed map ``hom`` from the
-    torus of ``seed``: the dilog factor the step emits and the composed
-    map from ``new_torus``, the torus after the step.  The step's monomial
-    part sends Y_k to Y_k^-1 and Y_i to Y_i Y_k^m for m = [eps*b_ik]_+ > 0,
-    so only those images change, by integer vector arithmetic."""
-    images = dict(hom.images)
+def _extend(images, seed, k, eps, target):
+    """One signed mutation step at k on the ``images`` of a map composed
+    from the torus of ``seed`` into the torus ``target``: the dilog factor
+    the step emits and the images of the composed map from the torus
+    after the step.  The step's monomial part sends Y_k to Y_k^-1 and Y_i
+    to Y_i Y_k^m for m = [eps*b_ik]_+ > 0, so only those images change, by
+    integer vector arithmetic."""
+    images = dict(images)
     vk = images[k]
     images[k] = neg = tuple(-x for x in vk)
-    arg = hom.target.element(ONE, vk if eps > 0 else neg)
-    b = seed.b
-    # Bhat is skew, so the support of column k is that of row k
-    for i in b[k]:
-        m = eps * b[i][k]
+    arg = target.element(ONE, vk if eps > 0 else neg)
+    for i, bik in seed.column(k).items():
+        m = eps * bik
         if m > 0:
             images[i] = tuple(x + m * y for x, y in zip(images[i], vk))
-    return (seed.d[k], arg, eps), TorusHom(new_torus, hom.target, images)
+    return (seed.d[k], arg, eps), images
 
 
 def _relabelled(seed, torus, sigma):
-    """The seed and torus relabelled by ``sigma`` and the map back to
-    ``torus`` that composed maps are pulled along."""
+    """The seed relabelled by ``sigma`` and the map from its torus back
+    to ``torus``, the torus of ``seed``, that composed maps are pulled
+    along."""
     new_seed = seed.permuted(sigma)
-    new_torus = QuantumTorus(new_seed)
-    return new_seed, new_torus, perm_hom(new_torus, torus, sigma)
+    return new_seed, perm_hom(QuantumTorus(new_seed), torus, sigma)
 
 
 class CompositeState:
-    """Seed + composed monomial map + accumulated dilog factors."""
+    """Seed + composed monomial map from its torus + accumulated dilog factors."""
 
-    def __init__(self, seed: ExchangeSeed, torus=None, hom=None, dilogs=()):
+    def __init__(self, seed: ExchangeSeed, hom=None, dilogs=()):
         self.seed = seed
-        self.torus = QuantumTorus(seed) if torus is None else torus
-        self.hom = TorusHom.identity(self.torus) if hom is None else hom
+        self.hom = TorusHom.identity(QuantumTorus(seed)) if hom is None else hom
         self.dilogs = list(dilogs)
 
     def mutate(self, k, eps):
         new_seed = mutate_matrix(self.seed, k)
-        new_torus = self.torus.mutated(new_seed, k)
-        factor, self.hom = _extend(self.hom, self.seed, new_torus, k, eps)
+        factor, images = _extend(self.hom.images, self.seed, k, eps, self.hom.target)
+        self.hom = TorusHom(QuantumTorus(new_seed), self.hom.target, images)
         self.dilogs.append(factor)
         self.seed = new_seed
-        self.torus = new_torus
 
     def relabel(self, sigma: Perm):
         if sigma.is_identity():
             return
-        self.seed, self.torus, perm = _relabelled(self.seed, self.torus, sigma)
+        self.seed, perm = _relabelled(self.seed, self.hom.source, sigma)
         self.hom = self.hom.compose(perm)
 
 
@@ -130,30 +127,33 @@ def run_composites(seed: ExchangeSeed, ms: MutationSequence, sign_lists) -> dict
     """``run_composite(seed, ms, signs)`` for every list in ``sign_lists``,
     keyed by the list as a tuple.
 
-    The seeds and tori of the walk do not depend on the signs and are
-    computed once; the maps and factors are folded with ``fold_prefixes``,
-    so lists sharing a prefix share its steps.
+    The seeds of the walk do not depend on the signs and are computed
+    once; the images of the maps and the factors are folded with
+    ``fold_prefixes``, so lists sharing a prefix share its steps.
     """
     keys = [tuple(signs) for signs in sign_lists]
     if any(len(signs) != len(ms.steps) for signs in keys):
         raise ValueError("one sign per mutation step required")
-    seeds, tori = [seed], [QuantumTorus(seed)]
+    seeds = [seed]
     for k in ms.steps:
         seeds.append(mutate_matrix(seeds[-1], k))
-        tori.append(tori[-1].mutated(seeds[-1], k))
+    target = QuantumTorus(seed)
 
     def step(state, i, eps):
-        hom, dilogs = state
-        factor, hom = _extend(hom, seeds[i], tori[i + 1], ms.steps[i], eps)
-        return hom, dilogs + (factor,)
+        images, dilogs = state
+        factor, images = _extend(images, seeds[i], ms.steps[i], eps, target)
+        return images, dilogs + (factor,)
 
-    folded = fold_prefixes(keys, (TorusHom.identity(tori[0]), ()), step)
-    end_seed, end_torus, perm = seeds[-1], tori[-1], None
+    folded = fold_prefixes(keys, (TorusHom.identity(target).images, ()), step)
+    end_seed, end_torus, perm = seeds[-1], QuantumTorus(seeds[-1]), None
     if not ms.sigma.is_identity():
-        end_seed, end_torus, perm = _relabelled(end_seed, end_torus, ms.sigma)
-    return {key: CompositeState(end_seed, end_torus,
-                                hom if perm is None else hom.compose(perm), dilogs)
-            for key, (hom, dilogs) in folded.items()}
+        end_seed, perm = _relabelled(end_seed, end_torus, ms.sigma)
+    out = {}
+    for key, (images, dilogs) in folded.items():
+        hom = TorusHom(end_torus, target, images)
+        out[key] = CompositeState(end_seed, hom if perm is None else hom.compose(perm),
+                                  dilogs)
+    return out
 
 
 def hom_from_table(seed_src, seed_tgt, table: dict) -> TorusHom:

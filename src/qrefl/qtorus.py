@@ -6,8 +6,9 @@ Monomials use the symmetric normalization q^<a,b> Y^a Y^b = Y^(a+b) with
 satisfy Y_i Y_j = q^(2 bhat_ij) Y_j Y_i.  Coefficients are ScalarQ in
 s = q^(1/2) (entries of Bhat can be half-integers), so the product rule
 is Y^a Y^b = s^(a.S.b) Y^(a+b) with the integer skew form S = 2*Bhat.
-The q-Weyl algebras share the rule with S = omega; both keep S as sparse
-integer rows, read by ``skew_pair``.
+The q-Weyl algebras share the rule with S = omega.  Both forms are
+sparse integer rows {j: S_ij}, read by ``skew_pair``; a torus reads those
+of its seed.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ class Infeasible(Exception):
 
 def skew_image(rows, b) -> list:
     """S.b for the integer skew form S with sparse rows ``rows``
-    (rows[i] lists (j, S_ij) for S_ij != 0); by skewness it is read off
-    the rows of the support of b."""
+    (rows[i] = {j: S_ij} for S_ij != 0); by skewness it is read off the
+    rows of the support of b."""
     out = [0] * len(rows)
     for j, bj in enumerate(b):
         if bj:
-            for i, x in rows[j]:
+            for i, x in rows[j].items():
                 out[i] -= x * bj
     return out
 
@@ -69,41 +70,19 @@ def preserves_skew(src_rows, tgt_rows, vecs) -> bool:
     ``src_rows`` to S' with rows ``tgt_rows``: M^T S' M = S, that is
     vecs[a].S'.vecs[b] = S_ab for every pair."""
     cols = [skew_image(tgt_rows, v) for v in vecs]
-    return all(sum(map(mul, va, cols[b])) == dict(src_rows[a]).get(b, 0)
+    return all(sum(map(mul, va, cols[b])) == src_rows[a].get(b, 0)
                for a, va in enumerate(vecs) for b in range(len(vecs)))
 
 
 class QuantumTorus:
-    """Ambient torus: ordered labels plus the integer skew form 2*Bhat."""
+    """Ambient torus of a seed: its ordered labels and the integer skew
+    form S = 2*Bhat, both read from the seed, which stores nothing else
+    the torus needs."""
 
     __slots__ = ("labels", "_index", "_rows")
 
     def __init__(self, seed: ExchangeSeed):
-        self.labels = seed.labels
-        self._index = {l: i for i, l in enumerate(self.labels)}
-        self._rows = [self._row(seed, i) for i in self.labels]
-
-    def _row(self, seed, i):
-        """Row i of 2*Bhat as sparse (index, integer) pairs."""
-        index, d = self._index, seed.d
-        row = []
-        for j, v in seed.b[i].items():
-            x, r = divmod(2 * v.numerator * d[j], v.denominator)
-            if r:
-                raise ValueError("Bhat has entries outside (1/2)Z")
-            row.append((index[j], x))
-        return row
-
-    def mutated(self, seed: ExchangeSeed, k) -> "QuantumTorus":
-        """The torus of ``seed``, the mutation at k of this torus's seed:
-        the other rows of 2*Bhat are kept, and only row k and the rows in
-        the support of column k (that of row k, Bhat being skew) are read
-        from ``seed``."""
-        out = copy(self)
-        out._rows = rows = list(self._rows)
-        for i in (k, *seed.b[k]):
-            rows[self._index[i]] = self._row(seed, i)
-        return out
+        self.labels, self._index, self._rows = seed.labels, seed.index, seed.rows
 
     def skew(self):
         """Sparse integer rows of 2*Bhat, the s-exponent form of the product."""
@@ -139,7 +118,7 @@ class QuantumTorus:
         for label, p in powers:
             i = self._index[label]
             # Y^alpha Y_i^p = s^(alpha.S.p e_i) Y^(alpha + p e_i)
-            t -= p * sum(x * alpha[j] for j, x in self._rows[i])
+            t -= p * sum(x * alpha[j] for j, x in self._rows[i].items())
             alpha[i] += p
         return self.element(ScalarQ.s_pow(t), alpha)
 

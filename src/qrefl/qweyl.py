@@ -35,8 +35,8 @@ class CanonSpec:
     def __init__(self, gamma):
         self.gamma = tuple(int(g) for g in gamma)
         self.p = p = len(self.gamma)
-        self._rows = [[(p + i, g)] for i, g in enumerate(self.gamma)] + \
-                     [[(i, -g)] for i, g in enumerate(self.gamma)]
+        self._rows = [{p + i: g} for i, g in enumerate(self.gamma)] + \
+                     [{i: -g} for i, g in enumerate(self.gamma)]
 
     def axes(self):
         return [f"u{i}" for i in range(1, self.p + 1)] + \

@@ -42,19 +42,14 @@ class Report:
         self.counters = counters or {}
         self.wall_ms = None
 
-    def to_json(self, include_timing=False) -> str:
+    def to_json(self) -> str:
         payload = {
             "task": self.task,
             "status": "pass" if self.status else "fail",
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "details": _jsonable(self.details),
         }
-        if include_timing and self.wall_ms is not None:
-            payload["wall_ms"] = self.wall_ms
         return json.dumps(payload, sort_keys=True, indent=2, default=str)
-
-    def line(self) -> str:
-        return f"[{'PASS' if self.status else 'FAIL'}] {self.task}"
 
 
 def _jsonable(x):

@@ -33,7 +33,7 @@ def ordering_twist(rows, alpha) -> int:
     """sum_{i<j} alpha_i alpha_j S_ij for the skew form S with sparse rows
     ``rows``."""
     return sum(ai * x * alpha[j] for i, ai in enumerate(alpha) if ai
-               for j, x in rows[i] if j > i)
+               for j, x in rows[i].items() if j > i)
 
 
 def reference_apply(source, images, constant, coeff, alpha):

@@ -11,6 +11,7 @@ from qrefl.cluster import (BadIndex, ExchangeSeed, FrozenVertex,
                            mutate_tropical, seed_from_text, seed_to_text,
                            tropical_signs)
 from qrefl.compose import composite_sequence
+from qrefl.qtorus import QuantumTorus
 from qrefl.quivers import builtin, names
 import qrefl.compositions as FX
 
@@ -50,7 +51,7 @@ def _mutate_dense(seed, k):
                 v = bij + (abs(bik) * bkj + bik * abs(bkj)) / 2
             if v:
                 b.setdefault(i, {})[j] = v
-    return ExchangeSeed(seed.labels, b, seed.d, check=False)
+    return ExchangeSeed(seed.labels, b, seed.d)
 
 
 @st.composite
@@ -76,7 +77,7 @@ def _seeds(draw):
 
 
 def _check_against_dense(seed):
-    rows = {i: dict(row) for i, row in seed.b.items()}
+    rows = [dict(row) for row in seed.rows]
     for k in seed.mutable():
         out, want = mutate_matrix(seed, k), _mutate_dense(seed, k)
         assert all(out.entry(i, j) == want.entry(i, j)
@@ -84,7 +85,7 @@ def _check_against_dense(seed):
         assert out == want
         assert out.frozen == want.frozen and out.d == want.d
         assert mutate_matrix(out, k) == seed
-        assert seed.b == rows
+        assert seed.rows == rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,6 +99,30 @@ def test_mutation_matches_dense_formula_on_builtin_seeds():
     assert len(seeds) == 14
     for seed in seeds:
         _check_against_dense(seed)
+
+
+def _mutate_tropical_dense(ts, k):
+    """The tropical mutation formula at every label, with the entries of B
+    read as Fractions: the oracle for the sparse mutate_tropical."""
+    seed, yk = ts.seed, ts.y[k]
+    y = {}
+    for i in seed.labels:
+        bik = seed.entry(i, k)
+        s = 1 if bik > 0 else -1
+        y[i] = (tuple(-a for a in yk) if i == k else
+                tuple(a - bik * min(0, -s * x) for a, x in zip(ts.y[i], yk)))
+    return TropicalSeed(_mutate_dense(seed, k), y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_seeds(), st.data())
+def test_tropical_mutation_matches_dense_formula(seed, data):
+    vec = st.lists(st.integers(-3, 3), min_size=seed.n(), max_size=seed.n())
+    ts = TropicalSeed(seed, {i: tuple(data.draw(vec)) for i in seed.labels})
+    for k in seed.mutable():
+        out = mutate_tropical(ts, k)
+        assert out == _mutate_tropical_dense(ts, k)
+        assert all(type(a) is int for v in out.y.values() for a in v)
 
 
 def test_mutation_errors():
@@ -261,6 +286,12 @@ def test_malformed_quiver_files(old, new):
         seed_from_text(text.replace(old, new))
 
 
+def _rebuilt(seed):
+    """The seed built afresh from its rational entries b_ij."""
+    b = {i: {j: seed.entry(i, j) for j in seed.labels} for i in seed.labels}
+    return ExchangeSeed(seed.labels, b, seed.d)
+
+
 def test_frozen_set_carried_through_mutation_matches_a_rescan():
     # after every step (and the final relabel) of both reflection sides on
     # B(C3) and both tetrahedron sides on B(A3), the carried frozen set is
@@ -273,14 +304,17 @@ def test_frozen_set_carried_through_mutation_matches_a_rescan():
         assert seed.frozen
         for k in ms.steps:
             seed = mutate_matrix(seed, k)
-            assert seed.frozen == ExchangeSeed(seed.labels, seed.b, seed.d).frozen
+            assert seed.frozen == _rebuilt(seed).frozen
         seed = seed.permuted(ms.sigma)
-        assert seed.frozen == ExchangeSeed(seed.labels, seed.b, seed.d).frozen
+        assert seed.frozen == _rebuilt(seed).frozen
 
 
 def _int_or_half(seed):
-    return all(type(v) is int or (type(v) is Fraction and v.denominator == 2)
-               for row in seed.b.values() for v in row.values())
+    # the stored form S = 2*Bhat holds ints only, and every b_ij read from
+    # it is an integer or a half-integer
+    return (all(type(x) is int for row in seed.rows for x in row.values())
+            and all((2 * seed.entry(i, j)).denominator == 1
+                    for i in seed.labels for j in seed.labels))
 
 
 BUILTIN_SEEDS = [n for n in names() if isinstance(builtin(n), ExchangeSeed)]
@@ -289,8 +323,8 @@ BUILTIN_SEEDS = [n for n in names() if isinstance(builtin(n), ExchangeSeed)]
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(BUILTIN_SEEDS), st.data())
 def test_exchange_entries_are_ints_or_half_integer_fractions(name, data):
-    # an integral entry is stored as an int and only a half-integer as a
-    # Fraction, in every builtin seed and every seed mutation reaches
+    # in every builtin seed and every seed mutation reaches, the stored
+    # entries are ints and the entries of B lie in (1/2)Z
     seed = builtin(name)
     assert _int_or_half(seed)
     for k in data.draw(st.lists(st.sampled_from(seed.mutable()), max_size=12)):
@@ -301,10 +335,41 @@ def test_exchange_entries_are_ints_or_half_integer_fractions(name, data):
 @settings(max_examples=100, deadline=None)
 @given(_seeds())
 def test_seed_from_fraction_rows_equals_seed_from_int_rows(seed):
-    fractions = {i: {j: Fraction(v) for j, v in row.items()} for i, row in seed.b.items()}
+    fractions = {i: {j: Fraction(seed.entry(i, j)) for j in seed.labels}
+                 for i in seed.labels}
     ints = {i: {j: int(v) if v.denominator == 1 else v for j, v in row.items()}
             for i, row in fractions.items()}
     a, b = (ExchangeSeed(seed.labels, rows, seed.d) for rows in (fractions, ints))
     assert a == b == seed and a.frozen == b.frozen
+    assert a.rows == b.rows == seed.rows
     assert _int_or_half(a) and _int_or_half(b)
     assert seed_to_text(a) == seed_to_text(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_seeds(), st.sampled_from(BUILTIN_SEEDS).map(builtin)), st.data())
+def test_seed_keeps_one_integer_skew_form_through_mutation_and_relabel(seed, data):
+    # after every mutation step and a final relabel, the stored form S =
+    # 2*Bhat holds ints only, equals the rows of a seed rebuilt from the
+    # rational entries (whose frozen set is a fresh rescan), and is the
+    # very skew form the seed's torus reads; the relabel is that of the
+    # entries and the symmetrizer
+    mutable = seed.mutable()
+    steps = data.draw(st.lists(st.sampled_from(mutable), max_size=16)
+                      if mutable else st.just([]))
+    lab = seed.labels
+    sigma = Perm(dict(zip(lab, data.draw(st.permutations(lab)))))
+    seeds = [seed]
+    for k in steps:
+        seeds.append(mutate_matrix(seeds[-1], k))
+    last = seeds[-1]
+    seeds.append(last.permuted(sigma))
+    assert seeds[-1] == ExchangeSeed(
+        lab, {sigma(i): {sigma(j): last.entry(i, j) for j in lab} for i in lab},
+        {sigma(i): last.d[i] for i in lab})
+    for s in seeds:
+        assert all(type(x) is int for row in s.rows for x in row.values())
+        b = {i: {j: s.entry(i, j) for j in s.labels} for i in s.labels}
+        fresh = ExchangeSeed(s.labels, b, s.d)
+        assert fresh == s and fresh.frozen == s.frozen
+        assert QuantumTorus(s).skew() is s.rows

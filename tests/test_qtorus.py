@@ -161,16 +161,17 @@ def test_tauK_catalog_and_eps_independence():
 
 
 def test_torus_kept_across_mutations_matches_a_fresh_one():
-    # after every step of both reflection walks, the torus carried over
-    # from the previous step has the rows of a torus read afresh
+    # after every step of both reflection walks, the torus the composed map
+    # starts from has the rows of a torus read afresh from the current seed
     for rows in (FX.REFLECTION_LHS, FX.REFLECTION_RHS):
         ms = composite_sequence(rows)
         signs = composite_signs(rows, [1] * sum(kind != "K" for kind, *_ in rows))
         state = CompositeState(builtin("B(C3)"))
-        first = state.torus
+        first = state.hom.source
         for k, eps in zip(ms.steps, signs):
             state.mutate(k, eps)
-            assert state.torus.skew() == QuantumTorus(state.seed).skew()
+            assert state.hom.source.skew() == QuantumTorus(state.seed).skew()
+            assert state.hom.source.skew() is state.seed.rows
         assert first.skew() == QuantumTorus(builtin("B(C3)")).skew()
 
 

@@ -368,6 +368,23 @@ def test_cli_smoke(tmp_path):
         path.write_text(good.replace(old, new))
         malformed += [("quiver", "mutate", "--file", str(path), "--seq", "1"),
                       ("period", "--quiver", str(path), "--seq", "1,1")]
+    # a directory or a file that is not UTF-8 text is no quiver file
+    binary = tmp_path / "binary.quiver"
+    binary.write_bytes(b"\xff\xfe\x00")
+    malformed += [("quiver", "show", str(tmp_path)),
+                  ("quiver", "mutate", "--file", str(tmp_path), "--seq", "1"),
+                  ("quiver", "mutate", "--file", str(binary), "--seq", "1"),
+                  ("period", "--quiver", str(tmp_path), "--seq", "1")]
+    # the seed checks name the entry or the symmetrizer at fault
+    for i, (old, new, msg) in enumerate((
+            ("b 0 1 -1 0", "b 0 1/3 -1/3 0", "entry b[1][2] outside (1/2)Z"),
+            ("d 1 1", "d 2 2", "symmetrizer gcd must be 1"),
+            ("d 1 1", "d 0 1", "symmetrizer entries must be positive"))):
+        path = tmp_path / f"invalid{i}.quiver"
+        path.write_text(good.replace(old, new))
+        out = run_cli("quiver", "mutate", "--file", str(path), "--seq", "1")
+        assert out.returncode == 2, new
+        assert out.stderr == f"MalformedQuiver: {msg}\n", new
     # flags that no command reads are rejected
     out = run_cli("verify", "--task", "RE-P", "--constraints", "bogus")
     assert out.returncode == 2
@@ -427,9 +444,8 @@ def test_composed_monomial_map_respects_target_commutation():
     stL, stR = V._torus_sides()
     target = builtin("B'(C3)")
     assert stL.seed == target
-    want = [dict(row) for row in QuantumTorus(target).skew()]
     for st in (stL, stR):
-        assert [dict(row) for row in st.hom.source.skew()] == want
+        assert st.hom.source.skew() == QuantumTorus(target).skew()
         assert st.hom.respects_commutation()
 
 
