@@ -5,7 +5,8 @@ search-signs, wd, limit, period.  ``verify --task`` accepts the names of
 the TASKS table.  Exit code 0 on pass, 1 on fail, 2 on usage error
 (an unknown subcommand, flag, task or name, a flag the chosen task or
 action does not read, bad indices, signs or cutoffs, a quiver file that
-cannot be read as UTF-8 text or is malformed, or a limit that diverges).
+cannot be read as UTF-8 text or is malformed, a report file that cannot
+be written, or a limit that diverges).
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ def _print_report(rep, out):
     if out in (None, "-"):
         print(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report file {out}: {exc.strerror}")
     if rep.wall_ms is not None:
         print(f"# wall time: {rep.wall_ms} ms", file=sys.stderr)
     return 0 if rep.status else 1
@@ -309,8 +313,6 @@ def main(argv=None):
     except (BadIndex, BadIndices, DivergentFactor, FrozenVertex, MalformedQuiver,
             UsageError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
     return 2
 
 

@@ -235,35 +235,18 @@ def perm_hom(torus_src: QuantumTorus, torus_tgt: QuantumTorus, sigma) -> TorusHo
 # graded truncated series
 
 
-class Degrees(dict):
-    """Integer degree of each exponent vector, computed on its first
-    lookup and stored: a term's degree never changes."""
-
-    __slots__ = ("_g",)
-
-    def __init__(self, g):
-        super().__init__()
-        self._g = g
-
-    def __missing__(self, alpha):
-        d = self[alpha] = sum(map(mul, self._g, alpha))
-        return d
-
-
 class GradedSeries:
     """Finite sum of monomials X^alpha of grading degree <= cutoff.
 
     The grading and the cutoff are scaled to integers once, so the
     truncation test and the s-exponent alpha.S.beta of X^alpha X^beta (S
-    the integer skew form of the ring) need no Fraction arithmetic.  The
-    degrees are read from a ``Degrees`` table that the series shares with
-    the series made from it by ``_like``; ``expand`` works with a table of
-    its own, dropped when it returns.  A series holds no zero coefficient
-    (and a Weyl series no empty bucket).  Subclasses keep the coefficient
-    layout of ``terms``.
+    the integer skew form of the ring) need no Fraction arithmetic.  A
+    series holds no zero coefficient (and a Weyl series no empty bucket).
+    Subclasses keep the coefficient layout of ``terms`` and multiply it
+    by a monomial in ``_mul_into``.
     """
 
-    __slots__ = ("grading", "cutoff", "terms", "_skew", "_g", "_top", "_deg")
+    __slots__ = ("grading", "cutoff", "terms", "_skew", "_g", "_top")
 
     def __init__(self, skew, grading, cutoff, terms=None):
         self.grading = tuple(grading)
@@ -273,66 +256,60 @@ class GradedSeries:
         scale = lcm(*(Fraction(g).denominator for g in self.grading))
         self._g = tuple(int(g * scale) for g in self.grading)
         self._top = floor(cutoff * scale)
-        self._deg = Degrees(self._g)
 
     def gdeg(self, alpha) -> int:
         """Degree of X^alpha in the integer grading (grading times scale)."""
-        return self._deg[alpha]
+        return sum(map(mul, self._g, alpha))
 
     def keeps(self, alpha) -> bool:
         return self.gdeg(alpha) <= self._top
 
     def _like(self, terms=None):
-        """A series over the same ring, grading, cutoff and degree table,
-        empty or with the given ``terms``."""
+        """A series over the same ring, grading and cutoff, empty or with
+        the given ``terms``."""
         out = copy(self)
         out.terms = terms or {}
         return out
 
-    def _within(self, top):
-        """The terms of degree <= top, in this series' order; the values
-        are shared, so the result is only read."""
-        deg = self._deg
-        return self._like({a: v for a, v in self.terms.items() if deg[a] <= top})
-
-    def _moves(self, beta):
-        """(alpha + beta, s-exponent of X^alpha X^beta, terms[alpha]) for
-        every term whose product with X^beta survives the truncation."""
-        deg = self._deg
-        top = self._top - deg[beta]
-        col = skew_image(self._skew, beta)
-        for alpha, c in self.terms.items():
-            if deg[alpha] <= top:
-                yield tuple(map(add, alpha, beta)), sum(map(mul, alpha, col)), c
+    def _times(self, monomial, coeff):
+        """self times coeff * monomial, truncated to the cutoff."""
+        out = self._like()
+        if coeff.is_zero() or monomial.coeff.is_zero():
+            return out
+        top = self._top - self.gdeg(self._exponent(monomial))
+        self._mul_into(out.terms, {a: v for a, v in self.terms.items()
+                                   if self.gdeg(a) <= top}, monomial, coeff)
+        return out
 
     def expand(self, factors):
         """self, truncated to the cutoff, times prod Psi_{q^base}(arg)^expo
         over ``factors`` (base, expo, arg), left to right, each truncated
-        to the cutoff.
+        to the cutoff; the terms come out in order of nondecreasing degree.
 
-        Psi has constant coefficient 1, so the n = 0 power of a factor is
-        the running product itself, and the higher powers are added to it
-        in place.  A term X^alpha survives beside arg^n exactly when
-        gdeg(alpha) <= top - n*d, so the terms that meet each higher power
-        are filtered from those that met the previous one (the first
-        filter copies them before any power is added), keeping the running
-        product's order: coefficients are summed, and new exponents
-        inserted, as in the product of the whole running series with
-        every power in turn.  Every exponent's degree is computed once, in
-        a table that lives as long as the expansion."""
-        acc = copy(self)
-        acc._deg = Degrees(self._g)
-        acc = acc._within(self._top)
+        The running product is kept by degree, {e: {exponent: value}}.
+        Psi has constant coefficient 1, so a factor whose argument has
+        degree d adds the products of bucket e with c_n arg^n into bucket
+        e + n*d, for 1 <= n <= min((top - e) // d, top // d).  The buckets
+        are read from the highest degree down: every bucket a product
+        lands in has been read already, so none changes before it is
+        read.  A Weyl bucket changes in place, so the start series'
+        values are copied."""
+        top = self._top
+        acc = {}
+        for alpha, v in self.terms.items():
+            e = self.gdeg(alpha)
+            if e <= top:
+                acc.setdefault(e, {})[alpha] = copy(v)
         for base, expo, arg in factors:
-            d = acc.gdeg(self._exponent(arg))
+            d = self.gdeg(self._exponent(arg))
             if d <= 0:
                 raise NonpositiveGrading(f"factor argument {arg} of grade <= 0")
-            coeffs = dilog_coefficients(base, expo, self._top // d)
-            live = acc
-            for n in range(1, len(coeffs)):
-                live = live._within(self._top - n * d)
-                acc += live._mul_power(arg.pow(n), coeffs[n])
-        return self._like(acc.terms)
+            coeffs = dilog_coefficients(base, expo, top // d)
+            powers = [(arg.pow(n), coeffs[n]) for n in range(1, len(coeffs))]
+            for e in sorted(acc, reverse=True):
+                for n, (p, c) in enumerate(powers[:(top - e) // d], 1):
+                    self._mul_into(acc.setdefault(e + n * d, {}), acc[e], p, c)
+        return self._like({a: v for e in sorted(acc) for a, v in acc[e].items()})
 
 
 class TorusSeries(GradedSeries):
@@ -357,36 +334,25 @@ class TorusSeries(GradedSeries):
             self.terms[alpha] = new
 
     def mul_monomial(self, coeff: ScalarQ, beta: tuple) -> "TorusSeries":
-        # alpha -> alpha + beta is injective and a product of nonzero
-        # scalars is nonzero, so no two products meet and none cancels:
-        # the terms are stored as they come, without merging
-        if coeff.is_zero():
-            return self._like()
-        return self._like({alpha: (c * coeff).shift(s)
-                           for alpha, s, c in self._moves(beta)})
+        return self._times(self.torus.element(ONE, beta), coeff)
 
     _exponent = staticmethod(attrgetter("alpha"))
 
-    def _mul_power(self, p, c):
-        return self.mul_monomial(p.coeff * c, p.alpha)
-
-    def __iadd__(self, other: "TorusSeries") -> "TorusSeries":
-        # add_term for every term of other, in one pass; a cancelled
-        # exponent leaves the degree table too, which would otherwise keep
-        # its tuple alive for the rest of an expansion
-        terms = self.terms
-        for a, c in other.terms.items():
-            cur = terms.get(a)
-            if cur is None:
-                terms[a] = c
-            else:
+    def _mul_into(self, out, terms, p, coeff):
+        """Add the products of ``terms`` with coeff * p into ``out``, both
+        {alpha: ScalarQ}; a sum that cancels is deleted."""
+        beta, mc = p.alpha, p.coeff * coeff
+        col = skew_image(self._skew, beta)
+        for alpha, c in terms.items():
+            gamma = tuple(map(add, alpha, beta))
+            c = (c * mc).shift(sum(map(mul, alpha, col)))
+            cur = out.get(gamma)
+            if cur is not None:
                 c = cur + c
                 if c.is_zero():
-                    del terms[a]
-                    self._deg.pop(a, None)
-                else:
-                    terms[a] = c
-        return self
+                    del out[gamma]
+                    continue
+            out[gamma] = c
 
     def __eq__(self, other):
         if not isinstance(other, TorusSeries):

@@ -11,11 +11,11 @@ up s^omega(X,Y) with omega an integer skew form (see ``qtorus.skew_pair``).
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import add, attrgetter, mul
 
 from .params import ParamForm
 from .qtorus import (GradedSeries, SeedMismatch, combine, preserves_skew,
-                     skew_pair)
+                     skew_image, skew_pair)
 from .scalars import ONE, ScalarQ
 
 
@@ -127,8 +127,7 @@ class WeylMonomial:
 class WeylSeries(GradedSeries):
     """Graded truncated series: cexp -> {pexp-key: (pexp, ScalarQ)}.
 
-    Series share buckets (``_like``, ``_within``, ``+=``), so a bucket is
-    never changed in place: ``add_term`` and ``+=`` store a changed copy."""
+    A series owns its buckets and changes them in place."""
 
     __slots__ = ("spec",)
 
@@ -146,79 +145,45 @@ class WeylSeries(GradedSeries):
         caller has it already, so that a key is sorted once per form."""
         if key is None:
             key = pexp.key()
-        bucket = self.terms.get(cexp)
-        if bucket is None:
-            self.terms[cexp] = {key: (pexp, coeff)}
-            return
-        bucket = dict(bucket)
+        bucket = self.terms.setdefault(cexp, {})
         cur = bucket.get(key)
-        if cur is None:
-            bucket[key] = (pexp, coeff)
-        else:
-            new = cur[1] + coeff
-            if new.is_zero():
+        if cur is not None:
+            coeff = cur[1] + coeff
+            if coeff.is_zero():
                 del bucket[key]
-            else:
-                bucket[key] = (pexp, new)
-        if bucket:
-            self.terms[cexp] = bucket
-        else:
-            del self.terms[cexp]
+                if not bucket:
+                    del self.terms[cexp]
+                return
+        bucket[key] = (pexp, coeff)
 
     def mul_monomial(self, m: WeylMonomial) -> "WeylSeries":
-        # cexp -> cexp + m.cexp and pexp -> pexp + m.pexp are injective and
-        # a product of nonzero scalars is nonzero, so no two products meet
-        # and none cancels: the buckets are built without merging
-        if m.coeff.is_zero():
-            return self._like()
-        mp, mc = m.pexp, m.coeff
-        out = {}
-        for cexp, s, bucket in self._moves(m.cexp):
-            new = out[cexp] = {}
-            for pexp, coeff in bucket.values():
-                pexp = pexp + mp
-                new[pexp.key()] = (pexp, (coeff * mc).shift(s))
-        return self._like(out)
+        return self._times(m, ONE)
 
     _exponent = staticmethod(attrgetter("cexp"))
 
-    def _mul_power(self, p, c):
-        return self.mul_monomial(WeylMonomial(self.spec, p.coeff * c, p.pexp, p.cexp))
-
-    def __iadd__(self, other: "WeylSeries") -> "WeylSeries":
-        # add_term for every term of other, in one pass: a new exponent
-        # takes the incoming bucket, and a bucket merged into is a copy.
-        # add_term deletes an emptied bucket at once and inserts a later
-        # key of the same exponent into a fresh one, at the end of the
-        # terms; a bucket that empties and refills is moved there.  An
-        # exponent that cancels leaves the degree table too
-        terms = self.terms
-        for cexp, inc in other.terms.items():
-            bucket = terms.get(cexp)
-            if bucket is None:
-                terms[cexp] = inc
-                continue
-            bucket = dict(bucket)
-            emptied = False
-            for key, val in inc.items():
-                cur = bucket.get(key)
-                if cur is None:
-                    bucket[key] = val
-                else:
-                    c = cur[1] + val[1]
-                    if not c.is_zero():
-                        bucket[key] = (val[0], c)
-                    else:
-                        del bucket[key]
-                        emptied = emptied or not bucket
-            if not bucket:
-                del terms[cexp]
-                self._deg.pop(cexp, None)
-            else:
-                if emptied:
-                    del terms[cexp]
-                terms[cexp] = bucket
-        return self
+    def _mul_into(self, out, terms, m, coeff):
+        """Add the products of ``terms`` with coeff * m into ``out``, both
+        {cexp: bucket}; a sum that cancels is deleted, and so is a bucket
+        that it empties."""
+        beta, mp, mc = m.cexp, m.pexp, m.coeff * coeff
+        col = skew_image(self._skew, beta)
+        for cexp, bucket in terms.items():
+            gamma = tuple(map(add, cexp, beta))
+            s = sum(map(mul, cexp, col))
+            dest = out.setdefault(gamma, {})
+            for pexp, c in bucket.values():
+                pexp = pexp + mp
+                key = pexp.key()
+                c = (c * mc).shift(s)
+                cur = dest.get(key)
+                if cur is not None:
+                    c = cur[1] + c
+                    if c.is_zero():
+                        del dest[key]
+                        continue
+                dest[key] = (pexp, c)
+            if not dest:
+                del out[gamma]
 
     def equal_on(self, other: "WeylSeries", region=None) -> bool:
         return self.first_difference(other, region) is None

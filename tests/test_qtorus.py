@@ -1,7 +1,7 @@
+from copy import copy
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,10 +32,40 @@ from printed_tables import C2_CENTER, K24_TORUS, TAU_K24, TAU_R, TAU_RBAR
 # series product and inverse it needs
 
 
+def add_terms(out, b):
+    """out + b, every term of b put in by add_term; out changes."""
+    if isinstance(out, TorusSeries):
+        for alpha, c in b.terms.items():
+            out.add_term(alpha, c)
+    else:
+        for cexp, bucket in b.terms.items():
+            for key, (p, c) in bucket.items():
+                out.add_term(cexp, p, c, key)
+    return out
+
+
+def product_term_by_term(series, coeff, beta, pexp=None):
+    """series times coeff * X^beta (times e^pexp for a Weyl series), every
+    product put in by add_term; a product past the cutoff is left out."""
+    out = series._like()
+    top = series._top - sum(map(mul, series._g, beta))
+    for alpha, v in series.terms.items():
+        if sum(map(mul, series._g, alpha)) > top:
+            continue
+        gamma = tuple(map(add, alpha, beta))
+        s = skew_pair(series._skew, alpha, beta)
+        if pexp is None:
+            out.add_term(gamma, (v * coeff).shift(s))
+        else:
+            for p, c in v.values():
+                out.add_term(gamma, p + pexp, (c * coeff).shift(s))
+    return out
+
+
 def series_mul(a: TorusSeries, b: TorusSeries) -> TorusSeries:
     out = a._like()
     for beta, cb in b.terms.items():
-        out += a.mul_monomial(cb, beta)
+        add_terms(out, product_term_by_term(a, cb, beta))
     return out
 
 
@@ -58,7 +88,7 @@ def series_inverse(a: TorusSeries) -> TorusSeries:
     power = TorusSeries.one(a.torus, a.grading, a.cutoff)
     while power.terms:
         power = series_mul(power, t)
-        out += power
+        add_terms(out, power)
     return series_mul(inv_lead, out)
 
 
@@ -560,13 +590,16 @@ def test_torus_products_match_bhat_sums(name, data):
 
 def reference_expand(series, factors):
     """The term-by-term loop: every power of a factor, from n = 0,
-    multiplies the whole running product."""
+    multiplies the whole running product, and every product is put in
+    by add_term."""
     acc = series
     for base, expo, arg in factors:
         d = series.gdeg(series._exponent(arg))
         new = series._like()
         for n, c in enumerate(dilog_coefficients(base, expo, series._top // d)):
-            new += acc._mul_power(arg.pow(n), c)
+            p = arg.pow(n)
+            add_terms(new, product_term_by_term(acc, p.coeff * c, series._exponent(p),
+                                                getattr(p, "pexp", None)))
         acc = new
     return acc
 
@@ -584,24 +617,22 @@ def layout(series):
             for cexp, b in series.terms.items()]
 
 
+def forms(terms):
+    """The coefficient of every term of a ``terms`` dict as (num, den,
+    iden), with its parameter exponent, whatever the order of the terms."""
+    if all(isinstance(v, ScalarQ) for v in terms.values()):
+        return {a: _form(c) for a, c in terms.items()}
+    return {(cexp, k): (p, _form(c))
+            for cexp, b in terms.items() for k, (p, c) in b.items()}
+
+
 def assert_expand_matches_reference(start, factors):
     before = layout(start)
-    kept_all = []
-
-    def counting(mul_monomial):
-        def wrapped(self, *args):
-            out = mul_monomial(self, *args)
-            kept_all.append(len(out.terms) == len(self.terms))
-            return out
-        return wrapped
-
-    cls = type(start)
-    with patch.object(cls, "mul_monomial", counting(cls.mul_monomial)):
-        got = start.expand(factors)
-    assert layout(got) == layout(reference_expand(start, factors))
+    got = start.expand(factors)
+    assert forms(got.terms) == forms(reference_expand(start, factors).terms)
     assert layout(start) == before
-    # every term handed to a power n >= 1 survives beside it
-    assert all(kept_all)
+    degrees = [got.gdeg(a) for a in got.terms]
+    assert degrees == sorted(degrees)
 
 
 def _sparse_vec(n):
@@ -611,35 +642,47 @@ def _sparse_vec(n):
                                         for j in range(n)))
 
 
-def _series_case(data, n, start):
-    """A positive grading, a cutoff, and up to four dilogarithm factors
-    whose arguments repeat from a pool of at most three monomials; the
-    start series gets a few extra terms, some beyond the cutoff."""
-    grading = data.draw(st.lists(st.sampled_from((Fraction(1, 2), 1, 2)),
-                                 min_size=n, max_size=n))
-    series = start(grading, data.draw(st.sampled_from((2, 3, 4))))
-    positive = _sparse_vec(n).filter(lambda v: series.gdeg(v) > 0)
-    pool = data.draw(st.lists(st.tuples(positive, st.integers(-2, 2)),
-                              min_size=1, max_size=3))
-    factors = data.draw(st.lists(st.tuples(st.sampled_from((1, 2)),
-                                           st.sampled_from((1, -1)),
-                                           st.sampled_from(pool)),
-                                 min_size=1, max_size=4))
-    extra = data.draw(st.lists(st.tuples(_sparse_vec(n), st.integers(-2, 2)),
-                               max_size=3))
-    return series, factors, extra
+@st.composite
+def _series_cases(draw, n):
+    """A positive grading, a cutoff, up to four dilogarithm factors (base,
+    expo, argument) whose arguments repeat from a pool of at most three,
+    and a few extra start terms, some beyond the cutoff; an argument or a
+    term is (exponent, s-power, index into _PEXPS)."""
+    grading = draw(st.lists(st.sampled_from((Fraction(1, 2), 1, 2)),
+                            min_size=n, max_size=n))
+    positive = _sparse_vec(n).filter(lambda v: sum(map(mul, grading, v)) > 0)
+    term = lambda vec: st.tuples(vec, st.integers(-2, 2), st.integers(0, 2))
+    pool = draw(st.lists(term(positive), min_size=1, max_size=3))
+    factors = draw(st.lists(st.tuples(st.sampled_from((1, 2)),
+                                      st.sampled_from((1, -1)),
+                                      st.sampled_from(pool)),
+                            min_size=1, max_size=4))
+    extra = draw(st.lists(term(_sparse_vec(n)), max_size=3))
+    return grading, draw(st.sampled_from((2, 3, 4))), factors, extra
+
+
+def _negative_start_case(n):
+    # Y_1^-1 has degree -1, so Psi(Y_1) meets it with powers up to n = 3
+    # below the cutoff 2; the factor itself is truncated at n = 2
+    e1 = (1,) + (0,) * (n - 1)
+    return (1,) * n, 2, [(1, 1, (e1, 0, 0))], [(tuple(-x for x in e1), 0, 0)]
+
+
+_PEXPS = (ParamForm(), ParamForm({"a1": 1}), ParamForm({"a1": -1, "a2": 1}))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(_TORI)), st.data())
-def test_torus_expand_matches_term_by_term_loop(name, data):
+@given(st.sampled_from(sorted(_TORI)).flatmap(
+    lambda name: st.tuples(st.just(name), _series_cases(_TORI[name].n()))))
+@example(("B(C2)", _negative_start_case(_TORI["B(C2)"].n())))
+def test_torus_expand_matches_term_by_term_loop(case):
+    name, (grading, cutoff, factors, extra) = case
     torus = _TORI[name]
-    series, factors, extra = _series_case(
-        data, torus.n(), lambda g, cut: TorusSeries.one(torus, g, cut))
-    for alpha, k in extra:
+    series = TorusSeries.one(torus, grading, cutoff)
+    for alpha, k, _ in extra:
         series.add_term(alpha, ScalarQ.s_pow(k))
     factors = [(b, e, torus.element(ScalarQ.s_pow(k), v))
-               for b, e, (v, k) in factors]
+               for b, e, (v, k, _) in factors]
     assert_expand_matches_reference(series, factors)
 
 
@@ -663,21 +706,19 @@ def test_expand_of_three_equal_factors_matches_the_references():
     assert len(got.terms) == 6
 
 
-_PEXPS = (ParamForm(), ParamForm({"a1": 1}), ParamForm({"a1": -1, "a2": 1}))
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from((SPEC_C2, SPEC_C3)), st.data())
-def test_weyl_expand_matches_term_by_term_loop(spec, data):
+@given(st.sampled_from((SPEC_C2, SPEC_C3)).flatmap(
+    lambda spec: st.tuples(st.just(spec), _series_cases(2 * spec.p))))
+@example((SPEC_C2, _negative_start_case(2 * SPEC_C2.p)))
+def test_weyl_expand_matches_term_by_term_loop(case):
     # monomials that share an exponent and differ in their parameter
     # exponent fill one bucket with several entries
-    series, factors, extra = _series_case(
-        data, 2 * spec.p, lambda g, cut: WeylSeries.one(spec, g, cut))
-    pexp = st.sampled_from(_PEXPS)
-    for cexp, k in extra:
-        series.add_term(cexp, data.draw(pexp), ScalarQ.s_pow(k))
-    factors = [(b, e, WeylMonomial(spec, ScalarQ.s_pow(k), data.draw(pexp), v))
-               for b, e, (v, k) in factors]
+    spec, (grading, cutoff, factors, extra) = case
+    series = WeylSeries.one(spec, grading, cutoff)
+    for cexp, k, i in extra:
+        series.add_term(cexp, _PEXPS[i], ScalarQ.s_pow(k))
+    factors = [(b, e, WeylMonomial(spec, ScalarQ.s_pow(k), _PEXPS[i], v))
+               for b, e, (v, k, i) in factors]
     assert_expand_matches_reference(series, factors)
 
 
@@ -696,55 +737,12 @@ def test_re_full_sides_expand_as_term_by_term_loop():
         assert_expand_matches_reference(WeylSeries.one(SPEC_C3, g, 2), facs)
 
 
-# -- the one-pass merge and the direct product against add_term -------------
+# -- the multiply-and-merge kernel and the direct product against add_term --
 
 # +-1 and +-s cancel against each other; a dilogarithm coefficient has a
 # denominator, so its sums go through the general ScalarQ addition
 _COEFFS = (ONE, -ONE, ScalarQ.s_pow(1), -ScalarQ.s_pow(1),
            dilog_coefficients(1, 1, 2)[2])
-
-
-def added_term_by_term(a, b):
-    """a + b, merged by add_term one term of b at a time."""
-    out = a._like(dict(a.terms))
-    if isinstance(out, TorusSeries):
-        for alpha, c in b.terms.items():
-            out.add_term(alpha, c)
-    else:
-        for cexp, bucket in b.terms.items():
-            for key, (p, c) in bucket.items():
-                out.add_term(cexp, p, c, key)
-    return out
-
-
-def product_term_by_term(series, coeff, beta, pexp=None):
-    """series times coeff * X^beta (times e^pexp for a Weyl series), every
-    product put in by add_term; a product past the cutoff is left out."""
-    out = series._like()
-    top = series._top - sum(map(mul, series._g, beta))
-    for alpha, v in series.terms.items():
-        if sum(map(mul, series._g, alpha)) > top:
-            continue
-        gamma = tuple(map(add, alpha, beta))
-        s = skew_pair(series._skew, alpha, beta)
-        if pexp is None:
-            out.add_term(gamma, (v * coeff).shift(s))
-        else:
-            for p, c in v.values():
-                out.add_term(gamma, p + pexp, (c * coeff).shift(s))
-    return out
-
-
-def assert_merge_matches_add_term(a, b):
-    # twice: a bucket that b shares with the sum must not change under the
-    # second merge
-    want = added_term_by_term(added_term_by_term(a, b), b)
-    before = layout(b)
-    got = a._like(dict(a.terms))
-    got += b
-    got += b
-    assert layout(got) == layout(want)
-    assert layout(b) == before
 
 
 def _drawn_series(data, empty, n, pexps=None):
@@ -761,6 +759,18 @@ def _drawn_series(data, empty, n, pexps=None):
     return series
 
 
+def assert_merge_matches_add_term(a, b, monomial, coeff):
+    """_mul_into merges the products of a with coeff * monomial into a
+    copy of b's terms as add_term merges them into b."""
+    beta = a._exponent(monomial)
+    near = {t: v for t, v in a.terms.items() if a.keeps(tuple(map(add, t, beta)))}
+    got = {t: copy(v) for t, v in b.terms.items()}
+    a._mul_into(got, near, monomial, coeff)
+    want = add_terms(b, product_term_by_term(a, monomial.coeff * coeff, beta,
+                                             getattr(monomial, "pexp", None)))
+    assert forms(got) == forms(want.terms)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(_TORI)), st.data())
 def test_torus_merge_and_product_match_add_term(name, data):
@@ -770,10 +780,10 @@ def test_torus_merge_and_product_match_add_term(name, data):
                                  min_size=n, max_size=n))
     empty = lambda: TorusSeries(torus, grading, data.draw(st.sampled_from((0, 1, 2))))
     a, b = _drawn_series(data, empty, n), _drawn_series(data, empty, n)
-    assert_merge_matches_add_term(a, b)
     coeff, beta = data.draw(st.sampled_from(_COEFFS)), data.draw(_sparse_vec(n))
     assert (layout(a.mul_monomial(coeff, beta))
             == layout(product_term_by_term(a, coeff, beta)))
+    assert_merge_matches_add_term(a, b, torus.element(ONE, beta), coeff)
 
 
 @settings(max_examples=80, deadline=None)
@@ -785,54 +795,42 @@ def test_weyl_merge_and_product_match_add_term(spec, data):
     empty = lambda: WeylSeries(spec, grading, data.draw(st.sampled_from((0, 1, 2))))
     a = _drawn_series(data, empty, n, _PEXPS)
     b = _drawn_series(data, empty, n, _PEXPS)
-    assert_merge_matches_add_term(a, b)
     m = WeylMonomial(spec, data.draw(st.sampled_from(_COEFFS)),
                      data.draw(st.sampled_from(_PEXPS)), data.draw(_sparse_vec(n)))
     assert (layout(a.mul_monomial(m))
             == layout(product_term_by_term(a, m.coeff, m.cexp, m.pexp)))
+    assert_merge_matches_add_term(a, b, m, ScalarQ.s_pow(1))
 
 
-def test_torus_merge_deletes_a_cancelled_sum():
+def test_mul_into_deletes_what_cancels():
+    # the target already holds the negated products of some terms
     torus = _TORI["B(C2)"]
     e = [torus.unit(l) for l in torus.labels[:3]]
-    a = TorusSeries(torus, (1,) * torus.n(), 2, {e[0]: ONE, e[1]: ScalarQ.s_pow(1)})
-    b = TorusSeries(torus, (1,) * torus.n(), 2, {e[1]: -ScalarQ.s_pow(1), e[2]: ONE})
-    assert_merge_matches_add_term(a, b)
-    a += b
-    assert list(a.terms) == [e[0], e[2]]
+    a = TorusSeries(torus, (1,) * torus.n(), 3, {e[0]: ONE, e[1]: ScalarQ.s_pow(1)})
+    mono, coeff = torus.element(ScalarQ.s_pow(1), e[2]), -ONE
+    prod = a.mul_monomial(ScalarQ.s_pow(1) * coeff, e[2]).terms
+    (g0, p0), (g1, p1) = prod.items()
+    out = {g0: -p0, e[2]: ONE}
+    a._mul_into(out, a.terms, mono, coeff)
+    assert list(out) == [e[2], g1] and out[g1] == p1
 
-
-def test_weyl_merge_keeps_add_term_order_for_an_emptied_bucket():
     spec = SPEC_C2
-    x, y, z = (spec.vec({ax: 1}) for ax in ("u1", "w1", "u2"))
-    p0, p1, p2 = _PEXPS
-    s = ScalarQ.s_pow(1)
-
-    def series(*terms):
-        out = WeylSeries(spec, (1,) * 8, 3)
-        for cexp, p, c in terms:
-            out.add_term(cexp, p, c)
-        return out
-
-    a = series((x, p0, ONE), (y, p1, ONE))
-    # x's bucket cancels to empty while its incoming bucket still holds
-    # p1 and p2: add_term re-inserts x after y, with p1 then p2
-    refill = series((x, p0, -ONE), (x, p1, ONE), (x, p2, s))
-    assert_merge_matches_add_term(a, refill)
-    got = a._like(dict(a.terms))
-    got += refill
-    assert list(got.terms) == [y, x]
-    assert list(got.terms[x]) == [p1.key(), p2.key()]
-    # a bucket that cancels to empty and stays so is deleted
-    got += series((x, p1, -ONE), (x, p2, -s))
-    assert list(got.terms) == [y]
-    # a new exponent takes the incoming bucket, several keys in order
-    fresh = series((z, p2, ONE), (z, p0, s), (z, p1, -ONE))
-    assert_merge_matches_add_term(a, fresh)
-    got = a._like(dict(a.terms))
-    got += fresh
-    assert list(got.terms) == [x, y, z]
-    assert list(got.terms[z]) == [p2.key(), p0.key(), p1.key()]
+    x, y = spec.vec({"u1": 1}), spec.vec({"w1": 1})
+    k0, k1, k2 = (p.key() for p in _PEXPS)
+    w = WeylSeries(spec, (1,) * 8, 3)
+    for cexp, p, c in ((x, _PEXPS[0], ONE), (x, _PEXPS[1], ScalarQ.s_pow(1)),
+                       (y, _PEXPS[0], ONE)):
+        w.add_term(cexp, p, c)
+    m = WeylMonomial(spec, ScalarQ.s_pow(2), ParamForm(), spec.vec({"u2": 1}))
+    prod = w.mul_monomial(m).terms
+    gx, gy = (tuple(map(add, v, m.cexp)) for v in (x, y))
+    # y's product bucket empties and is deleted; x's shares only k0 with
+    # the target, so the target's k2 stays and k1 comes in
+    out = {gx: {k0: (_PEXPS[0], -prod[gx][k0][1]), k2: (_PEXPS[2], ONE)},
+           gy: {k0: (_PEXPS[0], -prod[gy][k0][1])}}
+    w._mul_into(out, w.terms, m, ONE)
+    assert list(out) == [gx]
+    assert list(out[gx]) == [k2, k1] and out[gx][k1][1] == prod[gx][k1][1]
 
 
 def test_products_drop_terms_past_the_cutoff():
@@ -844,20 +842,6 @@ def test_products_drop_terms_past_the_cutoff():
     assert layout(got) == layout(product_term_by_term(a, ScalarQ.s_pow(1), e1))
     assert list(got.terms) == [tuple(2 * x for x in e1)]
     assert not a.mul_monomial(ScalarQ.zero(), e1).terms
-
-
-def test_expand_keeps_no_degree_table_of_its_own():
-    # the degrees of an expansion are stored in a table that goes with it:
-    # the start series' table does not grow, and the result shares it
-    torus = _TORI["B(C2)"]
-    start = TorusSeries.one(torus, (1,) * torus.n(), 3)
-    before = dict(start._deg)
-    arg = torus.gen(torus.labels[0])
-    got = start.expand([(1, 1, arg), (1, -1, torus.gen(torus.labels[1]))])
-    assert len(got.terms) > 2
-    assert dict(start._deg) == before
-    assert got._deg is start._deg
-    assert all(got.gdeg(a) == sum(a) for a in got.terms)
 
 
 @pytest.mark.parametrize("base,expo", [(1, 2), (1, 0), (1, -2), (0, 1), (-1, -1)])

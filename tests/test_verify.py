@@ -429,6 +429,10 @@ def test_cli_smoke(tmp_path):
                 ("verify", "--task", "K-eps-indep", "--cutoff", "-1"),
                 ("verify", "--task", "lemma", "--cutoff", "-2"),
                 ("period", "--quiver", "B(A2)", "--seq", "6,6", "--cutoff", "-1"),
+                # a report file that cannot be written
+                ("verify", "--task", "RE-seed", "--out", str(tmp_path)),
+                ("verify", "--task", "RE-seed", "--out",
+                 str(tmp_path / "missing" / "x.json")),
                 *malformed):
         out = run_cli(*bad)
         assert out.returncode == 2 and "Traceback" not in out.stderr, bad
