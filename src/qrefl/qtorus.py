@@ -236,49 +236,92 @@ def perm_hom(torus_src: QuantumTorus, torus_tgt: QuantumTorus, sigma) -> TorusHo
 
 
 class GradedSeries:
-    """Finite sum of monomials X^alpha of grading degree <= cutoff.
+    """Finite sum of monomials c X^alpha of grading degree <= cutoff, held
+    flat as ``flat`` = {alpha: c}, c a nonzero ScalarQ.
 
     The grading and the cutoff are scaled to integers once, so the
     truncation test and the s-exponent alpha.S.beta of X^alpha X^beta (S
-    the integer skew form of the ring) need no Fraction arithmetic.  A
-    series holds no zero coefficient (and a Weyl series no empty bucket).
-    Subclasses keep the coefficient layout of ``terms`` and multiply it
-    by a monomial in ``_mul_into``.
+    the integer skew form of the ring) need no Fraction arithmetic.  An
+    exponent may run past the grading with central coordinates, which
+    have degree zero and zero rows in S.  Subclasses say how a monomial
+    gives its exponent (``_exponent``).
     """
 
-    __slots__ = ("grading", "cutoff", "terms", "_skew", "_g", "_top")
+    __slots__ = ("grading", "cutoff", "flat", "_skew", "_g", "_top")
 
-    def __init__(self, skew, grading, cutoff, terms=None):
+    def __init__(self, skew, grading, cutoff, flat=None):
         self.grading = tuple(grading)
         self.cutoff = cutoff
-        self.terms = terms or {}
+        self.flat = flat or {}
         self._skew = skew
         scale = lcm(*(Fraction(g).denominator for g in self.grading))
         self._g = tuple(int(g * scale) for g in self.grading)
         self._top = floor(cutoff * scale)
 
     def gdeg(self, alpha) -> int:
-        """Degree of X^alpha in the integer grading (grading times scale)."""
+        """Degree of X^alpha in the integer grading (grading times scale);
+        coordinates past the grading count zero."""
         return sum(map(mul, self._g, alpha))
 
     def keeps(self, alpha) -> bool:
         return self.gdeg(alpha) <= self._top
 
-    def _like(self, terms=None):
+    def add_term(self, alpha, coeff):
+        """Add coeff * X^alpha; a sum that cancels is deleted."""
+        cur = self.flat.get(alpha)
+        new = coeff if cur is None else cur + coeff
+        if new.is_zero():
+            self.flat.pop(alpha, None)
+        else:
+            self.flat[alpha] = new
+
+    def _like(self, flat=None):
         """A series over the same ring, grading and cutoff, empty or with
-        the given ``terms``."""
+        the given ``flat`` terms."""
         out = copy(self)
-        out.terms = terms or {}
+        out.flat = flat or {}
         return out
+
+    def _merge(self, dests, terms, beta, coeffs):
+        """For every term c X^alpha of ``terms`` and n = 1, 2, ..., add
+        c * coeffs[n-1] * X^alpha X^(n beta) into dests[n-1], all of them
+        {alpha: ScalarQ}; a sum that cancels is deleted.  X^beta pairs to
+        zero with itself, so the product is c coeffs[n-1] s^(n alpha.S.beta)
+        X^(alpha + n beta), and alpha.S.beta is computed once a term.  Only
+        the support of beta and of S.beta is read: an argument is sparse,
+        and its central coordinates pair with nothing."""
+        col = skew_image(self._skew, beta)
+        while col and not col[-1]:
+            col.pop()
+        support = [(i, b) for i, b in enumerate(beta) if b]
+        steps = list(zip(dests, coeffs))
+        for alpha, c in terms.items():
+            s = sum(map(mul, alpha, col))
+            k, gamma = 0, list(alpha)
+            for dest, cn in steps:
+                k += s
+                for i, b in support:
+                    gamma[i] += b
+                key = tuple(gamma)
+                v = c.mul_shift(cn, k)
+                cur = dest.setdefault(key, v)
+                if cur is not v:
+                    v = cur + v
+                    if v.is_zero():
+                        del dest[key]
+                    else:
+                        dest[key] = v
 
     def _times(self, monomial, coeff):
         """self times coeff * monomial, truncated to the cutoff."""
         out = self._like()
         if coeff.is_zero() or monomial.coeff.is_zero():
             return out
-        top = self._top - self.gdeg(self._exponent(monomial))
-        self._mul_into(out.terms, {a: v for a, v in self.terms.items()
-                                   if self.gdeg(a) <= top}, monomial, coeff)
+        beta = self._exponent(monomial)
+        top = self._top - self.gdeg(beta)
+        self._merge([out.flat], {a: v for a, v in self.flat.items()
+                                 if self.gdeg(a) <= top},
+                    beta, [monomial.coeff * coeff])
         return out
 
     def expand(self, factors):
@@ -287,35 +330,52 @@ class GradedSeries:
         to the cutoff; the terms come out in order of nondecreasing degree.
 
         The running product is kept by degree, {e: {exponent: value}}.
-        Psi has constant coefficient 1, so a factor whose argument has
-        degree d adds the products of bucket e with c_n arg^n into bucket
-        e + n*d, for 1 <= n <= min((top - e) // d, top // d).  The buckets
-        are read from the highest degree down: every bucket a product
-        lands in has been read already, so none changes before it is
-        read.  A Weyl bucket changes in place, so the start series'
-        values are copied."""
+        Psi has constant coefficient 1, so a factor c X^beta of degree d
+        adds the products of bucket e with its n-th power term,
+        c_n c^n X^(n beta), into bucket e + n*d, for 1 <= n <= min((top -
+        e) // d, top // d), each term of bucket e meeting all its powers
+        in one pass (``_merge``).  The buckets are read from the highest
+        degree down: every bucket a product lands in has been read
+        already, so none changes before it is read.  The dilogarithm
+        coefficients are computed once per (base, expo, top // d) in one
+        expansion."""
         top = self._top
         acc = {}
-        for alpha, v in self.terms.items():
+        for alpha, v in self.flat.items():
             e = self.gdeg(alpha)
             if e <= top:
-                acc.setdefault(e, {})[alpha] = copy(v)
+                acc.setdefault(e, {})[alpha] = v
+        dilogs = {}
         for base, expo, arg in factors:
-            d = self.gdeg(self._exponent(arg))
+            beta = self._exponent(arg)
+            d = self.gdeg(beta)
             if d <= 0:
                 raise NonpositiveGrading(f"factor argument {arg} of grade <= 0")
-            coeffs = dilog_coefficients(base, expo, top // d)
-            powers = [(arg.pow(n), coeffs[n]) for n in range(1, len(coeffs))]
+            key = (base, expo, top // d)
+            coeffs = dilogs.get(key)
+            if coeffs is None:
+                coeffs = dilogs[key] = dilog_coefficients(*key)[1:]
+            m = arg.coeff
+            if m != ONE:
+                mn, powers = m, []
+                for c in coeffs:
+                    powers.append(mn * c)
+                    mn = mn * m
+                coeffs = powers
             for e in sorted(acc, reverse=True):
-                for n, (p, c) in enumerate(powers[:(top - e) // d], 1):
-                    self._mul_into(acc.setdefault(e + n * d, {}), acc[e], p, c)
+                n = min((top - e) // d, len(coeffs))
+                if n > 0:
+                    self._merge([acc.setdefault(e + i * d, {}) for i in range(1, n + 1)],
+                                acc[e], beta, coeffs[:n])
         return self._like({a: v for e in sorted(acc) for a, v in acc[e].items()})
 
 
 class TorusSeries(GradedSeries):
-    """Truncated torus series: alpha -> ScalarQ."""
+    """Truncated torus series: alpha -> ScalarQ, the flat layout itself."""
 
     __slots__ = ("torus",)
+
+    terms = GradedSeries.flat    # a torus series reads its terms flat
 
     def __init__(self, torus, grading, cutoff, terms=None):
         super().__init__(torus.skew(), grading, cutoff, terms)
@@ -325,34 +385,10 @@ class TorusSeries(GradedSeries):
     def one(cls, torus, grading, cutoff):
         return cls(torus, grading, cutoff, {(0,) * torus.n(): ONE})
 
-    def add_term(self, alpha, coeff):
-        cur = self.terms.get(alpha)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            self.terms.pop(alpha, None)
-        else:
-            self.terms[alpha] = new
-
     def mul_monomial(self, coeff: ScalarQ, beta: tuple) -> "TorusSeries":
         return self._times(self.torus.element(ONE, beta), coeff)
 
     _exponent = staticmethod(attrgetter("alpha"))
-
-    def _mul_into(self, out, terms, p, coeff):
-        """Add the products of ``terms`` with coeff * p into ``out``, both
-        {alpha: ScalarQ}; a sum that cancels is deleted."""
-        beta, mc = p.alpha, p.coeff * coeff
-        col = skew_image(self._skew, beta)
-        for alpha, c in terms.items():
-            gamma = tuple(map(add, alpha, beta))
-            c = (c * mc).shift(sum(map(mul, alpha, col)))
-            cur = out.get(gamma)
-            if cur is not None:
-                c = cur + c
-                if c.is_zero():
-                    del out[gamma]
-                    continue
-            out[gamma] = c
 
     def __eq__(self, other):
         if not isinstance(other, TorusSeries):

@@ -11,11 +11,9 @@ up s^omega(X,Y) with omega an integer skew form (see ``qtorus.skew_pair``).
 
 from __future__ import annotations
 
-from operator import add, attrgetter, mul
-
 from .params import ParamForm
 from .qtorus import (GradedSeries, SeedMismatch, combine, preserves_skew,
-                     skew_image, skew_pair)
+                     skew_pair)
 from .scalars import ONE, ScalarQ
 
 
@@ -125,65 +123,93 @@ class WeylMonomial:
 
 
 class WeylSeries(GradedSeries):
-    """Graded truncated series: cexp -> {pexp-key: (pexp, ScalarQ)}.
+    """Graded truncated series of q-Weyl monomials, held flat like a torus
+    series: an exponent is cexp followed by the integer coefficients of
+    the parameter exponent over the sorted symbol basis ``symbols``.  The
+    parameters are central and have degree zero, so their coordinates have
+    zero skew rows and no grading.  A parameter exponent with a
+    denominator or a constant term has no coordinates and raises
+    ValueError; a symbol new to a series widens its basis.
 
-    A series owns its buckets and changes them in place."""
+    ``terms`` is the nested view cexp -> {pexp.key(): (pexp, coeff)},
+    built on each access and read-only."""
 
-    __slots__ = ("spec",)
+    __slots__ = ("spec", "symbols")
 
-    def __init__(self, spec, grading, cutoff, terms=None):
-        super().__init__(spec.skew(), grading, cutoff, terms)
+    def __init__(self, spec, grading, cutoff, flat=None, symbols=()):
+        self.symbols = tuple(symbols)
+        super().__init__(spec.skew() + [{}] * len(self.symbols), grading, cutoff,
+                         flat)
         self.spec = spec
 
     @classmethod
-    def one(cls, spec, grading, cutoff):
-        zero = (0,) * (2 * spec.p)
-        return cls(spec, grading, cutoff, {zero: {ParamForm().key(): (ParamForm(), ONE)}})
+    def one(cls, spec, grading, cutoff, symbols=()):
+        zero = (0,) * (2 * spec.p + len(symbols))
+        return cls(spec, grading, cutoff, {zero: ONE}, symbols)
 
-    def add_term(self, cexp, pexp: ParamForm, coeff: ScalarQ, key=None):
-        """Add coeff * e^pexp * e^cexp; ``key`` is pexp.key() when the
-        caller has it already, so that a key is sorted once per form."""
-        if key is None:
-            key = pexp.key()
-        bucket = self.terms.setdefault(cexp, {})
-        cur = bucket.get(key)
-        if cur is not None:
-            coeff = cur[1] + coeff
-            if coeff.is_zero():
-                del bucket[key]
-                if not bucket:
-                    del self.terms[cexp]
-                return
-        bucket[key] = (pexp, coeff)
+    def _coords(self, pexp: ParamForm) -> tuple:
+        """The coordinates of pexp over the basis, which must hold its
+        symbols."""
+        if pexp.den != 1 or pexp.c:
+            raise ValueError(f"parameter exponent {pexp} of a series term "
+                             "has a denominator or a constant term")
+        get = pexp.num.get
+        out = tuple(get(x, 0) for x in self.symbols)
+        if len(out) - out.count(0) != len(pexp.num):
+            raise ValueError(f"parameter exponent {pexp} has a symbol "
+                             "outside the series' basis")
+        return out
+
+    def _exponent(self, m: WeylMonomial) -> tuple:
+        return m.cexp + self._coords(m.pexp)
+
+    def _param(self, alpha) -> ParamForm:
+        """The parameter exponent of the flat exponent alpha."""
+        return ParamForm(dict(zip(self.symbols, alpha[2 * self.spec.p:])))
+
+    def _joined(self, symbols) -> tuple:
+        """The sorted union of the basis and ``symbols``."""
+        return tuple(sorted({*self.symbols, *symbols}))
+
+    def _over(self, symbols) -> "WeylSeries":
+        """This series over the sorted basis ``symbols``, which holds the
+        series' own; self when it is the same."""
+        if symbols == self.symbols:
+            return self
+        n, where = 2 * self.spec.p, [symbols.index(x) for x in self.symbols]
+        flat = {}
+        for alpha, c in self.flat.items():
+            coords = [0] * len(symbols)
+            for i, x in zip(where, alpha[n:]):
+                coords[i] = x
+            flat[alpha[:n] + tuple(coords)] = c
+        return WeylSeries(self.spec, self.grading, self.cutoff, flat, symbols)
+
+    @property
+    def terms(self) -> dict:
+        n, out = 2 * self.spec.p, {}
+        for alpha, c in self.flat.items():
+            pexp = self._param(alpha)
+            out.setdefault(alpha[:n], {})[pexp.key()] = (pexp, c)
+        return out
+
+    def add_term(self, cexp, pexp: ParamForm, coeff: ScalarQ):
+        """Add coeff * e^pexp * e^cexp."""
+        basis = self._joined(pexp.num)
+        if basis != self.symbols:
+            wide = self._over(basis)
+            self.flat, self.symbols, self._skew = wide.flat, basis, wide._skew
+        super().add_term(cexp + self._coords(pexp), coeff)
 
     def mul_monomial(self, m: WeylMonomial) -> "WeylSeries":
-        return self._times(m, ONE)
+        return self._over(self._joined(m.pexp.num))._times(m, ONE)
 
-    _exponent = staticmethod(attrgetter("cexp"))
-
-    def _mul_into(self, out, terms, m, coeff):
-        """Add the products of ``terms`` with coeff * m into ``out``, both
-        {cexp: bucket}; a sum that cancels is deleted, and so is a bucket
-        that it empties."""
-        beta, mp, mc = m.cexp, m.pexp, m.coeff * coeff
-        col = skew_image(self._skew, beta)
-        for cexp, bucket in terms.items():
-            gamma = tuple(map(add, cexp, beta))
-            s = sum(map(mul, cexp, col))
-            dest = out.setdefault(gamma, {})
-            for pexp, c in bucket.values():
-                pexp = pexp + mp
-                key = pexp.key()
-                c = (c * mc).shift(s)
-                cur = dest.get(key)
-                if cur is not None:
-                    c = cur[1] + c
-                    if c.is_zero():
-                        del dest[key]
-                        continue
-                dest[key] = (pexp, c)
-            if not dest:
-                del out[gamma]
+    def expand(self, factors):
+        """As ``GradedSeries.expand``, over a basis that holds the symbols
+        of the factors, which are converted in this call."""
+        factors = list(factors)
+        basis = self._joined(x for _, _, m in factors for x in m.pexp.num)
+        return GradedSeries.expand(self._over(basis), factors)
 
     def equal_on(self, other: "WeylSeries", region=None) -> bool:
         return self.first_difference(other, region) is None
@@ -191,29 +217,38 @@ class WeylSeries(GradedSeries):
     def first_difference(self, other: "WeylSeries", region=None):
         """(cexp, pexp, own coefficient, other coefficient) at the first
         term where the two series differ, or None when they agree; with
-        ``region``, only exponents where region(cexp) holds count."""
-        zero = (None, ScalarQ.zero())
-        for cexp in {**self.terms, **other.terms}:
+        ``region``, only exponents where region(cexp) holds count.  The
+        two are compared over one basis, and a difference is looked for
+        cexp by cexp, in the order in which the series first hold them,
+        own first."""
+        basis = self._joined(other.symbols)
+        mine = self._over(basis)
+        a, b = mine.flat, other._over(basis).flat
+        if region is None and a == b:
+            return None
+        n, zero = 2 * self.spec.p, ScalarQ.zero()
+        groups = {}
+        for alpha in {**a, **b}:
+            groups.setdefault(alpha[:n], []).append(alpha)
+        for cexp, alphas in groups.items():
             if region is not None and not region(cexp):
                 continue
-            b1 = self.terms.get(cexp, {})
-            b2 = other.terms.get(cexp, {})
-            for key in {**b1, **b2}:
-                p1, c1 = b1.get(key, zero)
-                p2, c2 = b2.get(key, zero)
+            for alpha in alphas:
+                c1, c2 = a.get(alpha, zero), b.get(alpha, zero)
                 if c1 != c2:
-                    return cexp, p2 if p1 is None else p1, c1, c2
+                    return cexp, mine._param(alpha), c1, c2
         return None
 
     def constant_is_one(self) -> bool:
         """True when the constant term is exactly 1: the zero exponent
-        holds the zero parameter form alone, with coefficient 1."""
-        bucket = self.terms.get((0,) * (2 * self.spec.p), {})
-        key = ParamForm().key()
-        return list(bucket) == [key] and bucket[key][1] == ONE
+        holds the zero parameter exponent alone, with coefficient 1."""
+        n = 2 * self.spec.p
+        at_zero = [alpha for alpha in self.flat if not any(alpha[:n])]
+        return at_zero == [(0,) * (n + len(self.symbols))] and \
+            self.flat[at_zero[0]] == ONE
 
     def __len__(self):
-        return sum(len(b) for b in self.terms.values())
+        return len(self.flat)
 
 
 def expand_weyl_product(factors, spec, grading, cutoff) -> WeylSeries:
@@ -253,7 +288,8 @@ class SubstHom:
 
     def apply_series(self, series, grading, cutoff) -> "WeylSeries":
         """Image of a truncated torus series, term by term."""
-        out = WeylSeries(self.spec, grading, cutoff)
+        out = WeylSeries(self.spec, grading, cutoff, symbols=sorted(
+            {x for m in self.images.values() for x in m.pexp.num}))
         for alpha, coeff in series.terms.items():
             m = self.apply(series.torus.element(coeff, alpha))
             if out.keeps(m.cexp):

@@ -216,6 +216,10 @@ class ScalarQ:
         return _make(-self._p, self._v, self._l, self.den, self.iden)
 
     def __mul__(self, other: "ScalarQ") -> "ScalarQ":
+        return self.mul_shift(other, 0)
+
+    def mul_shift(self, other: "ScalarQ", k: int) -> "ScalarQ":
+        """(self * other).shift(k), built as one object."""
         p = self._p * other._p
         if not p:
             return ScalarQ.zero()
@@ -223,9 +227,11 @@ class ScalarQ:
         if bound >= _LIMIT:
             bound = _guard(_tight(self) * _tight(other))
         da, db = self.den, other.den
-        out = _make(p, self._v + other._v, bound,
-                    _den_product(da, db) if da or db else (), self.iden * other.iden)
-        out._reduce()
+        den = _den_product(da, db) if da or db else ()
+        iden = self.iden * other.iden
+        out = _make(p, self._v + other._v + k, bound, den, iden)
+        if den and not p % _ONES or iden != 1:
+            out._reduce()
         return out
 
     def __add__(self, other: "ScalarQ") -> "ScalarQ":

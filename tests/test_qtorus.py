@@ -1,4 +1,3 @@
-from copy import copy
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
@@ -18,11 +17,13 @@ from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
                           TorusSeries, _solve_lp_geq, dilog_coefficients,
                           expand_product, skew_pair, staged_certificate,
                           stiemke_grading)
+from qrefl.operators import factors as operator_factors
 from qrefl.quivers import builtin
 from qrefl.qweyl import SPEC_C2, SPEC_C3, WeylMonomial, WeylSeries
 from qrefl.scalars import ONE, ScalarQ
 
 import scalar_reference as ref
+import weyl_reference
 from monomial_reference import ordering_twist
 from printed_tables import C2_CENTER, K24_TORUS, TAU_K24, TAU_R, TAU_RBAR
 
@@ -39,9 +40,15 @@ def add_terms(out, b):
             out.add_term(alpha, c)
     else:
         for cexp, bucket in b.terms.items():
-            for key, (p, c) in bucket.items():
-                out.add_term(cexp, p, c, key)
+            for p, c in bucket.values():
+                out.add_term(cexp, p, c)
     return out
+
+
+def plain_exponent(monomial):
+    """The ring exponent of a monomial: alpha, or cexp without the
+    parameter exponent."""
+    return monomial.cexp if isinstance(monomial, WeylMonomial) else monomial.alpha
 
 
 def product_term_by_term(series, coeff, beta, pexp=None):
@@ -594,11 +601,11 @@ def reference_expand(series, factors):
     by add_term."""
     acc = series
     for base, expo, arg in factors:
-        d = series.gdeg(series._exponent(arg))
+        d = series.gdeg(plain_exponent(arg))
         new = series._like()
         for n, c in enumerate(dilog_coefficients(base, expo, series._top // d)):
             p = arg.pow(n)
-            add_terms(new, product_term_by_term(acc, p.coeff * c, series._exponent(p),
+            add_terms(new, product_term_by_term(acc, p.coeff * c, plain_exponent(p),
                                                 getattr(p, "pexp", None)))
         acc = new
     return acc
@@ -737,6 +744,62 @@ def test_re_full_sides_expand_as_term_by_term_loop():
         assert_expand_matches_reference(WeylSeries.one(SPEC_C3, g, 2), facs)
 
 
+# -- the flat Weyl layout against the nested ParamForm reference ------------
+
+# one side of RE-full at cutoff 2, or one sign variant of K at cutoff 3
+_NAMED = ("L", "R") + tuple(f"K-{k}{a}{b}" for k in ("rho24", "rho13")
+                            for a in "+-" for b in "+-")
+
+
+def _named_expansion(name):
+    """(spec, grading, cutoff, factors) as the verifier expands them."""
+    if name in ("L", "R"):
+        sides = V._weyl_sides()
+        g = V._grading([m.cexp for facs in sides for _, _, m in facs])
+        return SPEC_C3, g, 2, sides["LR".index(name)]
+    facs = operator_factors(name)
+    return facs[0][2].spec, V._grading([m.cexp for _, _, m in facs]), 3, facs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((SPEC_C2, SPEC_C3)).flatmap(
+    lambda spec: st.tuples(st.just(spec), _series_cases(2 * spec.p))), st.data())
+@example(_NAMED[0], None)
+@example(_NAMED[1], None)
+@example(_NAMED[2], None)
+@example(_NAMED[3], None)
+@example(_NAMED[4], None)
+@example(_NAMED[5], None)
+@example(_NAMED[6], None)
+@example(_NAMED[7], None)
+@example(_NAMED[8], None)
+@example(_NAMED[9], None)
+def test_flat_weyl_expansion_matches_the_nested_reference(case, data):
+    # coefficient for coefficient, as (num, den, iden); the drawn start
+    # terms share a pool of at most three exponents and carry coefficients
+    # of both signs, so that their sums cancel
+    if isinstance(case, str):
+        spec, grading, cutoff, facs = _named_expansion(case)
+        start = []
+    else:
+        spec, (grading, cutoff, drawn, _) = case
+        facs = [(b, e, WeylMonomial(spec, ScalarQ.s_pow(k), _PEXPS[i], v))
+                for b, e, (v, k, i) in drawn]
+        pool = data.draw(st.lists(st.tuples(_sparse_vec(2 * spec.p),
+                                            st.sampled_from(_PEXPS)),
+                                  min_size=1, max_size=3))
+        start = data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                             st.sampled_from(_COEFFS)), max_size=8))
+    flat = WeylSeries.one(spec, grading, cutoff)
+    nested = weyl_reference.WeylSeries.one(spec, grading, cutoff)
+    for (cexp, p), c in start:
+        flat.add_term(cexp, p, c)
+        nested.add_term(cexp, p, c)
+    got, want = flat.expand(facs), nested.expand(facs)
+    assert forms(got.terms) == forms(want.terms)
+    assert len(got) == len(want)
+
+
 # -- the multiply-and-merge kernel and the direct product against add_term --
 
 # +-1 and +-s cancel against each other; a dilogarithm coefficient has a
@@ -759,16 +822,27 @@ def _drawn_series(data, empty, n, pexps=None):
     return series
 
 
-def assert_merge_matches_add_term(a, b, monomial, coeff):
-    """_mul_into merges the products of a with coeff * monomial into a
-    copy of b's terms as add_term merges them into b."""
-    beta = a._exponent(monomial)
-    near = {t: v for t, v in a.terms.items() if a.keeps(tuple(map(add, t, beta)))}
-    got = {t: copy(v) for t, v in b.terms.items()}
-    a._mul_into(got, near, monomial, coeff)
-    want = add_terms(b, product_term_by_term(a, monomial.coeff * coeff, beta,
-                                             getattr(monomial, "pexp", None)))
-    assert forms(got) == forms(want.terms)
+def assert_merge_matches_add_term(a, b, monomial, coeffs):
+    """_merge adds the products of a with coeffs[n-1] * X^(n beta), beta
+    the exponent of ``monomial``, into a copy of b's terms for n = 1 and
+    into empty ones for n > 1, as add_term adds them term by term; the
+    terms of a are those kept at every power."""
+    if isinstance(a, WeylSeries):
+        basis = a._joined(b._joined(monomial.pexp.num))
+        a, b = a._over(basis), b._over(basis)
+    beta, pexp = a._exponent(monomial), getattr(monomial, "pexp", None)
+    powers = range(1, len(coeffs) + 1)
+    near = a._like({t: v for t, v in a.flat.items()
+                    if all(a.keeps([x + n * y for x, y in zip(t, beta)])
+                           for n in powers)})
+    got = [dict(b.flat)] + [{} for _ in coeffs[1:]]
+    a._merge(got, near.flat, beta, coeffs)
+    for n, c, flat in zip(powers, coeffs, got):
+        want = product_term_by_term(near, c, [n * x for x in plain_exponent(monomial)],
+                                    None if pexp is None else pexp.scale(n))
+        if n == 1:
+            want = add_terms(b, want)
+        assert forms(b._like(flat).terms) == forms(want.terms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -783,7 +857,8 @@ def test_torus_merge_and_product_match_add_term(name, data):
     coeff, beta = data.draw(st.sampled_from(_COEFFS)), data.draw(_sparse_vec(n))
     assert (layout(a.mul_monomial(coeff, beta))
             == layout(product_term_by_term(a, coeff, beta)))
-    assert_merge_matches_add_term(a, b, torus.element(ONE, beta), coeff)
+    coeffs = data.draw(st.lists(st.sampled_from(_COEFFS), min_size=1, max_size=3))
+    assert_merge_matches_add_term(a, b, torus.element(ONE, beta), coeffs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -799,11 +874,12 @@ def test_weyl_merge_and_product_match_add_term(spec, data):
                      data.draw(st.sampled_from(_PEXPS)), data.draw(_sparse_vec(n)))
     assert (layout(a.mul_monomial(m))
             == layout(product_term_by_term(a, m.coeff, m.cexp, m.pexp)))
-    assert_merge_matches_add_term(a, b, m, ScalarQ.s_pow(1))
+    coeffs = data.draw(st.lists(st.sampled_from(_COEFFS), min_size=1, max_size=3))
+    assert_merge_matches_add_term(a, b, m, coeffs)
 
 
-def test_mul_into_deletes_what_cancels():
-    # the target already holds the negated products of some terms
+def test_merge_deletes_what_cancels():
+    # the targets of _merge already hold the negated products of some terms
     torus = _TORI["B(C2)"]
     e = [torus.unit(l) for l in torus.labels[:3]]
     a = TorusSeries(torus, (1,) * torus.n(), 3, {e[0]: ONE, e[1]: ScalarQ.s_pow(1)})
@@ -811,26 +887,26 @@ def test_mul_into_deletes_what_cancels():
     prod = a.mul_monomial(ScalarQ.s_pow(1) * coeff, e[2]).terms
     (g0, p0), (g1, p1) = prod.items()
     out = {g0: -p0, e[2]: ONE}
-    a._mul_into(out, a.terms, mono, coeff)
+    a._merge([out], a.terms, e[2], [mono.coeff * coeff])
     assert list(out) == [e[2], g1] and out[g1] == p1
 
+    # a Weyl exponent that cancels is deleted, whatever else its cexp
+    # holds; the second power lands in the second target
     spec = SPEC_C2
     x, y = spec.vec({"u1": 1}), spec.vec({"w1": 1})
-    k0, k1, k2 = (p.key() for p in _PEXPS)
     w = WeylSeries(spec, (1,) * 8, 3)
     for cexp, p, c in ((x, _PEXPS[0], ONE), (x, _PEXPS[1], ScalarQ.s_pow(1)),
                        (y, _PEXPS[0], ONE)):
         w.add_term(cexp, p, c)
     m = WeylMonomial(spec, ScalarQ.s_pow(2), ParamForm(), spec.vec({"u2": 1}))
-    prod = w.mul_monomial(m).terms
-    gx, gy = (tuple(map(add, v, m.cexp)) for v in (x, y))
-    # y's product bucket empties and is deleted; x's shares only k0 with
-    # the target, so the target's k2 stays and k1 comes in
-    out = {gx: {k0: (_PEXPS[0], -prod[gx][k0][1]), k2: (_PEXPS[2], ONE)},
-           gy: {k0: (_PEXPS[0], -prod[gy][k0][1])}}
-    w._mul_into(out, w.terms, m, ONE)
-    assert list(out) == [gx]
-    assert list(out[gx]) == [k2, k1] and out[gx][k1][1] == prod[gx][k1][1]
+    prod = w.mul_monomial(m).flat
+    (gx0, px0), (gx1, px1), (gy0, py0) = prod.items()
+    assert gx0[:8] == gx1[:8] and w.symbols == ("a1",)
+    other = gx0[:8] + (-1,)
+    out, out2 = {gx0: -px0, other: ONE, gy0: -py0}, {}
+    w._merge([out, out2], w.flat, w._exponent(m), [m.coeff, m.coeff * m.coeff])
+    assert list(out) == [other, gx1] and out[gx1] == px1
+    assert forms(out2) == forms(w.mul_monomial(m).mul_monomial(m).flat)
 
 
 def test_products_drop_terms_past_the_cutoff():

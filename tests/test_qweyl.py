@@ -205,6 +205,7 @@ def test_constant_is_one_reads_the_parameter_exponent():
     from qrefl.qweyl import WeylSeries
     g = (1,) * 8
     assert WeylSeries.one(SPEC_C2, g, 2).constant_is_one()
+    assert WeylSeries.one(SPEC_C2, g, 2, ("a1", "b2")).constant_is_one()
     zero = (0,) * 8
     # a lone e^{a1} at the zero exponent is not the constant term 1
     lone = WeylSeries(SPEC_C2, g, 2)
@@ -217,3 +218,62 @@ def test_constant_is_one_reads_the_parameter_exponent():
     two.add_term(zero, ParamForm(), ScalarQ.s_pow(0, 2))
     assert not two.constant_is_one()
     assert not WeylSeries(SPEC_C2, g, 2).constant_is_one()
+
+
+# -- the flat series layout ------------------------------------------------
+
+_PEXP_POOL = (ParamForm(), ParamForm({"a1": 1}), ParamForm({"a1": -1, "a2": 1}),
+              ParamForm({"b3": 2}))
+_SIGNED = (ONE, -ONE, ScalarQ.s_pow(1), -ScalarQ.s_pow(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nested_terms_view_returns_what_add_term_put_in(data):
+    # the same add_terms, with sums that cancel, give the nested
+    # reference's terms: cexp -> {pexp.key(): (pexp, coefficient)}
+    from qrefl.qweyl import WeylSeries
+    import weyl_reference
+    cexps = st.lists(st.integers(-1, 1), min_size=8, max_size=8).map(tuple)
+    pool = data.draw(st.lists(st.tuples(cexps, st.sampled_from(_PEXP_POOL)),
+                              min_size=1, max_size=3))
+    flat = WeylSeries(SPEC_C2, (1,) * 8, 3)
+    nested = weyl_reference.WeylSeries(SPEC_C2, (1,) * 8, 3)
+    for _ in range(data.draw(st.integers(0, 10))):
+        (cexp, p), c = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(_SIGNED))
+        flat.add_term(cexp, p, c)
+        nested.add_term(cexp, p, c)
+    form = lambda terms: {(cexp, k): (p, c.num, c.den, c.iden)
+                          for cexp, b in terms.items() for k, (p, c) in b.items()}
+    assert form(flat.terms) == form(nested.terms)
+    assert all(k == p.key() for b in flat.terms.values() for k, (p, _) in b.items())
+    assert len(flat) == len(nested)
+
+
+def test_series_over_different_symbol_sets_compare_on_one_basis():
+    from qrefl.qweyl import WeylSeries
+    x = SPEC_C2.vec({"u1": 1})
+    a, b = WeylSeries(SPEC_C2, (1,) * 8, 2), WeylSeries(SPEC_C2, (1,) * 8, 2)
+    a.add_term(x, ParamForm({"a1": 1}), ONE)
+    b.add_term(x, ParamForm({"a2": 1}), ONE)
+    b.add_term(x, ParamForm({"a2": 1}), -ONE)
+    b.add_term(x, ParamForm({"a1": 1}), ONE)
+    assert (a.symbols, b.symbols) == (("a1",), ("a1", "a2"))
+    assert a.equal_on(b) and b.equal_on(a)
+    b.add_term(x, ParamForm({"a2": -1}), ScalarQ.s_pow(1))
+    assert b.first_difference(a) == (x, ParamForm({"a2": -1}), ScalarQ.s_pow(1),
+                                     ScalarQ.zero())
+
+
+@pytest.mark.parametrize("bad", [ParamForm({"a1": Fraction(1, 2)}),
+                                 ParamForm({"a1": 1}, 1), ParamForm({}, -2)])
+def test_series_refuse_a_parameter_form_with_a_denominator_or_a_constant(bad):
+    # such a form has no integer coordinates; it is refused, not truncated
+    from qrefl.qweyl import WeylSeries, expand_weyl_product
+    x, g = SPEC_C2.vec({"u1": 1}), (1,) * 8
+    with pytest.raises(ValueError):
+        WeylSeries(SPEC_C2, g, 2).add_term(x, bad, ONE)
+    facs = [(1, 1, WeylMonomial(SPEC_C2, ONE, ParamForm({"a1": 1}), x)),
+            (1, -1, WeylMonomial(SPEC_C2, ONE, bad, x))]
+    with pytest.raises(ValueError):
+        expand_weyl_product(facs, SPEC_C2, g, 2)

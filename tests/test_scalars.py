@@ -4,7 +4,7 @@ from math import gcd
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrefl.qtorus import dilog_coefficients
 from qrefl.scalars import ONE, ScalarQ
@@ -204,6 +204,33 @@ def test_packed_arithmetic_matches_the_dict_reference(forms, program):
         assert _form(got) == _form(want)
         pool.append((got, want))
     assert all(_form(a) == _form(ra) for a, ra in pool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FORMS, FORMS, st.integers(-9, 9))
+def test_mul_shift_is_the_shifted_product(fa, fb, k):
+    # empty numerators among the forms give zero operands
+    a, b = ScalarQ(dict(fa[0]), *fa[1:]), ScalarQ(dict(fb[0]), *fb[1:])
+    assert _form(a.mul_shift(b, k)) == _form((a * b).shift(k))
+    assert _form(ScalarQ.zero().mul_shift(b, k)) == _form(ScalarQ.zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 1 << 32), st.integers(1, 1 << 32), st.integers(-9, 9))
+@example((1 << 30) - 1, 1 << 31, 2)
+@example((1 << 30) - 2, 1 << 31, 2)
+def test_mul_shift_raises_at_the_limit_where_the_product_does(x, y, k):
+    # norms x + 1 and y: the product's norm reaches 2^61 or stays below
+    a, b = ScalarQ({0: x, 3: -1}), ScalarQ({1: y})
+    at_limit = (x + 1) * y >= 1 << 61
+    for op in (lambda: a * b, lambda: a.mul_shift(b, k)):
+        if at_limit:
+            with pytest.raises(OverflowError):
+                op()
+        else:
+            op()
+    if not at_limit:
+        assert _form(a.mul_shift(b, k)) == _form((a * b).shift(k))
 
 
 def test_equal_values_in_different_forms_compare_equal():
