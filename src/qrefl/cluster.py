@@ -1,4 +1,4 @@
-"""Exchange matrices, weighted quivers, matrix/tropical mutation, periodicity.
+"""Exchange matrices, weighted quivers, matrix mutation, mutation sequences.
 
 Vertices are integer labels exactly as they appear in the source
 diagrams (some quivers use 0, most are 1-based); everything downstream
@@ -217,57 +217,6 @@ def mutate_matrix(seed: ExchangeSeed, k) -> ExchangeSeed:
     return ExchangeSeed._of(seed.labels, seed.index, rows, seed.d, seed.frozen)
 
 
-class TropicalSeed:
-    """Exchange seed with tropical y-variables (integer exponent vectors)."""
-
-    __slots__ = ("seed", "y")
-
-    def __init__(self, seed: ExchangeSeed, y=None):
-        self.seed = seed
-        if y is None:
-            lab = seed.labels
-            y = {i: tuple(1 if j == i else 0 for j in lab) for i in lab}
-        self.y = y
-
-    def sign(self, i) -> int:
-        """Tropical sign of y_i; raises if not sign-coherent."""
-        v = self.y[i]
-        if all(a >= 0 for a in v) and any(a > 0 for a in v):
-            return 1
-        if all(a <= 0 for a in v) and any(a < 0 for a in v):
-            return -1
-        if all(a == 0 for a in v):
-            raise ValueError("zero tropical exponent")
-        raise ValueError(f"sign-incoherent tropical variable at {i}: {v}")
-
-    def permuted(self, sigma: Perm) -> "TropicalSeed":
-        y = {sigma(i): self.y[i] for i in self.seed.labels}
-        return TropicalSeed(self.seed.permuted(sigma), y)
-
-    def __eq__(self, other):
-        return (isinstance(other, TropicalSeed)
-                and self.seed == other.seed and self.y == other.y)
-
-
-def mutate_tropical(ts: TropicalSeed, k) -> TropicalSeed:
-    """Tropical mutation at an unfrozen vertex: y_k -> -y_k, and each y_i
-    with b_ik != 0 gains -b_ik min(0, -s y_k) slotwise, s the sign of
-    b_ik; only the support of column k is read."""
-    seed = ts.seed
-    if k not in seed.d:
-        raise BadIndex(k)
-    if k in seed.frozen:
-        raise FrozenVertex(k)
-    yk = ts.y[k]
-    y = dict(ts.y)
-    y[k] = tuple(-a for a in yk)
-    for i, bik in seed.column(k).items():
-        s = 1 if bik > 0 else -1
-        # (1 (+) y_k^{-s})^{-b_ik}: exponent is min(0, -s*alpha_k) per slot
-        y[i] = tuple(a - bik * min(0, -s * x) for a, x in zip(y[i], yk))
-    return TropicalSeed(mutate_matrix(seed, k), y)
-
-
 class MutationSequence:
     """Ordered mutation steps followed by a permutation of the labels."""
 
@@ -281,11 +230,6 @@ class MutationSequence:
         for k in self.steps:
             seed = mutate_matrix(seed, k)
         return seed.permuted(self.sigma)
-
-    def apply_tropical(self, ts: TropicalSeed) -> TropicalSeed:
-        for k in self.steps:
-            ts = mutate_tropical(ts, k)
-        return ts.permuted(self.sigma)
 
     def then(self, other: "MutationSequence") -> "MutationSequence":
         """self first, then other (labels of other already post-sigma)."""
@@ -301,24 +245,6 @@ class MutationSequence:
 
     def __repr__(self):
         return f"MutationSequence({list(self.steps)}, {self.sigma})"
-
-
-def is_sigma_period(seed: ExchangeSeed, ms: MutationSequence) -> bool:
-    """True iff sigma^{-1}(final tropical seed) equals the initial one."""
-    start = TropicalSeed(seed)
-    end = ms.apply_tropical(start)
-    return end == start
-
-
-def tropical_signs(seed: ExchangeSeed, ms: MutationSequence) -> tuple:
-    """The tropical sign of y_k at every step k of ``ms``, walked from the
-    initial tropical seed of ``seed``; raises ValueError at a step whose
-    y_k is not sign-coherent."""
-    ts, signs = TropicalSeed(seed), []
-    for k in ms.steps:
-        signs.append(ts.sign(k))
-        ts = mutate_tropical(ts, k)
-    return tuple(signs)
 
 
 def seed_to_text(seed: ExchangeSeed, sequences=None) -> str:

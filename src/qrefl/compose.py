@@ -7,6 +7,8 @@ into one such sequence.  Walking it composes the per-step monomial maps
 into the composite's monomial part and pushes each step's generator
 through the maps accumulated so far, which yields the dilogarithm factor
 list in the initial torus (all factors of one composite share that torus).
+Taken with the sign of the current image of Y_k at each step, the same
+walk is the tropical y-seed: its images are the tropical y-vectors.
 Many sign lists of one sequence are walked together by ``fold_prefixes``,
 the one loop that folds many item lists sharing their common prefixes.
 """
@@ -89,6 +91,16 @@ def _relabelled(seed, torus, sigma):
     return new_seed, perm_hom(QuantumTorus(new_seed), torus, sigma)
 
 
+def _tropical_sign(v, k) -> int:
+    """The sign of ``v``, the image of Y_k; raises ValueError unless ``v``
+    is nonzero and sign-coherent."""
+    if min(v) >= 0 < max(v):
+        return 1
+    if max(v) <= 0 > min(v):
+        return -1
+    raise ValueError(f"zero or sign-incoherent tropical variable at {k}: {v}")
+
+
 class CompositeState:
     """Seed + composed monomial map from its torus + accumulated dilog factors."""
 
@@ -97,8 +109,12 @@ class CompositeState:
         self.hom = TorusHom.identity(QuantumTorus(seed)) if hom is None else hom
         self.dilogs = list(dilogs)
 
-    def mutate(self, k, eps):
+    def mutate(self, k, eps=None):
+        """Mutate at k with the sign ``eps``, by default the tropical sign:
+        that of the image of Y_k, read once ``mutate_matrix`` has checked k."""
         new_seed = mutate_matrix(self.seed, k)
+        if eps is None:
+            eps = _tropical_sign(self.hom.images[k], k)
         factor, images = _extend(self.hom.images, self.seed, k, eps, self.hom.target)
         self.hom = TorusHom(QuantumTorus(new_seed), self.hom.target, images)
         self.dilogs.append(factor)
@@ -119,6 +135,16 @@ def run_composite(seed: ExchangeSeed, ms: MutationSequence, signs) -> CompositeS
     st = CompositeState(seed)
     for k, eps in zip(ms.steps, signs):
         st.mutate(k, eps)
+    st.relabel(ms.sigma)
+    return st
+
+
+def tropical_walk(seed: ExchangeSeed, ms: MutationSequence) -> CompositeState:
+    """``run_composite`` with the tropical signs, so the images of the map
+    are the tropical y-vectors and the factors carry the tropical signs."""
+    st = CompositeState(seed)
+    for k in ms.steps:
+        st.mutate(k)
     st.relabel(ms.sigma)
     return st
 

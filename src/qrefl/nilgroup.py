@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cluster import Perm
 from .params import _ZERO, ParamForm, ParamQuad, canonical
 from .qweyl import AffineCanonMap, CanonSpec
 
@@ -185,7 +186,6 @@ class NilGroupElement:
 
     @classmethod
     def identity(cls, spec, order):
-        from .cluster import Perm
         z = NilLieElement(spec, order)
         return cls(spec, order, Perm(), z, z, ParamQuad())
 
@@ -199,7 +199,6 @@ class NilGroupElement:
         class two (asserted).  The linear exponentials are then folded
         left-to-right, accumulating the central Heisenberg cocycles.
         """
-        from .cluster import Perm
         spec, order = x.spec, x.order
         q = NilLieElement(spec, order, dict(x.quad))
         b = NilLieElement(spec, order, {}, dict(x.lin))
@@ -228,8 +227,6 @@ class NilGroupElement:
         Each factor is ('quad', {(i,j): coeff}) or ('lin', {axis: pexp}).
         ``rho_pair`` appends the exchange of a canonical pair.
         """
-        from .cluster import Perm
-
         out = cls.identity(spec, order)
         for components in factors:
             x = NilLieElement(spec, order)
@@ -251,7 +248,6 @@ class NilGroupElement:
                                self.c.subs(rules))
 
     def inverse(self) -> "NilGroupElement":
-        from .cluster import Perm
         z = NilLieElement(self.spec, self.order)
         inv = NilGroupElement(self.spec, self.order, Perm(), z, z,
                               self.c.scale(-1))

@@ -14,18 +14,17 @@ from typing import NamedTuple
 
 from . import catalog as C
 from . import compositions as FX
-from .cluster import (ExchangeSeed, MutationSequence, Perm, TropicalSeed,
-                      UnknownName, is_sigma_period, tropical_signs)
+from .cluster import ExchangeSeed, MutationSequence, Perm, UnknownName
 from .compose import (composite_sequence, composite_signs, fold_prefixes,
-                      run_composite, run_composites)
+                      run_composite, run_composites, tropical_walk)
 from .nilgroup import (ORDER_A3, ORDER_A3_PRIME, OrderViolation, adjoint,
                        bch_mul, group_equal)
 from .operators import (OPERATORS, build, build_FG, canonical_map, constraints,
                         factors, ray, rules_for, sign_text, tail, take_limit)
 from .params import LinSystem, ParamForm
-from .qtorus import (Infeasible, QuantumTorus, TorusSeries, check_stage_plan,
-                     expand_product, match_stage_plan, staged_certificate,
-                     stiemke_grading)
+from .qtorus import (Infeasible, QuantumTorus, TorusHom, TorusSeries,
+                     check_stage_plan, expand_product, match_stage_plan,
+                     staged_certificate, stiemke_grading)
 from .quivers import builtin
 from .qweyl import (AffineCanonMap, SPEC_A3, SPEC_C3, SubstHom,
                     build_subst_hom, diagram_commutes, expand_weyl_product)
@@ -198,17 +197,15 @@ def check_te_tau(delta=1) -> Report:
 
 def check_te_seed() -> Report:
     """Tropical equality of the two composite tetrahedron sequences."""
-    outs = [_TE_SEQ[side].apply_tropical(TropicalSeed(builtin("B(A3)")))
-            for side in "LR"]
-    ok = outs[0] == outs[1] and outs[0].seed == builtin("B'(A3)")
+    stL, stR = (tropical_walk(builtin("B(A3)"), _TE_SEQ[side]) for side in "LR")
+    ok = _same_tau(stL, stR) and stL.seed == builtin("B'(A3)")
     return Report("seed-level tetrahedron identity", ok)
 
 
 def check_re_seed() -> Report:
     """Tropical equality of the two composite reflection sequences."""
-    outs = [_RE_SEQ[side].apply_tropical(TropicalSeed(builtin("B(C3)")))
-            for side in "LR"]
-    ok = outs[0] == outs[1] and outs[0].seed == builtin("B'(C3)")
+    stL, stR = (tropical_walk(builtin("B(C3)"), _RE_SEQ[side]) for side in "LR")
+    ok = _same_tau(stL, stR) and stL.seed == builtin("B'(C3)")
     return Report("seed-level reflection identity", ok)
 
 
@@ -586,14 +583,16 @@ def check_fg_limit(name: str) -> Report:
 
 
 def check_period(seed, ms, quantum_cutoff=None) -> Report:
-    ok = is_sigma_period(seed, ms)
+    """The tropical walk of ``ms`` returns to ``seed`` with the identity
+    map and, to ``quantum_cutoff``, the product of its factors is 1."""
+    st = tropical_walk(seed, ms)
+    ok = st.seed == seed and st.hom == TorusHom.identity(st.hom.target)
     details = {}
     if ok and quantum_cutoff is not None:
-        dilogs = run_composite(seed, ms, tropical_signs(seed, ms)).dilogs
         quantum_ok = True           # an empty product is 1
-        if dilogs:
-            g = stiemke_grading([arg.alpha for _, arg, _ in dilogs])
-            series = expand_product(dilogs, g, quantum_cutoff)
+        if st.dilogs:
+            g = stiemke_grading([arg.alpha for _, arg, _ in st.dilogs])
+            series = expand_product(st.dilogs, g, quantum_cutoff)
             zero = (0,) * seed.n()
             quantum_ok = (list(series.terms) == [zero]
                           and series.terms[zero] == ONE)

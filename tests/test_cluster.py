@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from qrefl.cluster import (BadIndex, ExchangeSeed, FrozenVertex,
                            MalformedQuiver, MutationSequence, Perm,
-                           TropicalSeed, is_sigma_period, mutate_matrix,
-                           mutate_tropical, seed_from_text, seed_to_text,
-                           tropical_signs)
-from qrefl.compose import composite_sequence
-from qrefl.qtorus import QuantumTorus
+                           mutate_matrix, seed_from_text, seed_to_text)
+from qrefl.compose import CompositeState, composite_sequence, tropical_walk
+from qrefl.qtorus import QuantumTorus, TorusHom
 from qrefl.quivers import builtin, names
 import qrefl.compositions as FX
+import qrefl.verify as V
 
 from printed_tables import BHAT_C2_PRINTED
 from reflection_reference import TROPICAL_SIGNS_LHS
@@ -101,28 +100,77 @@ def test_mutation_matches_dense_formula_on_builtin_seeds():
         _check_against_dense(seed)
 
 
-def _mutate_tropical_dense(ts, k):
+def _initial_y(seed):
+    return {i: tuple(int(i == j) for j in seed.labels) for i in seed.labels}
+
+
+def _mutate_tropical_dense(seed, y, k):
     """The tropical mutation formula at every label, with the entries of B
-    read as Fractions: the oracle for the sparse mutate_tropical."""
-    seed, yk = ts.seed, ts.y[k]
-    y = {}
+    read as Fractions: y_k -> -y_k, and y_i gains -b_ik min(0, -s y_k)
+    slotwise, s the sign of b_ik.  The reference for tropical_walk, whose
+    sign-coherent rule adds [eps b_ik]_+ y_k instead."""
+    yk = y[k]
+    out = {}
     for i in seed.labels:
         bik = seed.entry(i, k)
         s = 1 if bik > 0 else -1
-        y[i] = (tuple(-a for a in yk) if i == k else
-                tuple(a - bik * min(0, -s * x) for a, x in zip(ts.y[i], yk)))
-    return TropicalSeed(_mutate_dense(seed, k), y)
+        out[i] = (tuple(-a for a in yk) if i == k else
+                  tuple(a - bik * min(0, -s * x) for a, x in zip(y[i], yk)))
+    return _mutate_dense(seed, k), out
+
+
+def _coherent_sign(v):
+    """1 or -1 for a nonzero sign-coherent vector, else None."""
+    if any(v) and all(a >= 0 for a in v):
+        return 1
+    if any(v) and all(a <= 0 for a in v):
+        return -1
+    return None
+
+
+BUILTIN_SEEDS = [n for n in names() if isinstance(builtin(n), ExchangeSeed)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(_seeds(), st.data())
-def test_tropical_mutation_matches_dense_formula(seed, data):
-    vec = st.lists(st.integers(-3, 3), min_size=seed.n(), max_size=seed.n())
-    ts = TropicalSeed(seed, {i: tuple(data.draw(vec)) for i in seed.labels})
-    for k in seed.mutable():
-        out = mutate_tropical(ts, k)
-        assert out == _mutate_tropical_dense(ts, k)
-        assert all(type(a) is int for v in out.y.values() for a in v)
+@given(st.one_of(st.sampled_from(BUILTIN_SEEDS).map(builtin), _seeds()), st.data())
+def test_tropical_walk_matches_dense_formula(seed, data):
+    # every prefix of a random mutable walk, followed by a random relabel,
+    # lands where the min formula does: same seed and same images, the
+    # image of Y_k it reads at each step is sign-coherent, and the sign the
+    # walk takes is that image's sign
+    mutable = seed.mutable()
+    steps = data.draw(st.lists(st.sampled_from(mutable), max_size=12)
+                      if mutable else st.just([]))
+    lab = seed.labels
+    sigma = Perm(dict(zip(lab, data.draw(st.permutations(lab)))))
+    ref, y, signs = seed, _initial_y(seed), []
+    for n in range(len(steps) + 1):
+        walk = tropical_walk(seed, MutationSequence(steps[:n], sigma))
+        assert walk.seed == ref.permuted(sigma)
+        assert walk.hom.images == {sigma(i): v for i, v in y.items()}
+        assert all(type(a) is int for v in walk.hom.images.values() for a in v)
+        assert tuple(eps for _, _, eps in walk.dilogs) == tuple(signs)
+        if n < len(steps):
+            k = steps[n]
+            signs.append(_coherent_sign(y[k]))
+            assert signs[-1] is not None
+            ref, y = _mutate_tropical_dense(ref, y, k)
+
+
+def test_tropical_walk_errors():
+    # a missing or frozen k is refused by the matrix mutation before any
+    # sign is read; a zero or sign-incoherent image of Y_k raises ValueError
+    seed = builtin("B(A2)")
+    with pytest.raises(BadIndex):
+        tropical_walk(seed, MutationSequence((99,)))
+    with pytest.raises(FrozenVertex):
+        tropical_walk(seed, MutationSequence((min(seed.frozen),)))
+    torus = QuantumTorus(seed)
+    k, other = seed.mutable()[:2]
+    for bad in ([0] * seed.n(), [int(j == k) - int(j == other) for j in seed.labels]):
+        images = {**TorusHom.identity(torus).images, k: tuple(bad)}
+        with pytest.raises(ValueError):
+            CompositeState(seed, TorusHom(torus, torus, images)).mutate(k)
 
 
 def test_mutation_errors():
@@ -180,27 +228,27 @@ def test_c3_fixture_consistency():
 
 def test_tropical_first_step():
     seed = builtin("B(A2)")
-    ts = TropicalSeed(seed)
-    out = mutate_tropical(ts, 6)
+    walk = tropical_walk(seed, MutationSequence((6,)))
     k_idx = seed.labels.index(6)
-    assert out.y[6] == tuple(-1 if i == k_idx else 0
-                             for i in range(len(seed.labels)))
+    assert walk.hom.images[6] == tuple(-1 if i == k_idx else 0
+                                       for i in range(len(seed.labels)))
+    assert [eps for _, _, eps in walk.dilogs] == [1]
 
 
 def test_sign_coherence_along_builtin_sequences():
+    # after every step, every nonzero image of the walk is sign-coherent,
+    # frozen labels included
     for seq_name, base in (("R-seq", "B(A2)"), ("K-seq", "B(C2)"),
                            ("FG-K-seq", "B_FG(C2)")):
-        ts = TropicalSeed(builtin(base))
-        ms = builtin(seq_name)
-        for k in ms.steps:
-            for i in ts.seed.labels:
-                ts.sign(i) if any(ts.y[i]) else None
-            ts = mutate_tropical(ts, k)
+        steps = builtin(seq_name).steps
+        for n in range(len(steps) + 1):
+            walk = tropical_walk(builtin(base), MutationSequence(steps[:n]))
+            assert all(_coherent_sign(v) for v in walk.hom.images.values() if any(v))
 
 
 def test_k_sequence_tropical_signs_in_big_composite():
     ms = composite_sequence(FX.REFLECTION_LHS)
-    flat = iter(tropical_signs(builtin("B(C3)"), ms))
+    flat = iter(eps for _, _, eps in tropical_walk(builtin("B(C3)"), ms).dilogs)
     # split the walk's signs per factor by the factors' step counts
     signs = tuple(tuple(next(flat) for _ in steps)
                   for _, _, steps, _ in FX.REFLECTION_LHS)
@@ -208,28 +256,31 @@ def test_k_sequence_tropical_signs_in_big_composite():
     assert signs == TROPICAL_SIGNS_LHS
 
 
+def _is_period(seed, ms):
+    return V.check_period(seed, ms).status
+
+
 def test_sigma_period_basics():
     seed = builtin("B(A2)")
     ms = MutationSequence((6, 6), Perm())
-    assert is_sigma_period(seed, ms)
-    assert not is_sigma_period(seed, MutationSequence((6,), Perm()))
+    assert _is_period(seed, ms)
+    assert not _is_period(seed, MutationSequence((6,), Perm()))
 
 
 def test_sigma_period_two_paths_agree():
-    # direct tropical composition vs stepwise matrix+tropical comparison
+    # the verdict of the tropical walk vs a stepwise walk of the matrix
+    # and the min formula
     seed = builtin("B(A2)")
     for ms in (MutationSequence((6, 6), Perm()),
                MutationSequence((6, 5), Perm()),
                builtin("R-seq").then(builtin("Rbar-seq"))):
-        direct = is_sigma_period(seed, ms)
-        cur_m = seed
-        cur_t = TropicalSeed(seed)
+        direct = _is_period(seed, ms)
+        cur, y = seed, _initial_y(seed)
         for k in ms.steps:
-            cur_m = mutate_matrix(cur_m, k)
-            cur_t = mutate_tropical(cur_t, k)
-        cur_m = cur_m.permuted(ms.sigma)
-        cur_t = cur_t.permuted(ms.sigma)
-        stepwise = cur_m == seed and cur_t == TropicalSeed(seed)
+            cur, y = _mutate_tropical_dense(cur, y, k)
+        sigma = ms.sigma
+        stepwise = (cur.permuted(sigma) == seed
+                    and {sigma(i): v for i, v in y.items()} == _initial_y(seed))
         assert direct == stepwise
 
 
@@ -237,15 +288,15 @@ def test_sequence_inverse_roundtrip():
     seed = builtin("B(A2)")
     ms = builtin("R-seq")
     round_trip = ms.then(ms.inverse())
-    assert is_sigma_period(seed, round_trip)
+    assert _is_period(seed, round_trip)
 
 
 def test_reflection_roundtrip_is_period():
     seed = builtin("B(C3)")
     msL = composite_sequence(FX.REFLECTION_LHS)
     msR = composite_sequence(FX.REFLECTION_RHS)
-    assert is_sigma_period(seed, msL.then(msR.inverse()))
-    assert not is_sigma_period(seed, msL.then(msL.inverse()).then(msR))
+    assert _is_period(seed, msL.then(msR.inverse()))
+    assert not _is_period(seed, msL.then(msL.inverse()).then(msR))
 
 
 def test_permutation_action():
@@ -315,9 +366,6 @@ def _int_or_half(seed):
     return (all(type(x) is int for row in seed.rows for x in row.values())
             and all((2 * seed.entry(i, j)).denominator == 1
                     for i in seed.labels for j in seed.labels))
-
-
-BUILTIN_SEEDS = [n for n in names() if isinstance(builtin(n), ExchangeSeed)]
 
 
 @settings(max_examples=100, deadline=None)

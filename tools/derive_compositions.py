@@ -16,8 +16,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qrefl.cluster import Perm, tropical_signs
-from qrefl.compose import CompositeState, composite_sequence, composite_signs
+from qrefl.cluster import Perm
+from qrefl.compose import (CompositeState, composite_sequence, composite_signs,
+                           tropical_walk)
 from qrefl.qtorus import QuantumTorus
 from qrefl.quivers import builtin
 from reflection_reference import (REFLECTION_LHS_FACTORS, REFLECTION_RHS_FACTORS,
@@ -114,7 +115,8 @@ def main():
     print("composed monomial maps agree (tau-level identity, signs (+,-))")
 
     def signs_per_factor(rows):
-        flat = iter(tropical_signs(BC3, composite_sequence(rows)))
+        walk = tropical_walk(BC3, composite_sequence(rows))
+        flat = iter(eps for _, _, eps in walk.dilogs)
         return tuple(tuple(next(flat) for _ in row[2]) for row in rows)
 
     assert signs_per_factor(rowsL) == TROPICAL_SIGNS_LHS
