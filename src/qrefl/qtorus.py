@@ -19,6 +19,7 @@ from math import floor, lcm
 from operator import add, attrgetter, mul
 
 from .cluster import ExchangeSeed
+from .gradings import GRADINGS
 from .params import pivot
 from .scalars import ONE, ScalarQ
 
@@ -33,6 +34,10 @@ class NonpositiveGrading(Exception):
 
 class Infeasible(Exception):
     pass
+
+
+class GradingCheckFailed(Exception):
+    """A grading, stored or solved, gives some argument degree below one."""
 
 
 def skew_image(rows, b) -> list:
@@ -448,18 +453,59 @@ def expand_product(factors, grading, cutoff, torus=None) -> TorusSeries:
 def stiemke_grading(args):
     """Integer functional g with g(arg) >= 1 for every integer exponent vector.
 
-    Exact phase-1 simplex on an integer tableau; raises Infeasible when
-    some nonnegative combination of the args vanishes (nontrivial
-    recession cone).
+    The grading of rows that ``GRADINGS`` certifies is read from it; any
+    other rows are solved by the exact phase-1 simplex, which raises
+    Infeasible when some nonnegative combination of the args vanishes
+    (nontrivial recession cone).  Either way g is returned only after
+    g(arg) >= 1 is checked on every distinct arg.
     """
+    rows = argument_rows(args)
+    g = GRADINGS.get(grading_key(rows))
+    return checked_grading(simplex_grading(rows) if g is None else g, rows)
+
+
+def argument_rows(args):
+    """The sorted distinct argument rows, which must all have one length."""
     rows = sorted({tuple(a) for a in args})
     if not rows:
         raise ValueError("no arguments")
+    _width(rows)
+    return rows
+
+
+def _width(rows):
+    """The one length of ``rows``; rows of unequal lengths are an error."""
+    widths = sorted({len(r) for r in rows})
+    if len(widths) > 1:
+        raise ValueError(f"argument rows of unequal lengths {widths}")
+    return widths[0]
+
+
+def grading_key(rows):
+    """The canonical text of sorted distinct rows, the key of their
+    grading in ``GRADINGS``."""
+    return ";".join([",".join(map(str, r)) for r in rows])
+
+
+def simplex_grading(rows):
+    """The simplex vertex on ``rows``, scaled by the lcm of its denominators."""
     sol = _solve_lp_geq(rows, len(rows[0]))
     if sol is None:
         raise Infeasible("no positive grading exists")
     den = lcm(*(v.denominator for v in sol))
     return tuple(int(v * den) for v in sol)
+
+
+def checked_grading(g, rows):
+    """``g`` itself, once g.r >= 1 holds for every row r."""
+    if len(g) != len(rows[0]):
+        raise GradingCheckFailed(f"grading {g} has {len(g)} coordinates, "
+                                 f"the rows {len(rows[0])}")
+    for r in rows:
+        degree = sum(map(mul, g, r))
+        if degree < 1:
+            raise GradingCheckFailed(f"grading {g} gives the row {r} degree {degree}")
+    return g
 
 
 def _solve_lp_geq(rows, nvars):
@@ -544,7 +590,7 @@ def staged_certificate(args):
     m = len(args)
     if m == 0:
         return []
-    n = len(args[0])
+    n = _width(args)
     remaining = set(range(m))
     stages = []
     while remaining:

@@ -1,5 +1,6 @@
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 import pytest
@@ -13,10 +14,11 @@ from qrefl.cluster import (ExchangeSeed, FrozenVertex, MutationSequence, Perm,
 from qrefl.compose import (CompositeState, composite_sequence, composite_signs,
                            hom_from_table, run_composite)
 from qrefl.params import ParamForm, pivot
-from qrefl.qtorus import (Infeasible, NonpositiveGrading, QuantumTorus,
-                          TorusSeries, _solve_lp_geq, dilog_coefficients,
-                          expand_product, skew_pair, staged_certificate,
-                          stiemke_grading)
+from qrefl.gradings import GRADINGS
+from qrefl.qtorus import (GradingCheckFailed, Infeasible, NonpositiveGrading,
+                          QuantumTorus, TorusSeries, _solve_lp_geq,
+                          dilog_coefficients, expand_product, grading_key,
+                          skew_pair, staged_certificate, stiemke_grading)
 from qrefl.operators import factors as operator_factors
 from qrefl.quivers import builtin
 from qrefl.qweyl import SPEC_C2, SPEC_C3, WeylMonomial, WeylSeries
@@ -539,29 +541,112 @@ def test_sparse_lp_matches_the_dense_tableau(case):
         assert all(sum(a * b for a, b in zip(got, r)) >= 1 for r in rows)
 
 
+def _scaled(sol):
+    """A simplex vertex scaled by the lcm of its denominators, as
+    ``simplex_grading`` scales it."""
+    den = lcm(*(v.denominator for v in sol))
+    return tuple(int(v * den) for v in sol)
+
+
+def _key_rows(key):
+    """The rows whose canonical text is ``key``."""
+    return [tuple(map(int, r.split(","))) for r in key.split(";")]
+
+
 def test_lp_inputs_of_the_verifier_match_the_dense_tableau(monkeypatch):
-    # every LP that RE-full (both representations), K-eps-indep and the
-    # eight finite-fiber systems solve
+    # every stored grading is the vertex that both the sparse and the dense
+    # simplex reach on its rows, and every LP that RE-full (both
+    # representations), K-eps-indep and the eight finite-fiber systems
+    # solve is read from the table: none reaches the simplex
     import qrefl.qtorus as Q
     import qrefl.verify as V
 
+    for key, g in GRADINGS.items():
+        rows = _key_rows(key)
+        assert Q.argument_rows(rows) == rows and Q.grading_key(rows) == key
+        n = len(rows[0])
+        assert _scaled(_solve_lp_geq(rows, n)) == g
+        assert _scaled(reference_lp(rows, n)) == g
+        assert stiemke_grading(rows) == g
+
     seen = []
-    solve = Q._solve_lp_geq
 
-    def record(rows, nvars):
-        out = solve(rows, nvars)
-        seen.append((list(rows), nvars, out))
-        return out
+    def record(args):
+        seen.append(Q.argument_rows(args))
+        return stiemke_grading(args)
 
-    monkeypatch.setattr(Q, "_solve_lp_geq", record)
+    def unreachable(rows, nvars):
+        raise AssertionError("an uncertified LP reached the simplex")
+
+    monkeypatch.setattr(V, "stiemke_grading", record)
+    monkeypatch.setattr(Q, "_solve_lp_geq", unreachable)
     assert V.check_re_full_torus(1).status and V.check_re_full_weyl(1).status
     assert V.check_K_eps_indep("rho24", 1).status
     assert all(V.check_wd(s).status for s in
                ("pnK", "alnK", "pnL", "pnR", "alL", "alR", "FFY", "FFuw"))
     assert len(seen) == 14
-    assert {(len(rows), n) for rows, n, _ in seen} >= {(50, 22), (50, 18), (38, 15)}
-    for rows, n, out in seen:
-        assert out is not None and out == reference_lp(rows, n)
+    assert {(len(rows), len(rows[0])) for rows in seen} >= {(50, 22), (50, 18), (38, 15)}
+    assert all(Q.grading_key(rows) in GRADINGS for rows in seen)
+
+
+def test_rows_of_unequal_length_are_an_error():
+    for rows in ([(1,), (2, 3)], [(1, 0, 0), (0, -1)], [(1, 0), (0, 1, 1)]):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            stiemke_grading(rows)
+    with pytest.raises(ValueError, match=r"unequal lengths \[1, 2\]"):
+        staged_certificate([(1,), (2, 3)])
+
+
+def test_a_grading_that_fails_a_row_raises(monkeypatch):
+    # a corrupt table entry raises, whichever row it fails, and is not
+    # replaced by the simplex; a simplex vertex that fails the check raises
+    import qrefl.qtorus as Q
+
+    def unreachable(rows, nvars):
+        raise AssertionError("a stored grading fell back to the simplex")
+
+    monkeypatch.setattr(Q, "_solve_lp_geq", unreachable)
+    unit = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    key = grading_key(sorted(unit))
+    for i in range(3):
+        monkeypatch.setitem(GRADINGS, key, tuple(int(i != j) for j in range(3)))
+        with pytest.raises(GradingCheckFailed, match=re.escape(f"row {unit[i]} ")):
+            stiemke_grading(unit)
+    monkeypatch.setitem(GRADINGS, key, (1, 1))
+    with pytest.raises(GradingCheckFailed, match="2 coordinates"):
+        stiemke_grading(unit)
+    monkeypatch.setitem(GRADINGS, key, (1, 1, 1))
+    assert stiemke_grading(unit) == (1, 1, 1)
+
+    key, g = next(iter(GRADINGS.items()))
+    rows = _key_rows(key)
+    monkeypatch.setitem(GRADINGS, key, tuple(-x for x in g))
+    with pytest.raises(GradingCheckFailed):
+        stiemke_grading(rows)
+
+    monkeypatch.setattr(Q, "_solve_lp_geq", lambda rows, n: [Fraction(1), Fraction(-1)])
+    with pytest.raises(GradingCheckFailed, match=r"row \(0, 1\)"):
+        stiemke_grading([(1, 0), (0, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@example(([(1, 0), (-1, 0)], 2))
+@example(([(1, -1, 0), (1, -1, 0), (0, 1, 1)], 3))
+@example(([(0, 0, 0)], 3))
+@given(lp_inputs())
+def test_uncertified_rows_get_the_simplex_grading(case):
+    # rows the table does not hold get the grading the sparse and the dense
+    # simplex reach on their sorted distinct rows, or Infeasible
+    rows, n = case
+    distinct = sorted(set(rows))
+    assert grading_key(distinct) not in GRADINGS
+    sol = _solve_lp_geq(distinct, n)
+    assert sol == reference_lp(distinct, n)
+    if sol is None:
+        with pytest.raises(Infeasible):
+            stiemke_grading(rows)
+    else:
+        assert stiemke_grading(rows) == _scaled(sol)
 
 
 _TORI = {name: QuantumTorus(builtin(name)) for name in ("B(C2)", "B(C3)")}

@@ -10,20 +10,30 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_derive_compositions_reproduces_committed_module(tmp_path):
-    # the tool writes ../src/qrefl/compositions.py next to itself, so it
-    # runs on a copy whose generated module is deleted first
+# the module each tool writes, and what stands in the copy's module before
+# the tool runs: no file, or a table with no entries
+DERIVED = {"compositions": None, "gradings": "GRADINGS = {}\n"}
+
+
+@pytest.mark.parametrize("module", sorted(DERIVED))
+def test_derive_tool_reproduces_committed_module(module, tmp_path):
+    # tools/derive_<module>.py writes ../src/qrefl/<module>.py next to
+    # itself, so it runs on a copy whose generated module is deleted or
+    # emptied first; the gradings tool must not read the committed table
     skip = shutil.ignore_patterns("__pycache__")
     shutil.copytree(ROOT / "src" / "qrefl", tmp_path / "src" / "qrefl", ignore=skip)
     shutil.copytree(ROOT / "tools", tmp_path / "tools", ignore=skip)
-    generated = tmp_path / "src" / "qrefl" / "compositions.py"
-    generated.unlink()
+    generated = tmp_path / "src" / "qrefl" / f"{module}.py"
+    if DERIVED[module] is None:
+        generated.unlink()
+    else:
+        generated.write_text(DERIVED[module])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     run = subprocess.run(
-        [sys.executable, str(tmp_path / "tools" / "derive_compositions.py")],
+        [sys.executable, str(tmp_path / "tools" / f"derive_{module}.py")],
         cwd=tmp_path, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    committed = ROOT / "src" / "qrefl" / "compositions.py"
+    committed = ROOT / "src" / "qrefl" / f"{module}.py"
     assert generated.read_bytes() == committed.read_bytes()
 
 
