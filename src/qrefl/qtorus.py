@@ -248,8 +248,10 @@ class GradedSeries:
     truncation test and the s-exponent alpha.S.beta of X^alpha X^beta (S
     the integer skew form of the ring) need no Fraction arithmetic.  An
     exponent may run past the grading with central coordinates, which
-    have degree zero and zero rows in S.  Subclasses say how a monomial
-    gives its exponent (``_exponent``).
+    have degree zero and zero rows in S; its first len(grading)
+    coordinates are its ring part.  Subclasses say how a monomial gives
+    its exponent (``_exponent``), how an exponent reads back (``_split``)
+    and which ring and basis the exponents are over (``_ring``).
     """
 
     __slots__ = ("grading", "cutoff", "flat", "_skew", "_g", "_top")
@@ -374,6 +376,46 @@ class GradedSeries:
                                 acc[e], beta, coeffs[:n])
         return self._like({a: v for e in sorted(acc) for a, v in acc[e].items()})
 
+    def ring_parts(self, other) -> dict:
+        """{ring part: [exponents]} over the exponents of both series,
+        each once, the ring parts in the order in which the series first
+        hold them, own series first."""
+        n, out = len(self.grading), {}
+        for alpha in {**self.flat, **other.flat}:
+            out.setdefault(alpha[:n], []).append(alpha)
+        return out
+
+    def first_difference(self, other, region=None):
+        """(*decoded exponent, own coefficient, other coefficient) at the
+        first term where the two series differ, or None when they agree;
+        with ``region``, only ring parts where region(part) holds count.
+        A difference is looked for ring part by ring part (``ring_parts``).
+        Series over different rings or bases raise SeedMismatch."""
+        if self._ring() != other._ring():
+            raise SeedMismatch("series over different rings or bases")
+        a, b = self.flat, other.flat
+        if a == b:
+            return None
+        zero = ScalarQ.zero()
+        for part, alphas in self.ring_parts(other).items():
+            if region is not None and not region(part):
+                continue
+            for alpha in alphas:
+                c1, c2 = a.get(alpha, zero), b.get(alpha, zero)
+                if c1 != c2:
+                    return (*self._split(alpha), c1, c2)
+        return None
+
+    def constant_is_one(self) -> bool:
+        """True when the constant term is exactly 1: the zero ring part
+        holds the zero exponent alone, with coefficient 1."""
+        n, zero = len(self.grading), (0,) * len(self._skew)
+        at_zero = [alpha for alpha in self.flat if not any(alpha[:n])]
+        return at_zero == [zero] and self.flat[zero] == ONE
+
+    def __len__(self):
+        return len(self.flat)
+
 
 class TorusSeries(GradedSeries):
     """Truncated torus series: alpha -> ScalarQ, the flat layout itself."""
@@ -395,24 +437,16 @@ class TorusSeries(GradedSeries):
 
     _exponent = staticmethod(attrgetter("alpha"))
 
+    def _split(self, alpha):
+        return (alpha,)
+
+    def _ring(self):
+        return self.torus.labels
+
     def __eq__(self, other):
         if not isinstance(other, TorusSeries):
             return NotImplemented
         return self.first_difference(other) is None
-
-    def first_difference(self, other: "TorusSeries"):
-        """(alpha, own coefficient, other coefficient) at the first exponent
-        where the two series differ, or None when they are equal."""
-        zero = ScalarQ.zero()
-        for alpha in {**self.terms, **other.terms}:
-            mine = self.terms.get(alpha, zero)
-            theirs = other.terms.get(alpha, zero)
-            if mine != theirs:
-                return alpha, mine, theirs
-        return None
-
-    def constant_term(self) -> ScalarQ:
-        return self.terms.get((0,) * self.torus.n(), ScalarQ.zero())
 
     def __repr__(self):
         return f"TorusSeries({len(self.terms)} terms, cutoff={self.cutoff})"

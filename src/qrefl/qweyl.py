@@ -125,11 +125,11 @@ class WeylMonomial:
 class WeylSeries(GradedSeries):
     """Graded truncated series of q-Weyl monomials, held flat like a torus
     series: an exponent is cexp followed by the integer coefficients of
-    the parameter exponent over the sorted symbol basis ``symbols``.  The
-    parameters are central and have degree zero, so their coordinates have
-    zero skew rows and no grading.  A parameter exponent with a
-    denominator or a constant term has no coordinates and raises
-    ValueError; a symbol new to a series widens its basis.
+    the parameter exponent over the sorted symbol basis ``symbols``, fixed
+    when the series is built.  The parameters are central and have degree
+    zero, so their coordinates have zero skew rows and no grading.  A
+    parameter exponent with a denominator, a constant term or a symbol
+    outside the basis has no coordinates and raises ValueError.
 
     ``terms`` is the nested view cexp -> {pexp.key(): (pexp, coeff)},
     built on each access and read-only."""
@@ -163,97 +163,38 @@ class WeylSeries(GradedSeries):
     def _exponent(self, m: WeylMonomial) -> tuple:
         return m.cexp + self._coords(m.pexp)
 
-    def _param(self, alpha) -> ParamForm:
-        """The parameter exponent of the flat exponent alpha."""
-        return ParamForm(dict(zip(self.symbols, alpha[2 * self.spec.p:])))
+    def _split(self, alpha):
+        """(cexp, pexp) of the flat exponent alpha."""
+        n = 2 * self.spec.p
+        return alpha[:n], ParamForm(dict(zip(self.symbols, alpha[n:])))
 
-    def _joined(self, symbols) -> tuple:
-        """The sorted union of the basis and ``symbols``."""
-        return tuple(sorted({*self.symbols, *symbols}))
-
-    def _over(self, symbols) -> "WeylSeries":
-        """This series over the sorted basis ``symbols``, which holds the
-        series' own; self when it is the same."""
-        if symbols == self.symbols:
-            return self
-        n, where = 2 * self.spec.p, [symbols.index(x) for x in self.symbols]
-        flat = {}
-        for alpha, c in self.flat.items():
-            coords = [0] * len(symbols)
-            for i, x in zip(where, alpha[n:]):
-                coords[i] = x
-            flat[alpha[:n] + tuple(coords)] = c
-        return WeylSeries(self.spec, self.grading, self.cutoff, flat, symbols)
+    def _ring(self):
+        return self.spec.gamma, self.symbols
 
     @property
     def terms(self) -> dict:
-        n, out = 2 * self.spec.p, {}
+        out = {}
         for alpha, c in self.flat.items():
-            pexp = self._param(alpha)
-            out.setdefault(alpha[:n], {})[pexp.key()] = (pexp, c)
+            cexp, pexp = self._split(alpha)
+            out.setdefault(cexp, {})[pexp.key()] = (pexp, c)
         return out
 
     def add_term(self, cexp, pexp: ParamForm, coeff: ScalarQ):
         """Add coeff * e^pexp * e^cexp."""
-        basis = self._joined(pexp.num)
-        if basis != self.symbols:
-            wide = self._over(basis)
-            self.flat, self.symbols, self._skew = wide.flat, basis, wide._skew
         super().add_term(cexp + self._coords(pexp), coeff)
 
     def mul_monomial(self, m: WeylMonomial) -> "WeylSeries":
-        return self._over(self._joined(m.pexp.num))._times(m, ONE)
-
-    def expand(self, factors):
-        """As ``GradedSeries.expand``, over a basis that holds the symbols
-        of the factors, which are converted in this call."""
-        factors = list(factors)
-        basis = self._joined(x for _, _, m in factors for x in m.pexp.num)
-        return GradedSeries.expand(self._over(basis), factors)
+        return self._times(m, ONE)
 
     def equal_on(self, other: "WeylSeries", region=None) -> bool:
         return self.first_difference(other, region) is None
 
-    def first_difference(self, other: "WeylSeries", region=None):
-        """(cexp, pexp, own coefficient, other coefficient) at the first
-        term where the two series differ, or None when they agree; with
-        ``region``, only exponents where region(cexp) holds count.  The
-        two are compared over one basis, and a difference is looked for
-        cexp by cexp, in the order in which the series first hold them,
-        own first."""
-        basis = self._joined(other.symbols)
-        mine = self._over(basis)
-        a, b = mine.flat, other._over(basis).flat
-        if region is None and a == b:
-            return None
-        n, zero = 2 * self.spec.p, ScalarQ.zero()
-        groups = {}
-        for alpha in {**a, **b}:
-            groups.setdefault(alpha[:n], []).append(alpha)
-        for cexp, alphas in groups.items():
-            if region is not None and not region(cexp):
-                continue
-            for alpha in alphas:
-                c1, c2 = a.get(alpha, zero), b.get(alpha, zero)
-                if c1 != c2:
-                    return cexp, mine._param(alpha), c1, c2
-        return None
-
-    def constant_is_one(self) -> bool:
-        """True when the constant term is exactly 1: the zero exponent
-        holds the zero parameter exponent alone, with coefficient 1."""
-        n = 2 * self.spec.p
-        at_zero = [alpha for alpha in self.flat if not any(alpha[:n])]
-        return at_zero == [(0,) * (n + len(self.symbols))] and \
-            self.flat[at_zero[0]] == ONE
-
-    def __len__(self):
-        return len(self.flat)
-
 
 def expand_weyl_product(factors, spec, grading, cutoff) -> WeylSeries:
-    """Product of dilog factors (base, expo, WeylMonomial) left to right."""
-    return WeylSeries.one(spec, grading, cutoff).expand(factors)
+    """Product of dilog factors (base, expo, WeylMonomial) left to right,
+    over the sorted union of the factors' parameter symbols."""
+    symbols = sorted({x for _, _, m in factors for x in m.pexp.num})
+    return WeylSeries.one(spec, grading, cutoff, symbols).expand(factors)
 
 
 class SubstHom:

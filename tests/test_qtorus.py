@@ -234,7 +234,7 @@ def test_dilog_series_coefficients():
     # n = 1 coefficients: -q/(1-q^2) and q/(1-q^2)
     assert plus.terms[e1] == ScalarQ.qpoch_inv(1, 1, {2: -1})
     assert minus.terms[e1] == ScalarQ.qpoch_inv(1, 1, {2: 1})
-    assert plus.constant_term() == ONE
+    assert plus.constant_is_one()
     with pytest.raises(NonpositiveGrading):
         expand_product([(1, u.inverse(), 1)], (1, 0), 3)
 
@@ -266,7 +266,7 @@ def test_expand_product_associativity_and_empty():
         tail = expand_product(facs[1:], g, 4)
         assert series_mul(head, tail) == s_all
     one = expand_product([], g, 4, torus=torus)
-    assert one.constant_term() == ONE and len(one.terms) == 1
+    assert one.constant_is_one() and len(one.terms) == 1
 
 
 def test_dilog_factors_function():
@@ -763,6 +763,12 @@ def _negative_start_case(n):
 _PEXPS = (ParamForm(), ParamForm({"a1": 1}), ParamForm({"a1": -1, "a2": 1}))
 
 
+def basis(pexps):
+    """The sorted union of the symbols of the parameter exponents: the
+    basis of a Weyl series that holds them."""
+    return tuple(sorted({x for p in pexps for x in p.num}))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_TORI)).flatmap(
     lambda name: st.tuples(st.just(name), _series_cases(_TORI[name].n()))))
@@ -806,7 +812,7 @@ def test_weyl_expand_matches_term_by_term_loop(case):
     # monomials that share an exponent and differ in their parameter
     # exponent fill one bucket with several entries
     spec, (grading, cutoff, factors, extra) = case
-    series = WeylSeries.one(spec, grading, cutoff)
+    series = WeylSeries.one(spec, grading, cutoff, basis(_PEXPS))
     for cexp, k, i in extra:
         series.add_term(cexp, _PEXPS[i], ScalarQ.s_pow(k))
     factors = [(b, e, WeylMonomial(spec, ScalarQ.s_pow(k), _PEXPS[i], v))
@@ -826,7 +832,8 @@ def test_re_full_sides_expand_as_term_by_term_loop():
     sides = V._weyl_sides()
     g = V._grading([m.cexp for facs in sides for _, _, m in facs])
     for facs in sides:
-        assert_expand_matches_reference(WeylSeries.one(SPEC_C3, g, 2), facs)
+        assert_expand_matches_reference(
+            WeylSeries.one(SPEC_C3, g, 2, basis(m.pexp for _, _, m in facs)), facs)
 
 
 # -- the flat Weyl layout against the nested ParamForm reference ------------
@@ -875,7 +882,8 @@ def test_flat_weyl_expansion_matches_the_nested_reference(case, data):
                                   min_size=1, max_size=3))
         start = data.draw(st.lists(st.tuples(st.sampled_from(pool),
                                              st.sampled_from(_COEFFS)), max_size=8))
-    flat = WeylSeries.one(spec, grading, cutoff)
+    flat = WeylSeries.one(spec, grading, cutoff,
+                          basis([*_PEXPS, *(m.pexp for _, _, m in facs)]))
     nested = weyl_reference.WeylSeries.one(spec, grading, cutoff)
     for (cexp, p), c in start:
         flat.add_term(cexp, p, c)
@@ -912,9 +920,6 @@ def assert_merge_matches_add_term(a, b, monomial, coeffs):
     the exponent of ``monomial``, into a copy of b's terms for n = 1 and
     into empty ones for n > 1, as add_term adds them term by term; the
     terms of a are those kept at every power."""
-    if isinstance(a, WeylSeries):
-        basis = a._joined(b._joined(monomial.pexp.num))
-        a, b = a._over(basis), b._over(basis)
     beta, pexp = a._exponent(monomial), getattr(monomial, "pexp", None)
     powers = range(1, len(coeffs) + 1)
     near = a._like({t: v for t, v in a.flat.items()
@@ -952,7 +957,8 @@ def test_weyl_merge_and_product_match_add_term(spec, data):
     n = 2 * spec.p
     grading = data.draw(st.lists(st.sampled_from((Fraction(1, 2), 1)),
                                  min_size=n, max_size=n))
-    empty = lambda: WeylSeries(spec, grading, data.draw(st.sampled_from((0, 1, 2))))
+    empty = lambda: WeylSeries(spec, grading, data.draw(st.sampled_from((0, 1, 2))),
+                               symbols=basis(_PEXPS))
     a = _drawn_series(data, empty, n, _PEXPS)
     b = _drawn_series(data, empty, n, _PEXPS)
     m = WeylMonomial(spec, data.draw(st.sampled_from(_COEFFS)),
@@ -979,7 +985,7 @@ def test_merge_deletes_what_cancels():
     # holds; the second power lands in the second target
     spec = SPEC_C2
     x, y = spec.vec({"u1": 1}), spec.vec({"w1": 1})
-    w = WeylSeries(spec, (1,) * 8, 3)
+    w = WeylSeries(spec, (1,) * 8, 3, symbols=basis(_PEXPS[:2]))
     for cexp, p, c in ((x, _PEXPS[0], ONE), (x, _PEXPS[1], ScalarQ.s_pow(1)),
                        (y, _PEXPS[0], ONE)):
         w.add_term(cexp, p, c)
@@ -992,6 +998,101 @@ def test_merge_deletes_what_cancels():
     w._merge([out, out2], w.flat, w._exponent(m), [m.coeff, m.coeff * m.coeff])
     assert list(out) == [other, gx1] and out[gx1] == px1
     assert forms(out2) == forms(w.mul_monomial(m).mul_monomial(m).flat)
+
+
+# -- the one comparison of both series against the loops it replaced -------
+
+
+def torus_first_difference(a, b, region=None):
+    """The comparison of torus series as it was, with a ``region``: the
+    first exponent, in the order the series first hold them, own series
+    first, where the coefficients differ."""
+    zero = ScalarQ.zero()
+    for alpha in {**a.terms, **b.terms}:
+        if region is not None and not region(alpha):
+            continue
+        mine, theirs = a.terms.get(alpha, zero), b.terms.get(alpha, zero)
+        if mine != theirs:
+            return alpha, mine, theirs
+    return None
+
+
+def _drawn_pair(data, pool, add):
+    """Two series filled by ``add`` from one pool of exponents: the second
+    takes the first's additions and up to three more, in another order,
+    all with coefficients that cancel against each other."""
+    term = st.tuples(st.sampled_from(pool), st.sampled_from(_COEFFS))
+    ops = data.draw(st.lists(term, max_size=10))
+    extra = data.draw(st.lists(term, max_size=3))
+    a, b = add(ops), add(data.draw(st.permutations(ops + extra)))
+    return (a, b) if data.draw(st.booleans()) else (b, a)
+
+
+def _drawn_region(data, parts):
+    """None, or the ring parts of a drawn subset of ``parts``."""
+    if data.draw(st.booleans()):
+        return None
+    keep = set(data.draw(st.lists(st.sampled_from(parts), max_size=len(parts))))
+    return lambda part: part in keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_TORI)), st.data())
+def test_torus_witness_order_is_the_old_loop(name, data):
+    torus = _TORI[name]
+    n = torus.n()
+    pool = data.draw(st.lists(_sparse_vec(n), min_size=1, max_size=4))
+
+    def add(ops):
+        out = TorusSeries(torus, (1,) * n, 3)
+        for alpha, c in ops:
+            out.add_term(alpha, c)
+        return out
+
+    a, b = _drawn_pair(data, pool, add)
+    region = _drawn_region(data, pool)
+    got = a.first_difference(b, region)
+    assert got == torus_first_difference(a, b, region)
+    if region is None:
+        assert (a == b) is (got is None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((SPEC_C2, SPEC_C3)), st.data())
+def test_weyl_witness_order_is_the_nested_reference(spec, data):
+    # a few ring parts, each with several parameter exponents; the nested
+    # reference holds the flat series' terms in the order of its view
+    n = 2 * spec.p
+    cexps = data.draw(st.lists(_sparse_vec(n), min_size=1, max_size=2))
+    pool = data.draw(st.lists(st.tuples(st.sampled_from(cexps), st.sampled_from(_PEXPS)),
+                              min_size=1, max_size=4))
+
+    def add(ops):
+        out = WeylSeries(spec, (1,) * n, 3, symbols=basis(_PEXPS))
+        for (cexp, p), c in ops:
+            out.add_term(cexp, p, c)
+        return out
+
+    a, b = _drawn_pair(data, pool, add)
+    region = _drawn_region(data, cexps)
+    nested = [weyl_reference.WeylSeries(spec, (1,) * n, 3, x.terms) for x in (a, b)]
+    got = a.first_difference(b, region)
+    assert got == nested[0].first_difference(nested[1], region)
+    assert a.equal_on(b, region) is (got is None)
+
+
+def test_series_over_different_tori_do_not_compare():
+    from qrefl.qtorus import SeedMismatch
+    a, b = (TorusSeries.one(_TORI[name], (1,) * _TORI[name].n(), 2)
+            for name in ("B(C2)", "B(C3)"))
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(SeedMismatch):
+            left == right
+        with pytest.raises(SeedMismatch):
+            left.first_difference(right)
+    # another torus object over the same labels is the same ring
+    twin = QuantumTorus(builtin("B(C2)"))
+    assert a == TorusSeries.one(twin, a.grading, 2)
 
 
 def test_products_drop_terms_past_the_cutoff():

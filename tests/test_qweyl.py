@@ -158,9 +158,10 @@ def test_diagram_commutes_identity():
 
 def affine_apply_series(eta, series):
     """Image of a truncated canonical-variable series under an affine map,
-    term by term."""
+    term by term, over the series' basis and the symbols of the shifts."""
     from qrefl.qweyl import WeylSeries
-    out = WeylSeries(series.spec, series.grading, series.cutoff)
+    symbols = sorted({*series.symbols, *(x for s in eta.shift for x in s.num)})
+    out = WeylSeries(series.spec, series.grading, series.cutoff, symbols=symbols)
     for cexp, bucket in series.terms.items():
         for pexp, coeff in bucket.values():
             m = eta.apply(WeylMonomial(series.spec, coeff, pexp, cexp))
@@ -208,10 +209,10 @@ def test_constant_is_one_reads_the_parameter_exponent():
     assert WeylSeries.one(SPEC_C2, g, 2, ("a1", "b2")).constant_is_one()
     zero = (0,) * 8
     # a lone e^{a1} at the zero exponent is not the constant term 1
-    lone = WeylSeries(SPEC_C2, g, 2)
+    lone = WeylSeries(SPEC_C2, g, 2, symbols=("a1",))
     lone.add_term(zero, ParamForm({"a1": 1}), ONE)
     assert not lone.constant_is_one()
-    both = WeylSeries.one(SPEC_C2, g, 2)
+    both = WeylSeries.one(SPEC_C2, g, 2, ("a1",))
     both.add_term(zero, ParamForm({"a1": 1}), ONE)
     assert not both.constant_is_one()
     two = WeylSeries(SPEC_C2, g, 2)
@@ -237,7 +238,7 @@ def test_nested_terms_view_returns_what_add_term_put_in(data):
     cexps = st.lists(st.integers(-1, 1), min_size=8, max_size=8).map(tuple)
     pool = data.draw(st.lists(st.tuples(cexps, st.sampled_from(_PEXP_POOL)),
                               min_size=1, max_size=3))
-    flat = WeylSeries(SPEC_C2, (1,) * 8, 3)
+    flat = WeylSeries(SPEC_C2, (1,) * 8, 3, symbols=("a1", "a2", "b3"))
     nested = weyl_reference.WeylSeries(SPEC_C2, (1,) * 8, 3)
     for _ in range(data.draw(st.integers(0, 10))):
         (cexp, p), c = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(_SIGNED))
@@ -250,19 +251,57 @@ def test_nested_terms_view_returns_what_add_term_put_in(data):
     assert len(flat) == len(nested)
 
 
-def test_series_over_different_symbol_sets_compare_on_one_basis():
+def test_series_over_different_bases_or_specs_do_not_compare():
+    # equal flat terms over a basis of the same size, or of another size,
+    # or over another spec of the same size, are refused, never re-keyed
+    from qrefl.qtorus import SeedMismatch
     from qrefl.qweyl import WeylSeries
-    x = SPEC_C2.vec({"u1": 1})
-    a, b = WeylSeries(SPEC_C2, (1,) * 8, 2), WeylSeries(SPEC_C2, (1,) * 8, 2)
+    x, g = SPEC_C2.vec({"u1": 1}), (1,) * 8
+    a = WeylSeries(SPEC_C2, g, 2, symbols=("a1",))
     a.add_term(x, ParamForm({"a1": 1}), ONE)
-    b.add_term(x, ParamForm({"a2": 1}), ONE)
-    b.add_term(x, ParamForm({"a2": 1}), -ONE)
-    b.add_term(x, ParamForm({"a1": 1}), ONE)
-    assert (a.symbols, b.symbols) == (("a1",), ("a1", "a2"))
-    assert a.equal_on(b) and b.equal_on(a)
-    b.add_term(x, ParamForm({"a2": -1}), ScalarQ.s_pow(1))
-    assert b.first_difference(a) == (x, ParamForm({"a2": -1}), ScalarQ.s_pow(1),
-                                     ScalarQ.zero())
+    others = [WeylSeries(SPEC_C2, g, 2, dict(a.flat), ("a2",)),
+              WeylSeries(SPEC_C2, g, 2, symbols=("a1", "a2")),
+              WeylSeries(SPEC_C2, g, 2),
+              WeylSeries(SPEC_B2, g, 2, dict(a.flat), ("a1",))]
+    others[1].add_term(x, ParamForm({"a1": 1}), ONE)
+    for b in others:
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(SeedMismatch):
+                left.equal_on(right)
+            with pytest.raises(SeedMismatch):
+                left.first_difference(right, lambda cexp: True)
+    same = WeylSeries(SPEC_C2, g, 2, dict(a.flat), ("a1",))
+    assert a.equal_on(same)
+    same.add_term(x, ParamForm({"a1": 1}), ScalarQ.s_pow(1))
+    assert same.first_difference(a) == (x, ParamForm({"a1": 1}),
+                                        ONE + ScalarQ.s_pow(1), ONE)
+
+
+def test_a_symbol_outside_the_basis_is_an_error():
+    # the basis is fixed when the series is built: a term or a factor
+    # with another symbol raises and leaves the series as it was
+    from qrefl.qweyl import WeylSeries
+    x, g = SPEC_C2.vec({"u1": 1}), (1,) * 8
+    s = WeylSeries.one(SPEC_C2, g, 2, ("a1",))
+    before = dict(s.flat)
+    with pytest.raises(ValueError):
+        s.add_term(x, ParamForm({"a2": 1}), ONE)
+    for pexp in (ParamForm({"a2": 1}), ParamForm({"a1": 1, "a2": -1})):
+        with pytest.raises(ValueError):
+            s.mul_monomial(WeylMonomial(SPEC_C2, ONE, pexp, x))
+    assert s.symbols == ("a1",) and s.flat == before
+    assert len(s.mul_monomial(WeylMonomial(SPEC_C2, ONE, ParamForm({"a1": 2}), x))) == 1
+
+
+def test_expand_weyl_product_is_over_the_union_of_the_factor_symbols():
+    from qrefl.qweyl import expand_weyl_product
+    x, y, g = SPEC_C2.vec({"u1": 1}), SPEC_C2.vec({"w2": 1}), (1,) * 8
+    facs = [(1, 1, WeylMonomial(SPEC_C2, ONE, ParamForm({"b2": 1}), x)),
+            (2, -1, WeylMonomial(SPEC_C2, ONE, ParamForm({"a1": 1, "b2": -1}), y)),
+            (1, 1, WeylMonomial(SPEC_C2, ONE, ParamForm(), x))]
+    assert expand_weyl_product(facs, SPEC_C2, g, 2).symbols == ("a1", "b2")
+    assert expand_weyl_product(facs[2:], SPEC_C2, g, 2).symbols == ()
+    assert expand_weyl_product([], SPEC_C2, g, 2).symbols == ()
 
 
 @pytest.mark.parametrize("bad", [ParamForm({"a1": Fraction(1, 2)}),

@@ -156,3 +156,30 @@ def test_bench_pairs_refuses_trees_of_unequal_depth(tmp_path, capsys):
     with pytest.raises(bench_pairs.UnequalDepth):
         bench_pairs.refuse_unequal_depth(str(parent), str(change))
     bench_pairs.refuse_unequal_depth(str(parent), str(tmp_path / "q"))
+
+
+def _load(path):
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_layer_of_the_tree_and_puts_it_back():
+    # bench/tracer.py wraps qrefl methods by their names in each class's
+    # own __dict__, and functions by module; a name it wraps that the
+    # tree no longer defines fails here, not in a traced benchmark run
+    import qrefl.verify as V
+    tracer_mod = _load(ROOT / "bench" / "tracer.py")
+    tasks = _load(ROOT / "bench" / "workloads.py").VERIFY_TASKS
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install_layers(tracer, tasks)
+        wrapped = list(tracer._undo)
+        assert wrapped and all(getattr(owner, key).__wrapped__ is fn
+                               for owner, key, fn in wrapped)
+    finally:
+        tracer.remove()
+    assert all(vars(owner)[key] is fn for owner, key, fn in wrapped)
+    assert not hasattr(V.check_re_full_torus, "__wrapped__")
